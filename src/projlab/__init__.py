@@ -36,10 +36,10 @@ from .constructions import (BitWord, DyadicRational, IfsSpec, SphereNetSpec,
                             sphere_net_union, verify_digit_lemma,
                             word_entropy_dimension)
 from .embedding import (CollisionReport, HolderEstimate, collision_probability,
-                        collision_scan, inverse_continuity_modulus,
-                        log_lipschitz_defect, nearest_point_decode,
-                        perturbed_preimage_search, pointwise_holder,
-                        transversality_fraction)
+                        collision_scan, holder_ceiling,
+                        inverse_continuity_modulus, log_lipschitz_defect,
+                        nearest_point_decode, perturbed_preimage_search,
+                        pointwise_holder, transversality_fraction)
 from .slicing import (SlabSlice, dirac_score, slab_conditional,
                       slice_local_dimension, translate_pair_test)
 from .experiments import experiment_names, run_experiment

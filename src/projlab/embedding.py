@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from .constructions import fibonacci_sphere
 from .dimension import fit_loglog
 from .linalg import sample_e_batch
 
 PAIR_BLOCK = 2048
+STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
 EXACT_SCAN_LIMIT = 20_000
 
 
@@ -52,7 +54,8 @@ class CollisionReport:
 
 def _image_of(points, op):
     """Images under op: None (identity), LinearOperator-like (has apply),
-    a plain matrix, or a callable acting on the (n, N) batch."""
+    a plain matrix, a callable acting on the (n, N) batch, or an (m, k, N)
+    stack of matrices, which gives (m, n, k) images."""
     if op is None:
         return np.asarray(points, dtype=float)
     apply = getattr(op, "apply", None)
@@ -60,7 +63,8 @@ def _image_of(points, op):
         return apply(points)
     if callable(op):
         return np.atleast_2d(np.asarray(op(points), dtype=float))
-    return np.asarray(points, dtype=float) @ np.asarray(op, dtype=float).T
+    return np.asarray(points, dtype=float) \
+        @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
 
 
 def _describe_map(op):
@@ -162,6 +166,18 @@ def collision_scan(points, op, eps, delta, mode="auto"):
     )
 
 
+def _frequency_fit(table, n_maps):
+    """log2-log2 fit of event frequency against eps over the (eps, count)
+    rows with events; None with fewer than three such rows."""
+    positive = [(e, c / n_maps) for e, c in table if c > 0]
+    if len(positive) < 3:
+        return None
+    slope, intercept, r2 = fit_loglog(*map(np.array, zip(*positive)))
+    # fit_loglog regresses against log2(1/eps); event frequency grows
+    # with eps, so flip to report d log2(freq) / d log2(eps)
+    return {"slope": -slope, "intercept": intercept, "r_squared": r2}
+
+
 def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
     """Chance over random maps that some far point lands eps-close to the
     base point's image.
@@ -190,15 +206,6 @@ def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
     for m in range(n_maps):
         mins[m] = np.linalg.norm(diffs @ rows[m].T, axis=1).min()
     counts = [(float(e), int(np.count_nonzero(mins <= e))) for e in eps_grid]
-    positive = [(e, c) for e, c in counts if c > 0]
-    fit = None
-    if len(positive) >= 3:
-        es = np.array([e for e, _ in positive])
-        fr = np.array([c / n_maps for _, c in positive])
-        slope, intercept, r2 = fit_loglog(es, fr)
-        # fit_loglog regresses against log2(1/eps); collision frequency
-        # grows with eps, so flip to report d log2(freq) / d log2(eps)
-        fit = {"slope": -slope, "intercept": intercept, "r_squared": r2}
     return {
         "delta": float(delta),
         "k": k,
@@ -210,7 +217,7 @@ def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
         "warnings": warnings,
         "table": counts,
         "min_distances": mins,
-        "fit": fit,
+        "fit": _frequency_fit(counts, n_maps),
     }
 
 
@@ -232,13 +239,6 @@ def transversality_fraction(x, z, eps_grid, k, n_maps, seed):
         c = int(np.count_nonzero(vals <= e))
         table.append((float(e), c))
         c_values.append((c / n_maps) * xnorm**k / e**k)
-    positive = [(e, c) for e, c in table if c > 0]
-    fit = None
-    if len(positive) >= 3:
-        es = np.array([e for e, _ in positive])
-        fr = np.array([c / n_maps for _, c in positive])
-        slope, intercept, r2 = fit_loglog(es, fr)
-        fit = {"slope": -slope, "intercept": intercept, "r_squared": r2}
     return {
         "k": k,
         "n_maps": n_maps,
@@ -246,52 +246,74 @@ def transversality_fraction(x, z, eps_grid, k, n_maps, seed):
         "sampler": "unit-ball-rows",
         "x_norm": xnorm,
         "table": table,
-        "fit": fit,
+        "fit": _frequency_fit(table, n_maps),
         "c_hat": float(max(c_values)),
         "c_by_eps": [float(c) for c in c_values],
     }
 
 
+def _sq_norms(a, b=None, out=None):
+    """Squared Euclidean norms of a - b (of a when b is None) along the last
+    axis, the other axes broadcast; out, if given, receives them.
+
+    The differences are taken directly and the squares summed coordinate
+    by coordinate, the order np.linalg.norm uses on rows shorter than 8,
+    so no (..., k) difference tensor is built and nothing cancels.
+    """
+    for c in range(a.shape[-1]):
+        d = np.subtract(a[..., c], 0.0 if b is None else b[..., c],
+                        out=None if c else out)
+        np.square(d, out=d)
+        out = d if c == 0 else np.add(out, d, out=out)
+    return out
+
+
 def inverse_continuity_modulus(points, op, delta_grid):
     """eps(delta) = smallest image distance among pairs at least delta apart.
+
+    op is one map (anything collision_scan accepts), which gives one table
+    of (delta, eps) rows, or a stack of maps: an (m, k, N) array such as
+    sample_e_batch returns, which gives a list of m tables in stack order.
+    Deltas that no pair reaches are cut from every table alike.
+
+    The pass runs over blocks of base points.  Point distances and the
+    far-pair masks of a block are found once for the whole stack; image
+    distances are direct differences of the images, so a small minimum is
+    never the cancellation residue of a Gram identity.  A block takes as
+    many base points as keep its map x pair entries within STACK_BLOCK,
+    and at least one.
 
     Nondecreasing in delta by construction (shrinking the pair set can only
     raise the minimum).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = np.atleast_2d(_image_of(points, op))
+    images = _image_of(points, op)
+    stacked = images.ndim == 3
+    images = np.ascontiguousarray(images if stacked else images[None])
     delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
-    g = len(delta_grid)
-    suffix_min2 = np.full(g, np.inf)
-    suffix_count = np.zeros(g, dtype=np.int64)
-    n = len(points)
-    # squared distances via the Gram identity; cancellation noise caps
-    # the resolution of reported minima near sqrt(machine eps)
-    x_sq = np.einsum("ij,ij->i", points, points)
-    y_sq = np.einsum("ij,ij->i", images, images)
-    cols = np.arange(n)
-    for start in range(0, n, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, n)
-        pd2 = x_sq[start:stop, None] + x_sq[None, :] \
-            - 2.0 * points[start:stop] @ points.T
-        im2 = y_sq[start:stop, None] + y_sq[None, :] \
-            - 2.0 * images[start:stop] @ images.T
-        upper = cols[None, :] > np.arange(start, stop)[:, None]
+    m, n = images.shape[:2]
+    min2 = np.full((len(delta_grid), m), np.inf)
+    count = np.zeros(len(delta_grid), dtype=np.int64)
+    rows = max(1, STACK_BLOCK // (m * n))
+    buf = np.empty(m * rows * n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # partners j > i only, so the block's columns begin at its first row
+        pd = np.sqrt(_sq_norms(points[start:stop, None], points[None, start:]))
+        near = np.arange(start, n) <= np.arange(start, stop)[:, None]
+        im2 = _sq_norms(images[:, start:stop, None], images[:, None, start:],
+                        out=buf[:m * pd.size].reshape((m,) + pd.shape))
         for j, d in enumerate(delta_grid):
-            mask = upper & (pd2 >= d * d)
-            cnt = int(np.count_nonzero(mask))
-            if cnt:
-                suffix_min2[j] = min(suffix_min2[j],
-                                     float(np.where(mask, im2, np.inf).min()))
-                suffix_count[j] += cnt
-    if suffix_count[0] == 0:
+            near |= pd < d  # deltas ascend, so the far sets shrink
+            count[j] += near.size - np.count_nonzero(near)
+            im2[:, near] = np.inf
+            np.minimum(min2[j], im2.reshape(m, -1).min(axis=1), out=min2[j])
+    if count[0] == 0:
         raise ValueError("no pairs at the smallest delta")
-    table = []
-    for j, d in enumerate(delta_grid):
-        if suffix_count[j] == 0:
-            break
-        table.append((float(d), math.sqrt(max(float(suffix_min2[j]), 0.0))))
-    return table
+    reached = delta_grid[count > 0]  # counts fall with delta: a prefix
+    tables = [[(float(d), math.sqrt(float(e))) for d, e in zip(reached, col)]
+              for col in min2[:len(reached)].T]
+    return tables if stacked else tables[0]
 
 
 @dataclass
@@ -312,6 +334,40 @@ class HolderEstimate:
     n_binding: int
 
 
+def _binding_ceilings(pd, im, m_const):
+    """Binding mask pd > M im and the ceilings of the binding pairs, in C
+    order: (log2(pd) - log2 M) / log2(im), with -inf for an exact collision
+    (im = 0).  Logs are taken on binding pairs only."""
+    binding = pd > m_const * im
+    im_b = im[binding]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ceil = (np.log2(pd[binding]) - math.log2(m_const)) / np.log2(im_b)
+    ceil[im_b == 0.0] = -np.inf
+    return binding, ceil
+
+
+def holder_ceiling(pd, im, m_const):
+    """Pointwise Holder ceilings from normalized distances, one per row.
+
+    pd and im hold the point and image distances from a base point to its
+    partners along the last axis, divided by the normalizer; any leading
+    shape indexes base points or maps.  A partner binds when pd > M im.
+    The ceiling of a row is the minimum over its binding partners of
+    (log2(pd) - log2 M) / log2(im), floored at 0: an exact collision
+    (im = 0 while pd > 0) gives 0 and a row where nothing binds gives inf.
+    The base point itself (pd = 0) never binds.  Returns an array of shape
+    pd.shape[:-1].
+    """
+    binding, ceil = _binding_ceilings(pd, im, m_const)
+    counts = np.asarray(np.count_nonzero(binding, axis=-1))
+    alpha = np.full(counts.shape, np.inf)
+    filled = counts > 0
+    if ceil.size:  # binding pairs come row by row, so rows are segments
+        alpha[filled] = np.minimum.reduceat(
+            ceil, np.cumsum(counts[filled]) - counts[filled])
+    return np.where(alpha > 0.0, alpha, 0.0)
+
+
 def pointwise_holder(points, op, base_index, m_const):
     """Best pointwise Holder exponent of the inverse at one base point."""
     if m_const < 1:
@@ -321,27 +377,18 @@ def pointwise_holder(points, op, base_index, m_const):
     normalizer = 2.0 * set_diameter(images)
     if normalizer == 0.0:
         raise ValueError("image has zero diameter")
-    x = points[base_index]
-    px = images[base_index]
-    pd = np.linalg.norm(points - x, axis=1) / normalizer
-    im = np.linalg.norm(images - px, axis=1) / normalizer
-    others = np.arange(len(points)) != base_index
-    nontrivial = others & (pd > 0)
-    collide = nontrivial & (im == 0.0)
-    if np.any(collide):
-        witness = int(np.nonzero(collide)[0][0])
-        return HolderEstimate(base_index, float(m_const), 0.0, witness,
-                              normalizer, int(np.count_nonzero(collide)))
-    binding = nontrivial & (pd > m_const * im)
-    if not np.any(binding):
+    pd = np.linalg.norm(points - points[base_index], axis=1) / normalizer
+    im = np.linalg.norm(images - images[base_index], axis=1) / normalizer
+    binding, ceil = _binding_ceilings(pd, im, m_const)
+    if not ceil.size:
         return HolderEstimate(base_index, float(m_const), math.inf, None,
                               normalizer, 0)
-    idx = np.nonzero(binding)[0]
-    ceilings = np.log2(pd[idx] / m_const) / np.log2(im[idx])
-    best = int(np.argmin(ceilings))
-    alpha = max(0.0, float(ceilings[best]))
-    return HolderEstimate(base_index, float(m_const), alpha, int(idx[best]),
-                          normalizer, int(len(idx)))
+    # the first minimizer: the first collision when there is one
+    best = int(np.argmin(ceil))
+    return HolderEstimate(base_index, float(m_const),
+                          max(0.0, float(ceil[best])),
+                          int(np.flatnonzero(binding)[best]), normalizer,
+                          int(ceil.size))
 
 
 def set_diameter(points):
@@ -360,12 +407,9 @@ def set_diameter(points):
             points = points[hull.vertices]
         except QhullError:
             pass
-    best = 0.0
-    for start in range(0, len(points), PAIR_BLOCK):
-        block = slice(start, min(start + PAIR_BLOCK, len(points)))
-        d = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=2)
-        best = max(best, float(d.max()))
-    return best
+    return max((float(np.sqrt(_sq_norms(points[s:s + PAIR_BLOCK, None],
+                                        points[None]).max()))
+                for s in range(0, len(points), PAIR_BLOCK)), default=0.0)
 
 
 def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
@@ -426,11 +470,7 @@ def _sphere_mesh(dim, count, rng):
         ang = np.linspace(0, 2 * np.pi, count, endpoint=False)
         return np.column_stack([np.cos(ang), np.sin(ang)])
     if dim == 3:
-        i = np.arange(count, dtype=float)
-        z = 1.0 - (2 * i + 1) / count
-        theta = np.pi * (3.0 - np.sqrt(5.0)) * i
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+        return fibonacci_sphere(count)
     mesh = rng.standard_normal((count, dim))
     return mesh / np.linalg.norm(mesh, axis=1, keepdims=True)
 

@@ -34,12 +34,13 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             kernel_shell_witnesses, parabola_lift_measure,
                             sparse_atoms, sphere_net, sphere_net_union,
                             verify_digit_lemma, word_entropy_dimension)
-from .dimension import (assouad_probe, box_dimension_fit, local_dimension,
-                        min_nn_distance)
-from .embedding import (collision_probability, inverse_continuity_modulus,
-                        set_diameter, transversality_fraction)
+from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
+                        local_dimension, min_nn_distance)
+from .embedding import (_sq_norms, collision_probability, holder_ceiling,
+                        inverse_continuity_modulus, set_diameter,
+                        transversality_fraction)
 from .geom import write_points_csv
-from .linalg import LinearOperator, Plane, sample_e_batch
+from .linalg import Plane, sample_e_batch
 from .slicing import dirac_score, slab_conditional, translate_pair_test
 from .svgplot import loglog_plot
 
@@ -340,11 +341,7 @@ def _assouad_probe(cfg, art, threads):
 })
 def _local_dim(cfg, art, threads):
     measure = parabola_lift_measure(cfg["p"], cfg["n_blocks"])
-    radii = []
-    r = cfg["r_max"]
-    while r >= cfg["r_min"] * (1 - 1e-9):
-        radii.append(r)
-        r /= 2.0
+    radii = dyadic_scales(cfg["r_max"], cfg["r_min"])
     rng = np.random.default_rng(cfg["seed"])
     picks = rng.choice(measure.points.shape[0], size=cfg["n_atoms"],
                        replace=True, p=measure.weights)
@@ -384,11 +381,7 @@ def _transversality(cfg, art, threads):
     x = np.zeros(cfg["ambient_dim"])
     x[0] = 1.0
     z = np.zeros(cfg["k"])
-    grid = []
-    e = cfg["eps_max"]
-    while e >= cfg["eps_min"] * (1 - 1e-9):
-        grid.append(e)
-        e /= 2.0
+    grid = dyadic_scales(cfg["eps_max"], cfg["eps_min"])
     res = transversality_fraction(x, z, grid, cfg["k"], cfg["n_maps"],
                                   cfg["seed"])
     art.table("transversality", ["eps", "count", "fraction", "c_at_eps"],
@@ -435,11 +428,7 @@ def _collision_scaling(cfg, art, threads):
     # keep eps_max low enough that the event fraction stays well under
     # ~0.2: union saturation flattens the top of the curve and eats the
     # envelope's margin (theta is only 0.1)
-    grid = []
-    e = cfg["eps_max"]
-    while e >= cfg["eps_min"] * (1 - 1e-9):
-        grid.append(e)
-        e /= 2.0
+    grid = dyadic_scales(cfg["eps_max"], cfg["eps_min"])
     res = collision_probability(union.points, base, cfg["delta"], grid,
                                 cfg["k"], cfg["n_maps"], cfg["seed"])
     fracs = [(e, c / cfg["n_maps"]) for e, c in res["table"]]
@@ -484,23 +473,6 @@ def _collision_scaling(cfg, art, threads):
 # --- pointwise Holder ceilings at the origin of the unions ---
 
 
-def _holder_alphas(pd, im, m_grid):
-    """alpha_hat for each M from normalized distances (base excluded)."""
-    out = {}
-    if np.any(im == 0.0):
-        return {m: 0.0 for m in m_grid}
-    log_pd = np.log2(pd)
-    log_im = np.log2(im)
-    for m in m_grid:
-        binding = pd > m * im
-        if not np.any(binding):
-            out[m] = math.inf
-            continue
-        ceil = (log_pd[binding] - math.log2(m)) / log_im[binding]
-        out[m] = max(0.0, float(ceil.min()))
-    return out
-
-
 @_register("holder-ceiling", needs_seed=True, defaults={
     "ambient_dim": 3, "k": 2, "t": 2.0, "i_max": 8, "witness_depth": None,
     "sq_i_max": 6, "n_maps": 200, "m_grid": [1.0, 4.0, 16.0],
@@ -530,29 +502,32 @@ def _holder_ceiling(cfg, art, threads):
     union = sphere_net_union(cfg["ambient_dim"], cfg["k"], l_law="pow2t",
                              t=cfg["t"], i_max=cfg["i_max"], seed=seeds[0])
     pts = union.points
-    pd_raw = np.linalg.norm(pts, axis=1)  # base atom is the origin, index 0
+    pd_raw = np.sqrt(_sq_norms(pts))  # base atom is the origin, index 0
     hull_idx = ConvexHull(pts).vertices
     rows_a = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                             seeds[1])
     wit_seeds_a = _sub_seeds(seeds[1], len(wit_specs) * cfg["n_maps"])
 
+    def ceilings(parts, normalizer):
+        """alpha_hat for each M over (point norms, images) parts; the base,
+        at the origin, never binds, and the ceiling is a minimum over
+        points, so it splits over the parts."""
+        scaled = [(pd / normalizer, np.sqrt(_sq_norms(imgs)) / normalizer)
+                  for pd, imgs in parts]
+        return {m: min(float(holder_ceiling(pd, im, m)) for pd, im in scaled)
+                for m in m_grid}
+
     def leg_a(midx):
         rows = rows_a[midx]
         imgs = pts @ rows.T
-        normalizer = 2.0 * set_diameter(imgs[hull_idx])
-        im = np.linalg.norm(imgs, axis=1)
-        built = _holder_alphas(pd_raw[1:] / normalizer, im[1:] / normalizer,
-                               m_grid)
         wit = np.vstack([
             kernel_shell_witnesses(s, rows,
                                    wit_seeds_a[j * cfg["n_maps"] + midx],
                                    shells=deep_shells).points
             for j, s in enumerate(wit_specs)])
-        deep = _holder_alphas(np.linalg.norm(wit, axis=1) / normalizer,
-                              np.linalg.norm(wit @ rows.T, axis=1) / normalizer,
-                              m_grid)
-        # the ceiling is a minimum over points, so it splits over the parts
-        return {m: min(built[m], deep[m]) for m in m_grid}
+        return ceilings([(pd_raw, imgs), (np.sqrt(_sq_norms(wit)),
+                                          wit @ rows.T)],
+                        2.0 * set_diameter(imgs[hull_idx]))
 
     alphas_a = _map_loop(leg_a, cfg["n_maps"], threads)
 
@@ -565,20 +540,21 @@ def _holder_ceiling(cfg, art, threads):
     net = sphere_net(spec, seeds[0], allow_partial=True)
     partial_shells = sorted({lab[1] for lab in net.labels
                              if lab[0] == "partial"})
+    pd_net = np.sqrt(_sq_norms(net.points))
+    hull_net = ConvexHull(net.points).vertices
     rows_b = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                             seeds[2])
     wit_seeds = _sub_seeds(seeds[2], cfg["n_maps"])
 
     def leg_b(midx):
-        wit = kernel_shell_witnesses(spec, rows_b[midx], wit_seeds[midx],
-                                     shells=partial_shells)
-        merged = np.vstack([net.points, wit.points])
-        imgs = merged @ rows_b[midx].T
-        normalizer = 2.0 * set_diameter(imgs)
-        pd = np.linalg.norm(merged, axis=1)
-        im = np.linalg.norm(imgs, axis=1)
-        return _holder_alphas(pd[1:] / normalizer, im[1:] / normalizer,
-                              m_grid)
+        rows = rows_b[midx]
+        wit = kernel_shell_witnesses(spec, rows, wit_seeds[midx],
+                                     shells=partial_shells).points
+        imgs, wit_imgs = net.points @ rows.T, wit @ rows.T
+        # conv(LX) = L conv(X): the image diameter is taken on hull vertices
+        normalizer = 2.0 * set_diameter(np.vstack([imgs[hull_net], wit_imgs]))
+        return ceilings([(pd_net, imgs),
+                         (np.sqrt(_sq_norms(wit)), wit_imgs)], normalizer)
 
     alphas_b = _map_loop(leg_b, cfg["n_maps"], threads)
 
@@ -649,13 +625,12 @@ def _log_lip(cfg, art, threads):
                            seeds[0])
     pts = measure.points
     w = measure.weights
-    n = len(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    pd = np.linalg.norm(diff, axis=2)
+    pd = np.vstack([np.linalg.norm(pts[i:i + 128, None] - pts[None], axis=2)
+                    for i in range(0, len(pts), 128)])  # no n x n x N
     big_r = float(pd.max())
-    eye = np.eye(n, dtype=bool)
+    partner = pd > 0  # leaves out each atom itself
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_mod = pd / np.log2(2.0 * big_r / np.where(pd > 0, pd, 1.0)) \
+        f_mod = pd / np.log2(2.0 * big_r / np.where(partner, pd, 1.0)) \
             ** (cfg["eta"] / cfg["theta"])
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
@@ -663,23 +638,11 @@ def _log_lip(cfg, art, threads):
 
     def one_map(midx):
         imgs = pts @ rows[midx].T
-        im = np.linalg.norm(imgs[:, None, :] - imgs[None, :, :], axis=2)
+        im = np.sqrt(_sq_norms(imgs[:, None, :], imgs[None, :, :]))
         normalizer = 2.0 * float(im.max())
-        pdn = pd / normalizer
-        imn = im / normalizer
-        binding = (pdn > m_const * imn) & ~eye & (pdn > 0)
+        alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ceil = np.where(binding,
-                            (np.log2(np.where(pdn > 0, pdn, 1.0))
-                             - math.log2(m_const))
-                            / np.log2(np.where(imn > 0, imn, 0.5)),
-                            np.inf)
-        collide = (imn == 0.0) & ~eye & (pdn > 0)
-        alpha = np.where(collide.any(axis=1), 0.0,
-                         np.maximum(0.0, ceil.min(axis=1)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(eye | (pd == 0), np.inf, im / f_mod)
-        c_hat = ratios.min(axis=1)
+            c_hat = np.min(im / f_mod, axis=1, initial=np.inf, where=partner)
         return alpha, c_hat
 
     per_map = _map_loop(one_map, cfg["n_maps"], threads)
@@ -691,7 +654,7 @@ def _log_lip(cfg, art, threads):
               [(i, float(a), float(d))
                for i, (a, d) in enumerate(zip(alpha_frac, defect_frac))])
     results = {
-        "n_atoms": n, "diameter": big_r,
+        "n_atoms": len(pts), "diameter": big_r,
         "mean_alpha_fraction": float(alpha_frac.mean()),
         "min_alpha_fraction": float(alpha_frac.min()),
         "mean_defect_fraction": float(defect_frac.mean()),
@@ -885,13 +848,8 @@ def _dense_ball(cfg, art, threads):
     pts = measure.points
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
-
-    def one_map(midx):
-        op = LinearOperator(rows[midx])
-        table = inverse_continuity_modulus(pts, op, [cfg["delta"]])
-        return table[0][1] if table else math.inf
-
-    eps_at_delta = np.array(_map_loop(one_map, cfg["n_maps"], threads))
+    tables = inverse_continuity_modulus(pts, rows, [cfg["delta"]])
+    eps_at_delta = np.array([table[0][1] for table in tables])
     ratios = eps_at_delta / cfg["delta"]
     frac = float(np.mean(ratios < cfg["ratio_bound"]))
     art.table("dense_ball", ["map_index", "eps_at_delta", "ratio"],

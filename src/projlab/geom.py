@@ -37,17 +37,6 @@ class PointSet:
     def ambient_dim(self):
         return self.points.shape[1]
 
-    def diameter(self):
-        """Exact diameter; quadratic scan done blockwise to bound memory."""
-        pts = self.points
-        best = 0.0
-        step = 2048
-        for i in range(0, len(pts), step):
-            chunk = pts[i : i + step]
-            d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            best = max(best, float(d2.max()))
-        return float(np.sqrt(best))
-
 
 @dataclass
 class AtomicMeasure:

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from projlab import embedding
 from projlab.embedding import (collision_probability, collision_scan,
-                               inverse_continuity_modulus,
+                               holder_ceiling, inverse_continuity_modulus,
                                log_lipschitz_defect, nearest_point_decode,
                                perturbed_preimage_search, pointwise_holder,
                                set_diameter, transversality_fraction)
-from projlab.linalg import LinearOperator, sample_e
+from projlab.linalg import LinearOperator, sample_e, sample_e_batch
 
 
 def test_scan_modes_agree():
@@ -160,6 +163,9 @@ def test_pointwise_holder_collision_and_identity():
 def test_set_diameter_paths():
     pts = np.array([[0.0], [2.0], [7.0]])
     assert set_diameter(pts) == 7.0
+    assert set_diameter([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]) == \
+        pytest.approx(5.0, abs=1e-12)
+    assert set_diameter([[2.0, 7.0]]) == 0.0
     rng = np.random.default_rng(8)
     cloud = rng.uniform(0, 1, (9000, 2))
     cloud[0] = [0.0, 0.0]
@@ -224,3 +230,149 @@ def test_preimage_search_resolution_guard():
     with pytest.raises(ValueError):
         perturbed_preimage_search(op, None, J=(0, 1, 2), radius=0.5,
                                   resolution=0.1)
+
+
+# --- the map-stacked modulus kernel against direct differences ---
+
+
+def _direct_modulus(pts, rows, deltas):
+    """min |L(x - y)| over pairs with |x - y| >= delta, pair by pair."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    pd = np.linalg.norm(diff, axis=2)
+    im = np.linalg.norm(diff @ np.atleast_2d(rows).T, axis=2)
+    upper = np.triu(np.ones(pd.shape, dtype=bool), 1)
+    return [(d, float(im[upper & (pd >= d)].min())) for d in deltas]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_modulus_stack_matches_direct_oracle(k):
+    rng = np.random.default_rng(20 + k)
+    pts = rng.uniform(-1, 1, (40, 3))
+    rows = sample_e_batch(3, k, 5, seed=k)
+    deltas = [0.3, 0.8, 1.4]
+    tables = inverse_continuity_modulus(pts, rows, deltas)
+    assert len(tables) == len(rows)
+    for r, table in zip(rows, tables):
+        # a stack gives the tables of one call per map
+        assert table == inverse_continuity_modulus(pts, LinearOperator(r),
+                                                   deltas)
+        for (d, eps), (d_ref, eps_ref) in zip(table,
+                                              _direct_modulus(pts, r, deltas)):
+            assert d == d_ref
+            assert eps == pytest.approx(eps_ref, rel=1e-12)
+    identity = inverse_continuity_modulus(pts, None, deltas)
+    oracle = _direct_modulus(pts, np.eye(3), deltas)
+    assert [e for _, e in identity] == pytest.approx([e for _, e in oracle],
+                                                     rel=1e-12)
+
+
+def test_modulus_blocks_smaller_than_the_stack(monkeypatch):
+    # one base point per block: the block size must not change the table
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-1, 1, (30, 3))
+    rows = sample_e_batch(3, 2, 4, seed=5)
+    whole = inverse_continuity_modulus(pts, rows, [0.2, 0.9])
+    monkeypatch.setattr(embedding, "STACK_BLOCK", 1)
+    assert inverse_continuity_modulus(pts, rows, [0.2, 0.9]) == whole
+
+
+def _cloud_and_maps(seed, n, k):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (n, 3)), sample_e_batch(3, k, 3, seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 30),
+       k=st.integers(1, 2))
+def test_modulus_permutation_invariant(seed, n, k):
+    pts, rows = _cloud_and_maps(seed, n, k)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    deltas = [0.25, 0.5, 1.0]
+    for a, b in zip(inverse_continuity_modulus(pts, rows, deltas),
+                    inverse_continuity_modulus(pts[perm], rows, deltas)):
+        assert [d for d, _ in a] == [d for d, _ in b]
+        assert [e for _, e in a] == pytest.approx([e for _, e in b],
+                                                  rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 30),
+       k=st.integers(1, 2), power=st.integers(-8, 8))
+def test_modulus_scales_with_points_and_maps(seed, n, k, power):
+    # powers of two scale every rounding step exactly
+    pts, rows = _cloud_and_maps(seed, n, k)
+    c = 2.0**power
+    deltas = [0.25, 0.5, 1.0]
+    base = inverse_continuity_modulus(pts, rows, deltas)
+    moved = inverse_continuity_modulus(c * pts, rows, [c * d for d in deltas])
+    stretched = inverse_continuity_modulus(pts, c * rows, deltas)
+    for t0, t1, t2 in zip(base, moved, stretched):
+        assert [(c * d, c * e) for d, e in t0] == t1
+        assert [(d, c * e) for d, e in t0] == t2
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 30),
+       k=st.integers(1, 2),
+       deltas=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6))
+def test_modulus_nondecreasing_in_delta(seed, n, k, deltas):
+    pts, rows = _cloud_and_maps(seed, n, k)
+    if np.linalg.norm(pts[:, None] - pts[None], axis=2).max() < min(deltas):
+        return  # no pair at the smallest delta: the call refuses
+    for table in inverse_continuity_modulus(pts, rows, deltas):
+        eps = [e for _, e in table]
+        assert [d for d, _ in table] == sorted(d for d, _ in table)
+        assert eps == sorted(eps)
+
+
+# --- the Holder ceiling routine ---
+
+
+def _direct_ceiling(pd, im, m_const):
+    """The ceiling of one row, pair by pair."""
+    best = math.inf
+    for p, q in zip(pd, im):
+        if p > m_const * q:
+            if q == 0.0:
+                return 0.0
+            best = min(best, (math.log2(p) - math.log2(m_const))
+                       / math.log2(q))
+    return max(0.0, best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+       cols=st.integers(1, 12))
+def test_holder_ceiling_rows_match_direct_and_grow_with_m(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    pd = rng.uniform(0.0, 0.5, (rows, cols))
+    im = pd * rng.uniform(0.0, 1.5, (rows, cols))
+    im[rng.random((rows, cols)) < 0.05] = 0.0  # some exact collisions
+    pd[:, 0] = im[:, 0] = 0.0  # the base point itself
+    last = np.zeros(rows)
+    for m in (1.0, 2.0, 8.0):
+        alpha = holder_ceiling(pd, im, m)
+        assert alpha.shape == (rows,)
+        for r in range(rows):
+            assert alpha[r] == pytest.approx(_direct_ceiling(pd[r], im[r], m),
+                                             rel=1e-12)
+            assert float(holder_ceiling(pd[r], im[r], m)) == alpha[r]
+        assert np.all(alpha >= last)
+        last = alpha
+
+
+def test_holder_ceiling_collision_and_empty_rules():
+    pd = np.array([[0.0, 0.25, 0.5], [0.0, 0.25, 0.5]])
+    im = np.array([[0.0, 0.25, 0.0], [0.0, 0.5, 0.5]])
+    # row 0: the collision at index 2 gives 0; row 1: nothing binds
+    assert holder_ceiling(pd, im, 1.0).tolist() == [0.0, math.inf]
+    est = pointwise_holder(np.array([[0.0], [1.0], [4.0]]),
+                           LinearOperator([[0.5]]), base_index=1, m_const=1.0)
+    pd = np.array([0.25, 0.0, 0.75])
+    assert float(holder_ceiling(pd, pd / 2, 1.0)) == est.alpha_hat
+    # partner 1 has a negative ceiling, yet the collision at 2 is the witness
+    est = pointwise_holder(np.array([[0.0, 0.0], [0.1, 10.0], [0.0, 20.0],
+                                     [1.0, 0.0]]),
+                           LinearOperator([[1.0, 0.0]]), base_index=0,
+                           m_const=1.0)
+    assert est.alpha_hat == 0.0 and est.witness == 2

@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from projlab.constructions import sphere_net_union
-from projlab.embedding import set_diameter
-from projlab.experiments import (_holder_alphas, _sub_seeds, config_hash,
-                                 experiment_names, run_experiment,
-                                 to_jsonable)
+from projlab import experiments
+from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
+                                   kernel_shell_witnesses, sparse_atoms,
+                                   sphere_net, sphere_net_union)
+from projlab.embedding import (holder_ceiling, log_lipschitz_defect,
+                               pointwise_holder, set_diameter)
+from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
+                                 run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
-from projlab.linalg import sample_e_batch
+from projlab.linalg import LinearOperator, sample_e_batch
 
 ALL_NAMES = [
     "all-directions", "assouad-probe", "box-dim", "collision-scaling",
@@ -134,11 +137,24 @@ def test_written_summary_matches_returned(tmp_path):
 # --- kernel-adjacent witnesses on the power-law leg of holder-ceiling ---
 
 
-def _pow2t_alphas(out_dir):
-    """Per-map alpha ceilings of holder-ceiling's power-law leg, as written."""
-    with open(out_dir / "tables" / "holder_pow2t.csv") as handle:
+def _holder_table(out_dir, tag="pow2t"):
+    """Per-map alpha ceilings of one holder-ceiling leg, as written."""
+    with open(out_dir / "tables" / ("holder_%s.csv" % tag)) as handle:
         rows = list(csv.reader(handle))
     return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
+def _direct_alphas(pd, im, m_grid):
+    """alpha_hat for each M as first written: logs of every normalized
+    distance (base excluded), then the minimum over the binding pairs."""
+    if np.any(im == 0.0):
+        return [0.0] * len(m_grid)
+    out = []
+    for m in m_grid:
+        binding = pd > m * im
+        ceil = (np.log2(pd)[binding] - math.log2(m)) / np.log2(im)[binding]
+        out.append(max(0.0, float(ceil.min())) if ceil.size else math.inf)
+    return out
 
 
 def test_holder_witnesses_are_conservative_stand_ins(tmp_path):
@@ -150,7 +166,7 @@ def test_holder_witnesses_are_conservative_stand_ins(tmp_path):
         summary = run_experiment("holder-ceiling", config={
             "seed": 42, "i_max": i_max, "witness_depth": 8, "sq_i_max": 3},
             out_dir=out)
-        runs[i_max] = (summary["results"]["pow2t"], _pow2t_alphas(out))
+        runs[i_max] = (summary["results"]["pow2t"], _holder_table(out))
     (wit, wit_alphas), (full, full_alphas) = runs[5], runs[8]
     assert wit["n_witnesses"] == 6 and full["n_witnesses"] == 0
     for m in ("1.0", "4.0", "16.0"):
@@ -162,34 +178,62 @@ def test_holder_witnesses_are_conservative_stand_ins(tmp_path):
 
 
 def test_holder_witnesses_at_i_max_change_nothing(tmp_path):
-    cfg = {"seed": 3, "i_max": 5, "witness_depth": 5, "sq_i_max": 3,
+    # sq_i_max = 4 leaves shell 4 partial, so leg B gets witnesses too
+    cfg = {"seed": 3, "i_max": 5, "witness_depth": 5, "sq_i_max": 4,
            "n_maps": 12}
     run_experiment("holder-ceiling", config=cfg, out_dir=tmp_path)
-    # the power-law leg as it stood before witnesses, recomputed directly
     seeds = _sub_seeds(cfg["seed"], 3)
+    m_grid = [1.0, 4.0, 16.0]
+    # the power-law leg as it stood before witnesses, recomputed directly
     pts = sphere_net_union(3, 2, t=2.0, i_max=5, seed=seeds[0]).points
     hull_idx = ConvexHull(pts).vertices
-    m_grid = [1.0, 4.0, 16.0]
     expected = []
     for rows in sample_e_batch(3, 2, cfg["n_maps"], seeds[1]):
         imgs = pts @ rows.T
         normalizer = 2.0 * set_diameter(imgs[hull_idx])
         im = np.linalg.norm(imgs, axis=1)
-        alphas = _holder_alphas(np.linalg.norm(pts, axis=1)[1:] / normalizer,
-                                im[1:] / normalizer, m_grid)
-        expected.append([alphas[m] for m in m_grid])
-    assert np.array_equal(_pow2t_alphas(tmp_path), np.array(expected))
+        expected.append(_direct_alphas(
+            np.linalg.norm(pts, axis=1)[1:] / normalizer,
+            im[1:] / normalizer, m_grid))
+    assert np.array_equal(_holder_table(tmp_path), np.array(expected))
+    # leg B with the diameter over its whole image, recomputed directly
+    spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq", i_max=4)
+    net = sphere_net(spec, seeds[0], allow_partial=True)
+    wit_seeds = _sub_seeds(seeds[2], cfg["n_maps"])
+    expected = []
+    for midx, rows in enumerate(sample_e_batch(3, 2, cfg["n_maps"],
+                                               seeds[2])):
+        wit = kernel_shell_witnesses(spec, rows, wit_seeds[midx], shells=[4])
+        assert wit.n == 2
+        merged = np.vstack([net.points, wit.points])
+        imgs = merged @ rows.T
+        normalizer = 2.0 * set_diameter(imgs)
+        expected.append(_direct_alphas(
+            np.linalg.norm(merged, axis=1)[1:] / normalizer,
+            np.linalg.norm(imgs, axis=1)[1:] / normalizer, m_grid))
+    assert np.array_equal(_holder_table(tmp_path, "pow2sq"),
+                          np.array(expected))
 
 
-def test_holder_ceiling_threads_do_not_change_summary(tmp_path):
-    cfg = {"seed": 5, "i_max": 5, "sq_i_max": 3, "n_maps": 12}
+THREAD_CONFIGS = {
+    "holder-ceiling": {"seed": 5, "i_max": 5, "sq_i_max": 3, "n_maps": 12},
+    "log-lip": {"seed": 5, "n_atoms": 200, "n_maps": 6, "m_const": 2.0},
+    "dense-ball-discontinuity": {"seed": 5, "n_atoms": 300, "n_maps": 10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_CONFIGS))
+def test_threads_do_not_change_summary(tmp_path, name):
     blobs = []
     for threads in (1, 4):
         out = tmp_path / ("threads%d" % threads)
-        summary = run_experiment("holder-ceiling", config=cfg, out_dir=out,
-                                 threads=threads)
-        assert summary["results"]["pow2t"]["witness_depth"] == 20
-        blobs.append((out / "summary.json").read_bytes())
+        summary = run_experiment(name, config=THREAD_CONFIGS[name],
+                                 out_dir=out, threads=threads)
+        if name == "holder-ceiling":
+            assert summary["results"]["pow2t"]["witness_depth"] == 20
+        blobs.append([(out / f).read_bytes() for f in
+                      ["summary.json"] + sorted(
+                          str(p.relative_to(out)) for p in out.glob("*/*"))])
     assert blobs[0] == blobs[1]
 
 
@@ -198,3 +242,60 @@ def test_holder_witness_depth_validated():
         with pytest.raises(ValueError):
             run_experiment("holder-ceiling", config={
                 "seed": 0, "i_max": 5, "witness_depth": depth, "n_maps": 2})
+
+
+# --- the experiment paths against the library oracles ---
+
+
+def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
+    cfg = {"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 2.0}
+    seen = []
+
+    def spy(pd, im, m_const):
+        seen.append(holder_ceiling(pd, im, m_const))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "holder_ceiling", spy)
+    run_experiment("log-lip", config=cfg, out_dir=tmp_path)
+    seeds = _sub_seeds(cfg["seed"], 2)
+    measure = sparse_atoms(8, 2, cfg["n_atoms"], seeds[0])
+    pts, w = measure.points, measure.weights
+    with open(tmp_path / "tables" / "log_lip.csv") as handle:
+        table = list(csv.DictReader(handle))
+    assert len(seen) == len(table) == cfg["n_maps"]
+    for midx, rows in enumerate(sample_e_batch(8, 4, cfg["n_maps"],
+                                               seeds[1])):
+        op = LinearOperator(rows)
+        alpha = np.array([pointwise_holder(pts, op, i, cfg["m_const"]).alpha_hat
+                          for i in range(len(pts))])
+        assert np.isfinite(alpha).sum() > len(pts) // 2  # pairs do bind
+        assert np.array_equal(seen[midx], alpha)
+        c_hat = np.array([log_lipschitz_defect(pts, op, i, None, 2.0,
+                                               1.0)["c_hat"]
+                          for i in range(len(pts))])
+        row = table[midx]
+        assert float(row["alpha_weighted_fraction"]) == \
+            float(w[alpha >= 0.9].sum())
+        assert float(row["defect_positive_fraction"]) == \
+            float(np.mean(c_hat > 0))
+
+
+def test_dense_ball_has_no_false_collision(tmp_path):
+    # the Gram identity once read eps(0.5) = 0 on map 22 and was more than
+    # 1 % off on the other five maps named here
+    run_experiment("dense-ball-discontinuity", config={"seed": 42},
+                   out_dir=tmp_path)
+    with open(tmp_path / "tables" / "dense_ball.csv") as handle:
+        eps = np.array([float(r["eps_at_delta"])
+                        for r in csv.DictReader(handle)])
+    assert len(eps) == 100 and np.all(eps > 0)
+    seeds = _sub_seeds(42, 2)
+    pts = dense_ball_atoms(3, 2000, seeds[0], decay=0.9).points
+    maps = [15, 22, 28, 87, 92, 96]
+    rows = sample_e_batch(3, 1, 100, seeds[1])[maps, 0]
+    oracle = np.full(len(maps), np.inf)
+    for start in range(0, len(pts), 250):
+        diff = pts[start:start + 250, None] - pts[None]
+        far = np.linalg.norm(diff, axis=2) >= 0.5
+        oracle = np.minimum(oracle, np.abs(diff[far] @ rows.T).min(axis=0))
+    assert eps[maps] == pytest.approx(oracle, rel=1e-6)

@@ -24,12 +24,6 @@ def test_point_set_rejects_bad_input():
         PointSet([[0.0, 0.0], [1.0, 1.0]], labels=["a"])
 
 
-def test_point_set_diameter_exact():
-    ps = PointSet([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    assert ps.diameter() == pytest.approx(5.0, abs=1e-12)
-    assert PointSet([[2.0, 7.0]]).diameter() == 0.0
-
-
 def test_atomic_measure_validation():
     pts = [[0.0], [1.0]]
     with pytest.raises(ValueError):
