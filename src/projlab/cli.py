@@ -34,7 +34,9 @@ def _build_parser():
     parser.add_argument("--out", default=None,
                         help="directory for summary.json, tables/, plots/")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for per-map loops (results identical)")
+                        help="worker cap for the per-map loops of holder-ceiling "
+                             "and log-lip; other experiments run single-threaded "
+                             "(results identical)")
     parser.add_argument("--export-points", action="store_true",
                         help="also write constructed point sets as CSV")
     return parser

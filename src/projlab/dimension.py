@@ -57,15 +57,19 @@ class ScalingFit:
                 for d, c in self.table]
 
 
-def fit_loglog(deltas, counts):
-    """OLS of log2(count) against log2(1/delta); slope is the dimension."""
-    x = np.log2(1.0 / np.asarray(deltas, dtype=float))
-    y = np.log2(np.asarray(counts, dtype=float))
+def _ols(x, y):
+    """Least-squares line y ~ slope * x + intercept, with its r^2."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r_sq = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
     return float(slope), float(intercept), float(r_sq)
+
+
+def fit_loglog(deltas, counts):
+    """OLS of log2(count) against log2(1/delta); slope is the dimension."""
+    return _ols(np.log2(1.0 / np.asarray(deltas, dtype=float)),
+                np.log2(np.asarray(counts, dtype=float)))
 
 
 def _as_points(ps):
@@ -76,36 +80,61 @@ def _as_points(ps):
     return np.atleast_2d(np.asarray(ps, dtype=float))
 
 
+def _nn_distances(tree, pts):
+    """Distance from each point to its nearest other point (inf if alone)."""
+    return tree.query(pts, k=2)[0][:, 1]
+
+
+def _greedy_walk(tree, pts, nn, delta, covered):
+    """Greedy closed-ball cover of the points not marked in covered.
+
+    tree indexes pts and nn holds their nearest-neighbor distances.  A
+    point whose nearest other point lies beyond delta (with a 1e-9
+    relative margin for the rounding of the two distance routines) can
+    neither be covered by another center nor cover one, so it is settled
+    as a center at once; every other point goes through the exact
+    closed-ball query, first uncovered index first.  Returns the center
+    indices in increasing order, the order the greedy walk opens them.
+    """
+    is_center = ~covered & (nn > delta * (1 + 1e-9))
+    open_ = ~(covered | is_center)
+    n = len(open_)
+    pos = 0
+    while pos < n:
+        pos += int(open_[pos:].argmax())
+        if not open_[pos]:
+            break
+        is_center[pos] = True
+        open_[tree.query_ball_point(pts[pos], delta, return_sorted=False)] = False
+        pos += 1
+    return np.flatnonzero(is_center)
+
+
 def covering_number(ps, delta, return_centers=False):
     """Greedy closed-ball cover count, first uncovered point in input order."""
     pts = _as_points(ps)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n = len(pts)
     tree = cKDTree(pts)
-    covered = np.zeros(n, dtype=bool)
-    centers = []
-    pos = 0
-    while pos < n:
-        if covered[pos]:
-            pos += 1
-            continue
-        centers.append(pos)
-        covered[tree.query_ball_point(pts[pos], delta, return_sorted=False)] = True
+    centers = _greedy_walk(tree, pts, _nn_distances(tree, pts), delta,
+                           np.zeros(len(pts), dtype=bool))
     if return_centers:
-        return len(centers), centers
+        return len(centers), centers.tolist()
     return len(centers)
+
+
+def _resolution(nn):
+    """Minimum positive nearest-neighbor distance; inf below two points."""
+    if len(nn) < 2:
+        return np.inf
+    positive = nn[nn > 0]
+    return float(positive.min()) if len(positive) else 0.0
 
 
 def min_nn_distance(pts):
     """Minimum positive nearest-neighbor distance (the resolution scale)."""
     pts = _as_points(pts)
-    if len(pts) < 2:
-        return np.inf
-    tree = cKDTree(pts)
-    d, _ = tree.query(pts, k=2)
-    positive = d[:, 1][d[:, 1] > 0]
-    return float(positive.min()) if len(positive) else 0.0
+    return _resolution(_nn_distances(cKDTree(pts), pts))
 
 
 def dyadic_scales(delta_max, delta_min):
@@ -128,7 +157,9 @@ def box_dimension_fit(ps, delta_max, delta_min, n_scales=None):
     the table measures the sample, not the set.
     """
     pts = _as_points(ps)
-    floor = min_nn_distance(pts)
+    tree = cKDTree(pts)
+    nn = _nn_distances(tree, pts)
+    floor = _resolution(nn)
     if delta_min < floor:
         raise ValueError(
             "delta_min %.3g is below the resolution limit %.3g" % (delta_min, floor)
@@ -141,7 +172,8 @@ def box_dimension_fit(ps, delta_max, delta_min, n_scales=None):
         scales = list(np.geomspace(delta_max, delta_min, int(n_scales)))
     if len(scales) < 3:
         raise ValueError("window too narrow: fewer than 3 scales")
-    counts = [covering_number(pts, d) for d in scales]
+    counts = [len(_greedy_walk(tree, pts, nn, d, np.zeros(len(pts), dtype=bool)))
+              for d in scales]
     slope, intercept, r_sq = fit_loglog(scales, counts)
     return ScalingFit(slope, intercept, r_sq, list(zip(scales, counts)))
 
@@ -157,21 +189,33 @@ def assouad_probe(ps, n_centers, r, rho, seed=0):
         raise ValueError("need 0 < rho < r")
     pts = _as_points(ps)
     rng = np.random.default_rng(seed)
-    tree = cKDTree(pts)
     n = len(pts)
     if n_centers > n:
         raise ValueError("more centers than points")
     idx = np.arange(n) if n == n_centers else rng.choice(n, size=n_centers,
                                                          replace=False)
-    best = 0
-    for i in idx:
-        local = tree.query_ball_point(pts[i], r, return_sorted=True)
-        if not local:
-            continue
-        best = max(best, covering_number(pts[local], rho))
+    best = int(_local_counts(pts, idx, r, rho).max(initial=0))
     exponent = np.log2(best) / np.log2(r / rho) if best > 0 else 0.0
     return {"r": float(r), "rho": float(rho), "n_centers": int(n_centers),
             "max_count": int(best), "exponent": float(exponent)}
+
+
+def _local_counts(pts, idx, r, rho):
+    """Greedy rho-cover count of pts within B(pts[i], r), for each i in idx.
+
+    One tree and one nearest-neighbor pass serve every center: a point
+    with no neighbor within rho in the whole set has none in any subset,
+    and points outside the ball enter the walk already covered, so each
+    count equals covering_number of the extracted local set.
+    """
+    tree = cKDTree(pts)
+    nn = _nn_distances(tree, pts)
+    counts = np.zeros(len(idx), dtype=np.int64)
+    for j, i in enumerate(idx):
+        covered = np.ones(len(pts), dtype=bool)
+        covered[tree.query_ball_point(pts[i], r)] = False
+        counts[j] = len(_greedy_walk(tree, pts, nn, rho, covered))
+    return counts
 
 
 def assouad_scan(ps, pairs, n_centers=32, seed=0):
@@ -190,11 +234,5 @@ def local_dimension(measure, x, radii):
     masses = [measure.ball_mass(x, r) for r in radii]
     if any(m <= 0 for m in masses):
         raise ValueError("zero mass inside the window; enlarge radii")
-    x_log = np.log2(radii)
-    y_log = np.log2(masses)
-    slope, intercept = np.polyfit(x_log, y_log, 1)
-    resid = y_log - (slope * x_log + intercept)
-    ss_tot = float(((y_log - y_log.mean()) ** 2).sum())
-    r_sq = 1.0 if ss_tot == 0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return ScalingFit(float(slope), float(intercept), float(r_sq),
+    return ScalingFit(*_ols(np.log2(radii), np.log2(masses)),
                       list(zip(radii, masses)))

@@ -155,7 +155,8 @@ def run_experiment(name, config=None, out_dir=None, threads=1,
 
     config overrides the registered defaults key by key; unknown keys and
     a missing seed (for seeded experiments) raise ValueError before any
-    work happens.  threads only affects wall time, never results;
+    work happens.  threads caps the per-map workers of holder-ceiling and
+    log-lip (the others run single-threaded) and never changes results;
     export_points additionally dumps constructed point sets as CSV.
     """
     if name not in REGISTRY:

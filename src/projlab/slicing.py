@@ -63,6 +63,32 @@ def slab_conditional(measure, plane, center, half_width):
                      np.nonzero(keep)[0], sliced)
 
 
+DIRAC_BLOCK = 2 ** 18  # distance entries per row block of dirac_score
+
+
+def _distance_rows(pts, start, stop):
+    """|pts[c] - pts[j]| for c in [start, stop), one row per c.
+
+    Squared coordinate differences are summed coordinate by coordinate,
+    the order in which np.linalg.norm(pts - pts[c], axis=1) sums rows of
+    fewer than eight coordinates, so each row matches it bit for bit there.
+    """
+    total = np.zeros((stop - start, len(pts)))
+    diff = np.empty_like(total)
+    for k in range(pts.shape[1]):
+        np.subtract(pts[None, :, k], pts[start:stop, k, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def _row_radius(d, w, need):
+    """Smallest closed-ball radius around one center holding mass need."""
+    order = np.argsort(d, kind="stable")
+    hit = int(np.searchsorted(np.cumsum(w[order]), need, side="left"))
+    return float(d[order[hit]]) if hit < len(d) else np.inf
+
+
 def dirac_score(slice_or_measure, tau):
     """Smallest radius at which one atom-centered ball holds mass 1 - tau.
 
@@ -70,7 +96,15 @@ def dirac_score(slice_or_measure, tau):
     majority sits on a single atom (Dirac behavior up to tau); a positive
     score is the diameter cost of collecting that much mass.  Candidate
     centers are the atoms themselves and the threshold is inclusive: mass
-    exactly 1 - tau counts.
+    exactly 1 - tau counts.  Of several centers with the smallest radius
+    the first in atom order is returned.
+
+    A ball holding mass need holds at least q = ceil(need / max weight)
+    atoms, so a center's radius is at least its q-th smallest distance
+    (its own zero included).  The bound takes the (q-1)-th, one lower as
+    slack for rounding in the running mass sums.  Exact radii are taken
+    only for centers in increasing order of that bound, until the bound
+    exceeds the best radius found.
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
@@ -79,17 +113,25 @@ def dirac_score(slice_or_measure, tau):
         raise ValueError("cannot score an empty slice")
     pts = measure.points
     w = measure.weights
+    n = len(pts)
     need = 1.0 - tau - 1e-12
+    rank = min(max(int(np.ceil(need / w.max())) - 2, 0), n - 1)
+    step = max(1, DIRAC_BLOCK // n)
+    bounds = np.empty(n)
+    for start in range(0, n, step):
+        rows = _distance_rows(pts, start, min(start + step, n))
+        bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
     best = np.inf
     best_center = -1
-    for c in range(len(pts)):
-        d = np.linalg.norm(pts - pts[c], axis=1)
-        order = np.argsort(d, kind="stable")
-        cum = np.cumsum(w[order])
-        hit = int(np.searchsorted(cum, need, side="left"))
-        if hit < len(d) and float(d[order][hit]) < best:
-            best = float(d[order][hit])
-            best_center = c
+    for c in np.argsort(bounds, kind="stable"):
+        if bounds[c] > best:
+            break
+        # one block holds every row; otherwise the row is recomputed
+        d = rows[c] if step >= n else _distance_rows(pts, c, c + 1)[0]
+        radius = _row_radius(d, w, need)
+        if radius < best or (radius == best and c < best_center):
+            best = radius
+            best_center = int(c)
     return best, best_center
 
 
@@ -181,12 +223,11 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         tails2 = sorted(t for b, t in zip(got_b, got_t) if b == 2)
         if tails1 == tails2:
             label_matches += 1
-        by_key = {(b, t): nu.points[i]
-                  for b, t, i in zip(got_b, got_t, sl.indices)}
-        ok = all(
-            np.allclose(by_key[(2, t)], by_key[(1, t)] + translate, atol=1e-9)
-            for (b, t) in by_key if b == 1 and (2, t) in by_key
-        )
+        by_key = {(b, t): i for b, t, i in zip(got_b, got_t, sl.indices)}
+        matched = [(i, by_key[(2, t)]) for (b, t), i in by_key.items()
+                   if b == 1 and (2, t) in by_key]
+        one, two = np.array(matched, dtype=np.intp).reshape(-1, 2).T
+        ok = np.allclose(nu.points[two], nu.points[one] + translate, atol=1e-9)
         shift_ok += bool(ok)
         if tails1 and tails2:
             mixed_seen += 1

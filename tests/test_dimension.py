@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from projlab.constructions import IfsSpec, ifs_atoms
 from projlab.dimension import (ScalingFit, assouad_probe, assouad_scan,
                                box_dimension_fit, covering_number,
                                dyadic_scales, fit_loglog, local_dimension,
                                min_nn_distance)
+from projlab.dimension import _local_counts
 from projlab.geom import AtomicMeasure, PointSet
 
 
@@ -26,7 +30,62 @@ def exhaustive_cover(pts, delta):
     return len(pts)
 
 
+def greedy_cover_loop(pts, delta):
+    """The greedy cover one index at a time, one ball query per center:
+    the slow reference for covering_number's (count, centers)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tree = cKDTree(pts)
+    covered = np.zeros(len(pts), dtype=bool)
+    centers = []
+    for pos in range(len(pts)):
+        if covered[pos]:
+            continue
+        centers.append(pos)
+        covered[tree.query_ball_point(pts[pos], delta)] = True
+    return len(centers), centers
+
+
 LINE5 = np.arange(5.0)[:, None]
+
+
+def mixed_set(seed):
+    """Tight clusters and lone points, shuffled together."""
+    rng = np.random.default_rng(seed)
+    hubs = rng.uniform(0, 1, (6, 2))
+    clusters = (hubs[:, None, :] + rng.normal(0, 0.01, (6, 30, 2))).reshape(-1, 2)
+    lone = rng.uniform(2, 3, (40, 2))
+    pts = np.vstack([clusters, lone])
+    return pts[rng.permutation(len(pts))]
+
+
+def cover_cases():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        pts = rng.uniform(0, 1, (300, dim))
+        for delta in (0.02, 0.1, 0.3):
+            yield "uniform-%dd-%g" % (dim, delta), pts, delta
+    # lattice spacing 0.5: neighbors sit exactly on the closed-ball rim,
+    # or just inside or outside the lone-point margin
+    g = 0.5 * np.arange(7.0)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    grid = grid[rng.permutation(len(grid))]
+    for delta in (0.5, 0.5 * (1 - 1e-12), 0.5 * (1 + 1e-12), 1.0):
+        yield "grid-%r" % delta, grid, delta
+    yield "line-rim", LINE5, 1.0
+    dup = np.repeat(rng.uniform(0, 1, (40, 2)), 3, axis=0)
+    dup = dup[rng.permutation(len(dup))]
+    for delta in (1e-6, 0.05):
+        yield "duplicates-%g" % delta, dup, delta
+    for delta in (0.005, 0.05, 0.5):
+        yield "mixed-%g" % delta, mixed_set(3), delta
+    yield "one-point", np.array([[0.3, 0.7]]), 0.1
+
+
+@pytest.mark.parametrize("pts,delta", [c[1:] for c in cover_cases()],
+                         ids=[c[0] for c in cover_cases()])
+def test_cover_matches_greedy_loop(pts, delta):
+    assert covering_number(pts, delta, return_centers=True) == \
+        greedy_cover_loop(pts, delta)
 
 
 def test_greedy_cover_frozen_line():
@@ -125,6 +184,13 @@ def test_box_dimension_cantor_exact():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
+def test_box_dimension_counts_match_greedy_loop():
+    pts = mixed_set(5)
+    fit = box_dimension_fit(pts, 0.5, 2.0**-6)
+    assert [c for _, c in fit.table] == \
+        [greedy_cover_loop(pts, d)[0] for d, _ in fit.table]
+
+
 def test_box_dimension_refuses_sub_resolution_window():
     with pytest.raises(ValueError):
         box_dimension_fit(LINE5, 2.0, 0.5)  # min gap is 1.0
@@ -148,6 +214,21 @@ def test_assouad_probe_plane_grid():
     # local covering exponent of a planar set sits near 2 (greedy overshoot
     # keeps it above, never below the exhaustive value)
     assert 1.8 <= probe["exponent"] <= 3.0
+
+
+@pytest.mark.parametrize("r,rho", [(0.5, 0.02), (0.3, 0.005), (2.0, 0.1)])
+def test_local_counts_match_extracted_covers(r, rho):
+    pts = mixed_set(7)
+    tree = cKDTree(pts)
+    idx = np.arange(0, len(pts), 5)
+    counts = _local_counts(pts, idx, r, rho)
+    for i, count in zip(idx, counts):
+        local = pts[tree.query_ball_point(pts[i], r, return_sorted=True)]
+        assert count == covering_number(local, rho) == \
+            greedy_cover_loop(local, rho)[0]
+    probe = assouad_probe(pts, len(pts), r, rho)
+    assert probe["max_count"] == _local_counts(pts, np.arange(len(pts)),
+                                               r, rho).max()
 
 
 def test_assouad_scan_shapes():
@@ -174,3 +255,31 @@ def test_local_dimension_rejects_zero_mass():
     m = AtomicMeasure([[0.0], [10.0]], [0.5, 0.5])
     with pytest.raises(ValueError):
         local_dimension(m, [5.0], [0.25, 0.5, 1.0])
+
+
+# lattice points in units of 1/4: duplicates and distances exactly at
+# delta are common, and scaling by a power of two is exact
+lattice_sets = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                        min_size=1, max_size=40).map(
+    lambda xs: 0.25 * np.array(xs, dtype=float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=lattice_sets, quarters=st.integers(1, 12), power=st.integers(-8, 8))
+def test_cover_scaling_invariant(pts, quarters, power):
+    delta = 0.25 * quarters
+    c = 2.0**power
+    base = covering_number(pts, delta, return_centers=True)
+    assert base == greedy_cover_loop(pts, delta)
+    assert covering_number(c * pts, c * delta, return_centers=True) == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=lattice_sets, quarters=st.integers(1, 12),
+       factor=st.floats(2.0, 8.0))
+def test_cover_shrinks_when_delta_doubles(pts, quarters, factor):
+    # the greedy count is not monotone between nearby scales, but centers
+    # of the coarse cover are pairwise farther apart than twice delta, so
+    # no fine ball holds two of them
+    delta = 0.25 * quarters
+    assert covering_number(pts, factor * delta) <= covering_number(pts, delta)

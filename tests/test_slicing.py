@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from projlab import constructions, slicing
 from projlab.constructions import IfsSpec, ifs_atoms
 from projlab.geom import AtomicMeasure
 from projlab.linalg import Plane
@@ -87,6 +90,86 @@ def test_dirac_score_accepts_slice():
     assert rho == 0.0  # the heavier of the two atoms holds 2/3 >= 1/2
 
 
+def dirac_loop(measure, tau):
+    """One norm and one stable argsort per candidate center: the slow
+    reference for dirac_score."""
+    pts, w = measure.points, measure.weights
+    need = 1.0 - tau - 1e-12
+    best, best_center = np.inf, -1
+    for c in range(len(pts)):
+        d = np.linalg.norm(pts - pts[c], axis=1)
+        order = np.argsort(d, kind="stable")
+        hit = int(np.searchsorted(np.cumsum(w[order]), need, side="left"))
+        if hit < len(d) and float(d[order][hit]) < best:
+            best, best_center = float(d[order][hit]), c
+    return best, best_center
+
+
+def dirac_cases():
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 3):
+        n = 80
+        yield "equal-%dd" % dim, AtomicMeasure(rng.uniform(0, 1, (n, dim)),
+                                               np.full(n, 1.0 / n))
+        yield "unequal-%dd" % dim, AtomicMeasure(rng.uniform(0, 1, (n, dim)),
+                                                 rng.dirichlet(np.ones(n)))
+    # a lattice with equal weights: radii tie between many centers
+    g = np.arange(6.0)
+    grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    yield "tied-grid", AtomicMeasure(grid, np.full(len(grid), 1.0 / len(grid)))
+    # atom 0's radius equals its bound and ties with atom 1's, whose bound
+    # is lower: atom 1 is scored first, yet atom 0 must win the tie
+    yield "tie-after-bound", AtomicMeasure([[3.0], [2.0], [2.0], [2.0], [2.0]],
+                                           np.array([3, 1, 3, 3, 1]) / 11)
+    dup = np.repeat(rng.uniform(0, 1, (20, 2)), 3, axis=0)
+    yield "duplicates", AtomicMeasure(dup, rng.dirichlet(np.ones(60)))
+    heavy = rng.dirichlet(np.full(30, 0.2))
+    yield "one-heavy-atom", AtomicMeasure(rng.uniform(0, 1, (30, 2)), heavy)
+    for n in (2, 3, 4):
+        yield "tiny-%d" % n, AtomicMeasure(rng.uniform(0, 1, (n, 2)),
+                                           rng.dirichlet(np.ones(n)))
+    # more than one row block at the default block size
+    yield "two-blocks", AtomicMeasure(rng.uniform(0, 1, (700, 2)),
+                                      rng.dirichlet(np.ones(700)))
+
+
+@pytest.mark.parametrize("block", [slicing.DIRAC_BLOCK, 64])
+@pytest.mark.parametrize("measure", [c[1] for c in dirac_cases()],
+                         ids=[c[0] for c in dirac_cases()])
+def test_dirac_score_matches_loop(measure, block, monkeypatch):
+    monkeypatch.setattr(slicing, "DIRAC_BLOCK", block)
+    for tau in (0.05, 0.25, 0.5, 0.9):
+        assert dirac_score(measure, tau) == dirac_loop(measure, tau)
+
+
+def test_distance_rows_match_norm():
+    rng = np.random.default_rng(8)
+    for dim in range(1, 8):  # numpy sums eight or more pairwise
+        pts = rng.normal(0, 3, (50, dim))
+        rows = slicing._distance_rows(pts, 10, 30)
+        for c in range(10, 30):
+            assert np.array_equal(rows[c - 10],
+                                  np.linalg.norm(pts - pts[c], axis=1))
+
+
+# lattice atoms with small integer weights: ties in distance and in mass
+weighted_lattices = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 5)),
+    min_size=1, max_size=30).map(lambda xs: AtomicMeasure(
+        np.array([x[:2] for x in xs], dtype=float),
+        np.array([x[2] for x in xs], dtype=float) / sum(x[2] for x in xs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(measure=weighted_lattices,
+       taus=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=4))
+def test_dirac_score_nonincreasing_in_tau(measure, taus):
+    scores = [dirac_score(measure, tau) for tau in sorted(taus)]
+    assert scores == [dirac_loop(measure, tau) for tau in sorted(taus)]
+    radii = [rho for rho, _ in scores]
+    assert radii == sorted(radii, reverse=True)
+
+
 def test_complement_plane():
     t = np.array([0.0, 0.5, 0.0])
     pl = _complement_plane(t)
@@ -126,6 +209,23 @@ def test_translate_pair_structure_deeper():
     # branch spread eats at most ratio/(1-ratio) of the translate length
     floor = 0.5 * (1 - 0.1 / 0.9)
     assert out["min_mixed_score"] >= floor - 1e-9
+
+
+def test_translate_pair_flags_a_broken_shift(monkeypatch):
+    spec = pair_spec(0.1, [0.0, 0.5])
+    real = constructions.ifs_atoms
+
+    def stretched(spec, depth):
+        # branch 2 moves along t: slabs and labels stay, the shift is off
+        nu = real(spec, depth)
+        moved = nu.points.copy()
+        moved[[lab[0] == 2 for lab in nu.labels]] += [0.0, 1e-3]
+        return AtomicMeasure(moved, nu.weights, labels=nu.labels)
+
+    monkeypatch.setattr(constructions, "ifs_atoms", stretched)
+    out = translate_pair_test(spec, depth=6, n_slices=24, seed=1)
+    assert out["all_labels_match"]
+    assert not out["all_shifts_match"]
 
 
 def test_translate_pair_rejects_degenerate_input():
