@@ -85,20 +85,45 @@ def _nn_distances(tree, pts):
     return tree.query(pts, k=2)[0][:, 1]
 
 
-def _greedy_walk(tree, pts, nn, delta, covered):
-    """Greedy closed-ball cover of the points not marked in covered.
+def cover_index(ps):
+    """KD-tree of a point set and each point's nearest-neighbor distance.
 
-    tree indexes pts and nn holds their nearest-neighbor distances.  A
-    point whose nearest other point lies beyond delta (with a 1e-9
-    relative margin for the rounding of the two distance routines) can
-    neither be covered by another center nor cover one, so it is settled
-    as a center at once; every other point goes through the exact
-    closed-ball query, first uncovered index first.  Returns the center
-    indices in increasing order, the order the greedy walk opens them.
+    Built once, it serves every covering_number call on the same set
+    (pass it as index=), whatever the scale or subset.
     """
-    is_center = ~covered & (nn > delta * (1 + 1e-9))
-    open_ = ~(covered | is_center)
-    n = len(open_)
+    pts = _as_points(ps)
+    tree = cKDTree(pts)
+    return tree, _nn_distances(tree, pts)
+
+
+def covering_number(ps, delta, return_centers=False, within=None, index=None):
+    """Greedy closed-ball cover count, first uncovered point in input order.
+
+    within (index array or boolean mask) restricts the cover to those
+    points of ps, walked in the order of ps: the count equals that of the
+    extracted subset, and centers are reported as indices into ps.  index
+    is cover_index(ps), for callers that cover one set many times.
+
+    A point whose nearest other point lies beyond delta (with a 1e-9
+    relative margin for the rounding of the two distance routines) can
+    neither be covered by another center nor cover one, in the set or in
+    any subset, so it is settled as a center at once.  Every other point
+    goes through the exact closed-ball query, and the walk jumps from one
+    uncovered index to the next.  Centers come back in increasing order,
+    the order the greedy walk opens them.
+    """
+    pts = _as_points(ps)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    n = len(pts)
+    tree, nn = cover_index(pts) if index is None else index
+    if within is None:
+        open_ = np.ones(n, dtype=bool)
+    else:
+        open_ = np.zeros(n, dtype=bool)
+        open_[within] = True
+    is_center = open_ & (nn > delta * (1 + 1e-9))
+    open_ &= ~is_center
     pos = 0
     while pos < n:
         pos += int(open_[pos:].argmax())
@@ -107,17 +132,7 @@ def _greedy_walk(tree, pts, nn, delta, covered):
         is_center[pos] = True
         open_[tree.query_ball_point(pts[pos], delta, return_sorted=False)] = False
         pos += 1
-    return np.flatnonzero(is_center)
-
-
-def covering_number(ps, delta, return_centers=False):
-    """Greedy closed-ball cover count, first uncovered point in input order."""
-    pts = _as_points(ps)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    tree = cKDTree(pts)
-    centers = _greedy_walk(tree, pts, _nn_distances(tree, pts), delta,
-                           np.zeros(len(pts), dtype=bool))
+    centers = np.flatnonzero(is_center)
     if return_centers:
         return len(centers), centers.tolist()
     return len(centers)
@@ -133,8 +148,7 @@ def _resolution(nn):
 
 def min_nn_distance(pts):
     """Minimum positive nearest-neighbor distance (the resolution scale)."""
-    pts = _as_points(pts)
-    return _resolution(_nn_distances(cKDTree(pts), pts))
+    return _resolution(cover_index(pts)[1])
 
 
 def dyadic_scales(delta_max, delta_min):
@@ -157,9 +171,8 @@ def box_dimension_fit(ps, delta_max, delta_min, n_scales=None):
     the table measures the sample, not the set.
     """
     pts = _as_points(ps)
-    tree = cKDTree(pts)
-    nn = _nn_distances(tree, pts)
-    floor = _resolution(nn)
+    index = cover_index(pts)
+    floor = _resolution(index[1])
     if delta_min < floor:
         raise ValueError(
             "delta_min %.3g is below the resolution limit %.3g" % (delta_min, floor)
@@ -172,8 +185,7 @@ def box_dimension_fit(ps, delta_max, delta_min, n_scales=None):
         scales = list(np.geomspace(delta_max, delta_min, int(n_scales)))
     if len(scales) < 3:
         raise ValueError("window too narrow: fewer than 3 scales")
-    counts = [len(_greedy_walk(tree, pts, nn, d, np.zeros(len(pts), dtype=bool)))
-              for d in scales]
+    counts = [covering_number(pts, d, index=index) for d in scales]
     slope, intercept, r_sq = fit_loglog(scales, counts)
     return ScalingFit(slope, intercept, r_sq, list(zip(scales, counts)))
 
@@ -189,33 +201,20 @@ def assouad_probe(ps, n_centers, r, rho, seed=0):
         raise ValueError("need 0 < rho < r")
     pts = _as_points(ps)
     rng = np.random.default_rng(seed)
+    index = cover_index(pts)
     n = len(pts)
     if n_centers > n:
         raise ValueError("more centers than points")
     idx = np.arange(n) if n == n_centers else rng.choice(n, size=n_centers,
                                                          replace=False)
-    best = int(_local_counts(pts, idx, r, rho).max(initial=0))
+    best = 0
+    for i in idx:
+        # one tree and one nearest-neighbor pass serve every local cover
+        local = index[0].query_ball_point(pts[i], r, return_sorted=False)
+        best = max(best, covering_number(pts, rho, within=local, index=index))
     exponent = np.log2(best) / np.log2(r / rho) if best > 0 else 0.0
     return {"r": float(r), "rho": float(rho), "n_centers": int(n_centers),
             "max_count": int(best), "exponent": float(exponent)}
-
-
-def _local_counts(pts, idx, r, rho):
-    """Greedy rho-cover count of pts within B(pts[i], r), for each i in idx.
-
-    One tree and one nearest-neighbor pass serve every center: a point
-    with no neighbor within rho in the whole set has none in any subset,
-    and points outside the ball enter the walk already covered, so each
-    count equals covering_number of the extracted local set.
-    """
-    tree = cKDTree(pts)
-    nn = _nn_distances(tree, pts)
-    counts = np.zeros(len(idx), dtype=np.int64)
-    for j, i in enumerate(idx):
-        covered = np.ones(len(pts), dtype=bool)
-        covered[tree.query_ball_point(pts[i], r)] = False
-        counts[j] = len(_greedy_walk(tree, pts, nn, rho, covered))
-    return counts
 
 
 def assouad_scan(ps, pairs, n_centers=32, seed=0):

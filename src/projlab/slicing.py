@@ -103,8 +103,8 @@ def dirac_score(slice_or_measure, tau):
     atoms, so a center's radius is at least its q-th smallest distance
     (its own zero included).  The bound takes the (q-1)-th, one lower as
     slack for rounding in the running mass sums.  Exact radii are taken
-    only for centers in increasing order of that bound, until the bound
-    exceeds the best radius found.
+    only for centers in increasing order of that bound, until no later
+    center can beat or tie-and-precede the best radius found.
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
@@ -116,19 +116,19 @@ def dirac_score(slice_or_measure, tau):
     n = len(pts)
     need = 1.0 - tau - 1e-12
     rank = min(max(int(np.ceil(need / w.max())) - 2, 0), n - 1)
-    step = max(1, DIRAC_BLOCK // n)
-    bounds = np.empty(n)
-    for start in range(0, n, step):
-        rows = _distance_rows(pts, start, min(start + step, n))
-        bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
+    bounds = np.zeros(n)  # rank 0 is each row's own zero
+    if rank > 0:
+        step = max(1, DIRAC_BLOCK // n)
+        for start in range(0, n, step):
+            rows = _distance_rows(pts, start, min(start + step, n))
+            bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
     best = np.inf
     best_center = -1
     for c in np.argsort(bounds, kind="stable"):
-        if bounds[c] > best:
+        # later rows have larger bounds, or equal bounds and larger indices
+        if bounds[c] > best or (bounds[c] == best and c > best_center):
             break
-        # one block holds every row; otherwise the row is recomputed
-        d = rows[c] if step >= n else _distance_rows(pts, c, c + 1)[0]
-        radius = _row_radius(d, w, need)
+        radius = _row_radius(_distance_rows(pts, c, c + 1)[0], w, need)
         if radius < best or (radius == best and c < best_center):
             best = radius
             best_center = int(c)

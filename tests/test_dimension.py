@@ -12,9 +12,8 @@ from scipy.spatial import cKDTree
 from projlab.constructions import IfsSpec, ifs_atoms
 from projlab.dimension import (ScalingFit, assouad_probe, assouad_scan,
                                box_dimension_fit, covering_number,
-                               dyadic_scales, fit_loglog, local_dimension,
-                               min_nn_distance)
-from projlab.dimension import _local_counts
+                               cover_index, dyadic_scales, fit_loglog,
+                               local_dimension, min_nn_distance)
 from projlab.geom import AtomicMeasure, PointSet
 
 
@@ -217,18 +216,22 @@ def test_assouad_probe_plane_grid():
 
 
 @pytest.mark.parametrize("r,rho", [(0.5, 0.02), (0.3, 0.005), (2.0, 0.1)])
-def test_local_counts_match_extracted_covers(r, rho):
+def test_local_covers_match_extracted_sets(r, rho):
+    # assouad_probe's covers: a subset of one indexed set, walked in place
     pts = mixed_set(7)
-    tree = cKDTree(pts)
-    idx = np.arange(0, len(pts), 5)
-    counts = _local_counts(pts, idx, r, rho)
-    for i, count in zip(idx, counts):
-        local = pts[tree.query_ball_point(pts[i], r, return_sorted=True)]
-        assert count == covering_number(local, rho) == \
-            greedy_cover_loop(local, rho)[0]
+    index = cover_index(pts)
+    counts = []
+    for i in range(len(pts)):
+        local = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)
+        count, centers = greedy_cover_loop(pts[local], rho)
+        assert covering_number(pts, rho, True, within=local, index=index) == \
+            (count, local[centers].tolist())
+        mask = np.zeros(len(pts), dtype=bool)
+        mask[local] = True
+        assert covering_number(pts, rho, within=mask) == count
+        counts.append(count)
     probe = assouad_probe(pts, len(pts), r, rho)
-    assert probe["max_count"] == _local_counts(pts, np.arange(len(pts)),
-                                               r, rho).max()
+    assert probe["max_count"] == max(counts)
 
 
 def test_assouad_scan_shapes():

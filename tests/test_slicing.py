@@ -125,6 +125,9 @@ def dirac_cases():
     yield "duplicates", AtomicMeasure(dup, rng.dirichlet(np.ones(60)))
     heavy = rng.dirichlet(np.full(30, 0.2))
     yield "one-heavy-atom", AtomicMeasure(rng.uniform(0, 1, (30, 2)), heavy)
+    # one atom alone holds the mass: every bound is zero
+    yield "heavy-first", AtomicMeasure([[0.0, 0.0], [1e-4, 0.0]], [0.75, 0.25])
+    yield "heavy-second", AtomicMeasure([[0.0, 0.0], [1e-4, 0.0]], [0.25, 0.75])
     for n in (2, 3, 4):
         yield "tiny-%d" % n, AtomicMeasure(rng.uniform(0, 1, (n, 2)),
                                            rng.dirichlet(np.ones(n)))
@@ -133,11 +136,9 @@ def dirac_cases():
                                       rng.dirichlet(np.ones(700)))
 
 
-@pytest.mark.parametrize("block", [slicing.DIRAC_BLOCK, 64])
 @pytest.mark.parametrize("measure", [c[1] for c in dirac_cases()],
                          ids=[c[0] for c in dirac_cases()])
-def test_dirac_score_matches_loop(measure, block, monkeypatch):
-    monkeypatch.setattr(slicing, "DIRAC_BLOCK", block)
+def test_dirac_score_matches_loop(measure):
     for tau in (0.05, 0.25, 0.5, 0.9):
         assert dirac_score(measure, tau) == dirac_loop(measure, tau)
 
