@@ -5,13 +5,13 @@ Submodules:
 
 * geom: point sets, atomic measures, CSV round-trip.
 * linalg: random maps with unit-ball rows, Grassmannian planes,
-  projections, full-rank factorization, tabulated perturbations.
+  projections.
 * dimension: covering numbers, box-counting and local-dimension fits,
   localized homogeneity probes.
 * constructions: sphere nets, blocked dyadic words and their parabola
   lift, exact digit arithmetic, IFS/sparse/dense atom clouds.
-* embedding: collision scans, transversality Monte Carlo, inverse
-  moduli (continuity, pointwise Holder, log-Lipschitz), decoding.
+* embedding: collision probabilities, transversality Monte Carlo,
+  inverse moduli (continuity, pointwise Holder, log-Lipschitz).
 * slicing: slab conditional measures, Dirac scores, translate pairs.
 * experiments / cli: named, config-driven experiment runs with
   deterministic JSON/CSV/SVG artifacts.
@@ -21,12 +21,11 @@ __version__ = "0.1.0"
 
 from .geom import (AtomicMeasure, PointSet, normalized_measure,
                    read_points_csv, write_points_csv)
-from .linalg import (AffinePerturbation, LinearOperator, Plane,
-                     apply_perturbed, decompose_full_rank, project,
-                     sample_e, sample_e_batch, sample_grassmannian)
-from .dimension import (ScalingFit, assouad_probe, assouad_scan,
-                        box_dimension_fit, covering_number, fit_loglog,
-                        local_dimension, min_nn_distance)
+from .linalg import (LinearOperator, Plane, project, sample_e,
+                     sample_e_batch, sample_grassmannian)
+from .dimension import (ScalingFit, assouad_probe, box_dimension_fit,
+                        covering_number, fit_loglog, local_dimension,
+                        min_nn_distance)
 from .constructions import (BitWord, DyadicRational, IfsSpec, SphereNetSpec,
                             block_constraints, dense_ball_atoms,
                             dyadic_word_sample, exceptional_set_membership,
@@ -35,11 +34,9 @@ from .constructions import (BitWord, DyadicRational, IfsSpec, SphereNetSpec,
                             pi_encode, sparse_atoms, sphere_net,
                             sphere_net_union, verify_digit_lemma,
                             word_entropy_dimension)
-from .embedding import (CollisionReport, HolderEstimate, collision_probability,
-                        collision_scan, holder_ceiling,
+from .embedding import (HolderEstimate, collision_probability, holder_ceiling,
                         inverse_continuity_modulus, log_lipschitz_defect,
-                        nearest_point_decode, perturbed_preimage_search,
                         pointwise_holder, transversality_fraction)
 from .slicing import (SlabSlice, dirac_score, slab_conditional,
-                      slice_local_dimension, translate_pair_test)
+                      translate_pair_test)
 from .experiments import experiment_names, run_experiment

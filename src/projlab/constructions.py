@@ -28,6 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import AtomicMeasure, PointSet, normalized_measure
+from .linalg import ball_rows
 
 PRECISION_FLOOR = 2.0**-40
 SHELL_POINT_CAP = 700_000
@@ -345,12 +346,6 @@ def parabola_lift_measure(p, n_blocks):
     w = np.array([float(wt / total) for wt in weights])
     w /= w.sum()
     return AtomicMeasure(pts, w, labels=labels)
-
-
-def encoded_line_measure(p, n_blocks):
-    """Same measure before the lift: atoms at x in [0,1)."""
-    lifted = parabola_lift_measure(p, n_blocks)
-    return AtomicMeasure(lifted.points[:, :1], lifted.weights, labels=lifted.labels)
 
 
 def word_entropy_dimension(p):
@@ -678,9 +673,5 @@ def dense_ball_atoms(ambient_dim, count, seed, decay=0.9):
     """Uniform ball cloud with geometric weights decay^j (dense support)."""
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0,1)")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, ambient_dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    radii = rng.uniform(size=count) ** (1.0 / ambient_dim)
-    pts = g * radii[:, None]
+    pts = ball_rows(count, ambient_dim, np.random.default_rng(seed))
     return normalized_measure(pts, decay ** np.arange(count, dtype=float))

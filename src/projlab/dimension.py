@@ -10,7 +10,6 @@ dimension fits are ordinary least squares on log2-log2 tables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,6 @@ class ScalingFit:
             "r_squared": self.r_squared,
             "table": [{"delta": d, "count": c} for d, c in self.table],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def to_csv_text(self):
         lines = ["delta,count"]
@@ -215,14 +211,6 @@ def assouad_probe(ps, n_centers, r, rho, seed=0):
     exponent = np.log2(best) / np.log2(r / rho) if best > 0 else 0.0
     return {"r": float(r), "rho": float(rho), "n_centers": int(n_centers),
             "max_count": int(best), "exponent": float(exponent)}
-
-
-def assouad_scan(ps, pairs, n_centers=32, seed=0):
-    """assouad_probe over a grid of (r, rho) pairs, plus the largest
-    implied exponent seen anywhere on the grid."""
-    n_centers = min(n_centers, len(_as_points(ps)))
-    rows = [assouad_probe(ps, n_centers, r, rho, seed=seed) for r, rho in pairs]
-    return {"pairs": rows, "exponent": max(row["exponent"] for row in rows)}
 
 
 def local_dimension(measure, x, radii):

@@ -6,9 +6,8 @@ Everything here asks one of two questions about a map image:
   the chance of that scale in the tolerance, and what does it cost to
   invert the map on the set (inverse modulus, pointwise Holder exponent,
   log-Lipschitz defect)?
-* decoding: given a (possibly noisy) image point, recover the atom it
-  came from, or find a sphere point that a perturbed map sends back to
-  the value at the origin.
+* transversality: how likely is a random map to send a fixed vector
+  eps-close to a fixed target?
 
 All estimators are deterministic given their seed and report enough of
 their configuration to reproduce the run.
@@ -22,61 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .constructions import fibonacci_sphere
 from .dimension import fit_loglog
 from .linalg import sample_e_batch
 
 PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
-EXACT_SCAN_LIMIT = 20_000
-
-
-@dataclass
-class CollisionReport:
-    """Well-separated pairs whose images nearly coincide.
-
-    in_regime records whether 2*eps <= delta (the regime the scaling law
-    addresses); scans outside it are valid but labeled.
-    """
-
-    eps: float
-    delta: float
-    mode: str
-    n_points: int
-    pairs: list  # (i, j, point_distance, image_distance), i < j
-    map_descriptor: str = ""
-    in_regime: bool = True
-
-    @property
-    def count(self):
-        return len(self.pairs)
 
 
 def _image_of(points, op):
-    """Images under op: None (identity), LinearOperator-like (has apply),
-    a plain matrix, a callable acting on the (n, N) batch, or an (m, k, N)
-    stack of matrices, which gives (m, n, k) images."""
+    """Images under op: None (identity), a LinearOperator or plain k x N
+    matrix, which gives (n, k) images, or an (m, k, N) stack of matrices,
+    which gives (m, n, k) images."""
     if op is None:
         return np.asarray(points, dtype=float)
-    apply = getattr(op, "apply", None)
-    if apply is not None:
-        return apply(points)
-    if callable(op):
-        return np.atleast_2d(np.asarray(op(points), dtype=float))
     return np.asarray(points, dtype=float) \
-        @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
-
-
-def _describe_map(op):
-    if op is None:
-        return "identity"
-    if hasattr(op, "apply"):
-        return "operator %dx%d" % (op.rows.shape[0], op.rows.shape[1]) \
-            if hasattr(op, "rows") else type(op).__name__
-    if callable(op):
-        return getattr(op, "__name__", "callable")
-    arr = np.asarray(op)
-    return "matrix %dx%d" % (arr.shape[0], arr.shape[1])
+        @ np.swapaxes(np.asarray(getattr(op, "rows", op), dtype=float), -1, -2)
 
 
 def points_provenance(points):
@@ -85,85 +44,6 @@ def points_provenance(points):
 
     arr = np.ascontiguousarray(np.asarray(points, dtype=float))
     return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
-
-
-def _exact_scan(points, images, delta, eps):
-    pairs = []
-    n = len(points)
-    for start in range(0, n, PAIR_BLOCK):
-        block = slice(start, min(start + PAIR_BLOCK, n))
-        pd = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=2)
-        im = np.linalg.norm(images[block, None, :] - images[None, :, :], axis=2)
-        hits = np.nonzero((pd >= delta) & (im <= eps))
-        for a, b in zip(*hits):
-            i = start + a
-            if i < b:
-                pairs.append((int(i), int(b), float(pd[a, b]), float(im[a, b])))
-    return pairs
-
-
-def _bucketed_scan(points, images, delta, eps):
-    """Image-space grid with cells of side eps; close images must share a
-    cell or touch a neighboring one, so only those candidates are checked."""
-    cells = np.floor(images / eps).astype(np.int64)
-    buckets = {}
-    for idx, cell in enumerate(map(tuple, cells)):
-        buckets.setdefault(cell, []).append(idx)
-    k = images.shape[1]
-    offsets = [np.array(o) for o in np.ndindex(*([3] * k))]
-    pairs = []
-    for cell, members in buckets.items():
-        cell = np.array(cell)
-        cand = []
-        for off in offsets:
-            neighbor = tuple(cell + off - 1)
-            cand.extend(buckets.get(neighbor, []))
-        for i in members:
-            for j in cand:
-                if j <= i:
-                    continue
-                im = float(np.linalg.norm(images[i] - images[j]))
-                if im > eps:
-                    continue
-                pd = float(np.linalg.norm(points[i] - points[j]))
-                if pd >= delta:
-                    pairs.append((i, j, pd, im))
-    return sorted(set(pairs))
-
-
-def collision_scan(points, op, eps, delta, mode="auto"):
-    """All pairs at point distance >= delta with image distance <= eps.
-
-    mode 'exact' compares every pair blockwise; 'bucketed' hashes images
-    onto an eps-grid first and only checks neighbor cells (the cell side
-    equals eps, so no qualifying pair can escape the neighborhood).  Both
-    see every qualifying pair; 'auto' picks exact below 20000 points.
-    eps = 0 asks for exact image collisions and always scans exactly.
-    """
-    if eps < 0 or delta <= 0:
-        raise ValueError("need eps >= 0 and delta > 0")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = np.atleast_2d(_image_of(points, op))
-    if mode == "auto":
-        mode = "exact" if len(points) <= EXACT_SCAN_LIMIT or eps == 0 \
-            else "bucketed"
-    if mode == "exact":
-        pairs = _exact_scan(points, images, delta, eps)
-    elif mode == "bucketed":
-        if eps == 0:
-            raise ValueError("bucketed mode needs eps > 0")
-        pairs = _bucketed_scan(points, images, delta, eps)
-    else:
-        raise ValueError("unknown mode %r" % mode)
-    return CollisionReport(
-        eps=float(eps),
-        delta=float(delta),
-        mode=mode,
-        n_points=len(points),
-        pairs=sorted(pairs),
-        map_descriptor=_describe_map(op),
-        in_regime=bool(2 * eps <= delta),
-    )
 
 
 def _frequency_fit(table, n_maps):
@@ -271,9 +151,10 @@ def _sq_norms(a, b=None, out=None):
 def inverse_continuity_modulus(points, op, delta_grid):
     """eps(delta) = smallest image distance among pairs at least delta apart.
 
-    op is one map (anything collision_scan accepts), which gives one table
-    of (delta, eps) rows, or a stack of maps: an (m, k, N) array such as
-    sample_e_batch returns, which gives a list of m tables in stack order.
+    op is one map (None for the identity, a LinearOperator or a k x N
+    matrix), which gives one table of (delta, eps) rows, or a stack of
+    maps: an (m, k, N) array such as sample_e_batch returns, which gives a
+    list of m tables in stack order.
     Deltas that no pair reaches are cut from every table alike.
 
     The pass runs over blocks of base points.  Point distances and the
@@ -452,90 +333,3 @@ def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
         "c_hat": float(ratios[best]),
         "witness": int(idx[best]),
     }
-
-
-def nearest_point_decode(atoms, op, y):
-    """Atom whose image is nearest to y; ties resolve to the lowest index.
-
-    atoms may be an AtomicMeasure/PointSet (its points are mapped through
-    op) or a plain array; op None means the atoms are already images.
-    """
-    pts = getattr(atoms, "points", atoms)
-    images = np.atleast_2d(_image_of(pts, op))
-    return int(np.argmin(np.linalg.norm(images - np.asarray(y), axis=1)))
-
-
-def _sphere_mesh(dim, count, rng):
-    if dim == 2:
-        ang = np.linspace(0, 2 * np.pi, count, endpoint=False)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if dim == 3:
-        return fibonacci_sphere(count)
-    mesh = rng.standard_normal((count, dim))
-    return mesh / np.linalg.norm(mesh, axis=1, keepdims=True)
-
-
-def perturbed_preimage_search(op, perturbation, J, radius, seed=0,
-                              resolution=None):
-    """Search r S_J for a point the perturbed map sends to its value at 0.
-
-    The map is y -> L y + f(y) with f a callable perturbation (None means
-    unperturbed); the target is the image of the origin.  The sphere is
-    meshed at the requested resolution (default r/100, which is also the
-    coarsest allowed), the best mesh point is refined locally, and for the
-    unperturbed full-rank case the kernel is solved exactly.  Success
-    means a residual below r * 1e-4.
-    """
-    rows = np.atleast_2d(np.asarray(getattr(op, "rows", op), dtype=float))
-    J = list(J)
-    if resolution is None:
-        resolution = radius / 100.0
-    if resolution > radius / 100.0 + 1e-15:
-        raise ValueError("mesh resolution must be at most r/100")
-    rng = np.random.default_rng(seed)
-    sub = rows[:, J]
-    dim = len(J)
-
-    def embed(local):
-        out = np.zeros((len(local), rows.shape[1]))
-        out[:, J] = local
-        return out
-
-    def values(local):
-        pts = embed(local)
-        base = pts @ rows.T
-        if perturbation is not None:
-            base = base + np.atleast_2d(perturbation(pts))
-        return base
-
-    target = values(np.zeros((1, dim)))[0]
-
-    if perturbation is None:
-        _, s, vt = np.linalg.svd(sub)
-        if s.size < dim or s[-1] <= 1e-10:
-            y = radius * vt[-1]
-            residual = float(np.linalg.norm(values(y[None, :])[0] - target))
-            return {"found": residual < radius * 1e-4, "y": embed(y[None, :])[0],
-                    "residual": residual, "exact": True}
-
-    count = max(64, int(np.ceil((3.9 * radius / resolution) ** (dim - 1))))
-    count = min(count, 400_000)
-    mesh = _sphere_mesh(dim, count, rng) * radius
-    res = np.linalg.norm(values(mesh) - target, axis=1)
-    best = int(np.argmin(res))
-    center = mesh[best] / radius
-    spread = max(resolution / radius, 4.0 / np.sqrt(count))
-    # shrink slower than the sampler converges so the minimum stays inside
-    # the sampled neighborhood at every round
-    for _ in range(8):
-        local = center + spread * rng.standard_normal((512, dim))
-        local /= np.linalg.norm(local, axis=1, keepdims=True)
-        local = np.vstack([center, local]) * radius
-        r_loc = np.linalg.norm(values(local) - target, axis=1)
-        b = int(np.argmin(r_loc))
-        center = local[b] / radius
-        spread /= 4.0
-    y_local = center * radius
-    residual = float(np.linalg.norm(values(y_local[None, :])[0] - target))
-    return {"found": residual < radius * 1e-4, "y": embed(y_local[None, :])[0],
-            "residual": residual, "exact": False}

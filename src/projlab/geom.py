@@ -8,7 +8,7 @@ the ambient dimension and whether a weight column is present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class AtomicMeasure:
         center = np.asarray(center, dtype=float)
         d = np.linalg.norm(self.points - center, axis=1)
         return float(self.weights[d <= radius].sum())
-
-    def point_set(self):
-        return PointSet(self.points.copy(), labels=self.labels)
 
 
 def normalized_measure(points, raw_weights, labels=None):

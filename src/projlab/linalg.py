@@ -1,21 +1,20 @@
-"""Random linear maps, planes, and full-rank factorizations.
+"""Random linear maps, planes and projections.
 
 Two samplers drive every randomized experiment: `sample_e` draws the rows
 of a k x N map independently and uniformly from the closed unit ball of
 R^N (gaussian direction times a U^(1/N) radius, so the radius density is
 N r^(N-1)), and `sample_grassmannian` orthonormalizes gaussian rows to get
 a uniformly distributed k-plane.  Both are deterministic functions of the
-seed.  Batch variants draw from a single counter-ordered stream so a run
-can be replayed map by map.
+seed.  `sample_e_batch` draws a whole stack of maps from one seeded
+stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-RANK_TOL = 1e-10
 GRAM_TOL = 1e-10
 BALL_TOL = 1e-12
 
@@ -83,42 +82,6 @@ class Plane:
         return self.basis.shape[1]
 
 
-@dataclass
-class AffinePerturbation:
-    """Map x -> Lx + f(x) with f tabulated at known point ids.
-
-    lip_bound is the declared Lipschitz bound of f.  When the optional
-    points table (id -> location) is supplied, the bound is verified over
-    every tabulated pair at construction.
-    """
-
-    base: LinearOperator
-    table: dict = field(default_factory=dict)
-    lip_bound: float = 0.0
-    points: dict | None = None
-
-    def __post_init__(self):
-        if self.lip_bound < 0:
-            raise ValueError("lip_bound must be nonnegative")
-        for key, val in self.table.items():
-            vec = np.asarray(val, dtype=float)
-            if vec.shape != (self.base.k,):
-                raise ValueError("perturbation value for %r has wrong dimension" % (key,))
-            self.table[key] = vec
-        if self.points is not None:
-            ids = [i for i in self.table if i in self.points]
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    xa = np.asarray(self.points[ids[a]], dtype=float)
-                    xb = np.asarray(self.points[ids[b]], dtype=float)
-                    gap = np.linalg.norm(self.table[ids[a]] - self.table[ids[b]])
-                    if gap > self.lip_bound * np.linalg.norm(xa - xb) + 1e-12:
-                        raise ValueError(
-                            "tabulated values violate the declared Lipschitz "
-                            "bound between %r and %r" % (ids[a], ids[b])
-                        )
-
-
 def orthonormalize_rows(rows):
     """Modified Gram-Schmidt with one re-orthogonalization pass."""
     q = np.array(np.atleast_2d(rows), dtype=float)
@@ -162,41 +125,9 @@ def sample_grassmannian(ambient_dim, k, seed):
     return Plane(orthonormalize_rows(g))
 
 
-def sample_grassmannian_batch(ambient_dim, k, count, seed):
-    """(count, k, ambient_dim) stack of orthonormal bases."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, k, ambient_dim))
-    out = np.empty_like(g)
-    for i in range(count):
-        out[i] = orthonormalize_rows(g[i])
-    return out
-
-
 def project(plane, x):
     """Coordinates of x on the plane's basis; batch rows accepted."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return plane.basis @ x
     return x @ plane.basis.T
-
-
-def decompose_full_rank(op):
-    """Factor a full-rank L as psi o P_V with V = (ker L)^perp.
-
-    Returns (Plane, psi) where psi is the invertible k x k matrix with
-    L x = psi @ project(plane, x).  Raises if the smallest singular value
-    of L is at or below RANK_TOL.
-    """
-    sv = np.linalg.svd(op.rows, compute_uv=False)
-    if sv[-1] <= RANK_TOL:
-        raise ValueError("operator is rank deficient (smallest sv %.3e)" % sv[-1])
-    plane = Plane(orthonormalize_rows(op.rows))
-    psi = op.rows @ plane.basis.T
-    return plane, psi
-
-
-def apply_perturbed(pert, x, x_id):
-    """Evaluate Lx + f(x) using the tabulated value of f at x_id."""
-    if x_id not in pert.table:
-        raise LookupError("no tabulated perturbation for point id %r" % (x_id,))
-    return pert.base.apply(x) + pert.table[x_id]

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .dimension import local_dimension
+from .embedding import _sq_norms
 from .geom import AtomicMeasure
 from .linalg import Plane, orthonormalize_rows, project
 
@@ -66,22 +65,6 @@ def slab_conditional(measure, plane, center, half_width):
 DIRAC_BLOCK = 2 ** 18  # distance entries per row block of dirac_score
 
 
-def _distance_rows(pts, start, stop):
-    """|pts[c] - pts[j]| for c in [start, stop), one row per c.
-
-    Squared coordinate differences are summed coordinate by coordinate,
-    the order in which np.linalg.norm(pts - pts[c], axis=1) sums rows of
-    fewer than eight coordinates, so each row matches it bit for bit there.
-    """
-    total = np.zeros((stop - start, len(pts)))
-    diff = np.empty_like(total)
-    for k in range(pts.shape[1]):
-        np.subtract(pts[None, :, k], pts[start:stop, k, None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        total += diff
-    return np.sqrt(total, out=total)
-
-
 def _row_radius(d, w, need):
     """Smallest closed-ball radius around one center holding mass need."""
     order = np.argsort(d, kind="stable")
@@ -120,7 +103,7 @@ def dirac_score(slice_or_measure, tau):
     if rank > 0:
         step = max(1, DIRAC_BLOCK // n)
         for start in range(0, n, step):
-            rows = _distance_rows(pts, start, min(start + step, n))
+            rows = np.sqrt(_sq_norms(pts[start:start + step, None], pts[None]))
             bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
     best = np.inf
     best_center = -1
@@ -128,7 +111,7 @@ def dirac_score(slice_or_measure, tau):
         # later rows have larger bounds, or equal bounds and larger indices
         if bounds[c] > best or (bounds[c] == best and c > best_center):
             break
-        radius = _row_radius(_distance_rows(pts, c, c + 1)[0], w, need)
+        radius = _row_radius(np.sqrt(_sq_norms(pts[c], pts)), w, need)
         if radius < best or (radius == best and c < best_center):
             best = radius
             best_center = int(c)
@@ -245,42 +228,4 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         "passes_floor": bool(min_mixed_score >= (1.0 - tol) * t_norm),
         "plane": plane,
         "measure": nu,
-    }
-
-
-def slice_local_dimension(measure, plane, n_slices, half_width, radii, seed,
-                          min_atoms=8):
-    """Local dimension fits of random slab slices at their own atoms.
-
-    Draws slab centers from the measure's projected atoms (weighted), and
-    for each nonempty slice fits log2 slice-mass of balls against log2 r
-    at a weighted random atom of the slice.  Returns the per-slice fits
-    and their median slope.
-    """
-    rng = np.random.default_rng(seed)
-    coords = project(plane, measure.points)
-    slopes = []
-    fits = []
-    tries = 0
-    while len(fits) < n_slices and tries < 20 * n_slices:
-        tries += 1
-        pick = rng.choice(len(coords), p=measure.weights)
-        sl = slab_conditional(measure, plane, coords[pick], half_width)
-        if sl.empty or sl.measure.n < min_atoms:
-            continue
-        at = rng.choice(sl.measure.n, p=sl.measure.weights)
-        try:
-            fit = local_dimension(sl.measure, sl.measure.points[at], radii)
-        except ValueError:
-            continue
-        fits.append(fit)
-        slopes.append(fit.slope)
-    if not fits:
-        raise ValueError("no usable slices found")
-    return {
-        "half_width": float(half_width),
-        "n_slices": len(fits),
-        "slopes": slopes,
-        "median_slope": float(np.median(slopes)),
-        "fits": fits,
     }

@@ -17,8 +17,7 @@ from projlab.constructions import (PRECISION_FLOOR, BitWord, DyadicRational,
                                    ifs_chaos_sample, kernel_shell_witnesses,
                                    parabola_lift_measure, pi_encode,
                                    sparse_atoms, sphere_net, sphere_net_union,
-                                   verify_digit_lemma, word_entropy_dimension,
-                                   encoded_line_measure)
+                                   verify_digit_lemma, word_entropy_dimension)
 from projlab.linalg import sample_e, sample_e_batch
 
 
@@ -196,8 +195,6 @@ def test_parabola_lift_is_on_the_parabola():
     assert m.n == 256
     assert np.allclose(m.points[:, 1], m.points[:, 0] ** 2, atol=1e-15)
     assert m.weights.sum() == pytest.approx(1.0)
-    line = encoded_line_measure(0.25, 8)
-    assert np.array_equal(line.points[:, 0], m.points[:, 0])
 
 
 def test_word_entropy_dimension_frozen():

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from projlab.constructions import IfsSpec, ifs_atoms
-from projlab.dimension import (ScalingFit, assouad_probe, assouad_scan,
-                               box_dimension_fit, covering_number,
-                               cover_index, dyadic_scales, fit_loglog,
-                               local_dimension, min_nn_distance)
+from projlab.dimension import (ScalingFit, assouad_probe, box_dimension_fit,
+                               covering_number, cover_index, dyadic_scales,
+                               fit_loglog, local_dimension, min_nn_distance)
 from projlab.geom import AtomicMeasure, PointSet
 
 
@@ -232,15 +231,6 @@ def test_local_covers_match_extracted_sets(r, rho):
         counts.append(count)
     probe = assouad_probe(pts, len(pts), r, rho)
     assert probe["max_count"] == max(counts)
-
-
-def test_assouad_scan_shapes():
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, (500, 2))
-    scan = assouad_scan(pts, [(0.25, 0.05), (0.125, 0.025)], n_centers=16, seed=0)
-    assert len(scan["pairs"]) == 2
-    assert all(row["max_count"] >= 1 for row in scan["pairs"])
-    assert scan["exponent"] == max(row["exponent"] for row in scan["pairs"])
 
 
 def test_local_dimension_frozen_example():

@@ -1,4 +1,4 @@
-"""Collision scans, inverse moduli, and decoding."""
+"""Collision probabilities, transversality and inverse moduli."""
 
 import math
 
@@ -8,50 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import embedding
-from projlab.embedding import (collision_probability, collision_scan,
-                               holder_ceiling, inverse_continuity_modulus,
-                               log_lipschitz_defect, nearest_point_decode,
-                               perturbed_preimage_search, pointwise_holder,
+from projlab.embedding import (collision_probability, holder_ceiling,
+                               inverse_continuity_modulus,
+                               log_lipschitz_defect, pointwise_holder,
                                set_diameter, transversality_fraction)
 from projlab.linalg import LinearOperator, sample_e, sample_e_batch
-
-
-def test_scan_modes_agree():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1, 1, (300, 3))
-    op = sample_e(3, 2, seed=1)
-    for eps in (0.05, 0.02):
-        exact = collision_scan(pts, op, eps=eps, delta=0.5, mode="exact")
-        bucket = collision_scan(pts, op, eps=eps, delta=0.5, mode="bucketed")
-        assert exact.count == bucket.count > 0
-        # distances may differ in the last ulp between the two norm paths
-        for pe, pb in zip(exact.pairs, bucket.pairs):
-            assert pe[:2] == pb[:2]
-            assert pe[2] == pytest.approx(pb[2], rel=1e-12)
-            assert pe[3] == pytest.approx(pb[3], rel=1e-9, abs=1e-15)
-
-
-def test_scan_exact_collisions_at_eps_zero():
-    pts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    op = LinearOperator([[1.0, 0.0]])  # kills the second coordinate
-    rep = collision_scan(pts, op, eps=0.0, delta=0.5)
-    assert rep.pairs == [(0, 1, 1.0, 0.0)]
-    assert rep.mode == "exact"
-    assert rep.in_regime
-
-
-def test_scan_regime_flag_and_validation():
-    pts = np.random.default_rng(1).uniform(0, 1, (20, 2))
-    rep = collision_scan(pts, None, eps=0.4, delta=0.5)
-    assert not rep.in_regime  # 2 eps > delta
-    with pytest.raises(ValueError):
-        collision_scan(pts, None, eps=-0.1, delta=0.5)
-    with pytest.raises(ValueError):
-        collision_scan(pts, None, eps=0.1, delta=0.0)
-    with pytest.raises(ValueError):
-        collision_scan(pts, None, eps=0.0, delta=0.5, mode="bucketed")
-    with pytest.raises(ValueError):
-        collision_scan(pts, None, eps=0.1, delta=0.5, mode="sorted")
 
 
 def test_collision_probability_fields_and_monotonicity():
@@ -198,35 +159,19 @@ def test_log_lipschitz_collision_and_validation():
         log_lipschitz_defect(pts, op, 0, big_r=0.5, eta=2.0, theta=1.0)
 
 
-def test_nearest_point_decode_ties_to_lowest_index():
-    atoms = np.array([[0.0, 1.0], [0.0, -1.0], [5.0, 0.0]])
-    op = LinearOperator([[1.0, 0.0]])  # both first atoms map to 0
-    assert nearest_point_decode(atoms, op, [0.0]) == 0
-    assert nearest_point_decode(atoms, op, [4.9]) == 2
-
-
-def test_preimage_search_exact_kernel_branch():
-    op = sample_e(3, 2, seed=12)
-    out = perturbed_preimage_search(op, None, J=(0, 1, 2), radius=0.5, seed=0)
-    assert out["exact"]
-    assert out["found"]
-    assert out["residual"] < 0.5 * 1e-4
-    assert np.linalg.norm(out["y"]) == pytest.approx(0.5, rel=1e-9)
-
-
-def test_preimage_search_mesh_branch():
-    op = sample_e(3, 2, seed=13)
-    out = perturbed_preimage_search(op, lambda pts: np.zeros((len(pts), 2)),
-                                    J=(0, 1, 2), radius=0.5, seed=1)
-    assert not out["exact"]
-    assert out["found"]  # zero perturbation still has the kernel preimage
-
-
-def test_preimage_search_resolution_guard():
-    op = sample_e(3, 2, seed=14)
-    with pytest.raises(ValueError):
-        perturbed_preimage_search(op, None, J=(0, 1, 2), radius=0.5,
-                                  resolution=0.1)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_operator_and_bare_rows_give_same_bits(k):
+    rng = np.random.default_rng(30 + k)
+    pts = rng.uniform(-1, 1, (60, 4))
+    op = sample_e(4, k, seed=k)
+    for base in (0, 17):
+        assert pointwise_holder(pts, op, base, 2.0) == \
+            pointwise_holder(pts, op.rows, base, 2.0)
+        assert log_lipschitz_defect(pts, op, base, None, 2.0, 1.0) == \
+            log_lipschitz_defect(pts, op.rows, base, None, 2.0, 1.0)
+    deltas = [0.2, 0.7, 1.5]
+    assert inverse_continuity_modulus(pts, op, deltas) == \
+        inverse_continuity_modulus(pts, op.rows, deltas)
 
 
 # --- the map-stacked modulus kernel against direct differences ---

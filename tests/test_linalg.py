@@ -1,13 +1,11 @@
-"""Random map samplers and factorizations."""
+"""Random map samplers, planes and projections."""
 
 import numpy as np
 import pytest
 
-from projlab.linalg import (AffinePerturbation, LinearOperator, Plane,
-                            apply_perturbed, decompose_full_rank,
-                            orthonormalize_rows, project, sample_e,
-                            sample_e_batch, sample_grassmannian,
-                            sample_grassmannian_batch)
+from projlab.linalg import (LinearOperator, Plane, orthonormalize_rows,
+                            project, sample_e, sample_e_batch,
+                            sample_grassmannian)
 
 
 def test_row_radius_distribution():
@@ -74,8 +72,6 @@ def test_grassmannian_sampler():
         pl = sample_grassmannian(5, 2, seed=seed)
         gram = pl.basis @ pl.basis.T
         assert np.abs(gram - np.eye(2)).max() < 1e-10
-    batch = sample_grassmannian_batch(5, 2, 3, seed=0)
-    assert batch.shape == (3, 2, 5)
     # plane distribution is rotation invariant: E |P e1|^2 = k/N
     vals = []
     for seed in range(400):
@@ -92,45 +88,6 @@ def test_project_batch():
     assert np.allclose(coords[3], project(pl, xs[3]))
 
 
-def test_decompose_full_rank_reconstructs():
-    rng = np.random.default_rng(9)
-    for seed in range(10):
-        op = sample_e(5, 3, seed=seed)
-        plane, psi = decompose_full_rank(op)
-        x = rng.standard_normal(5)
-        assert np.allclose(op(x), psi @ project(plane, x), atol=1e-8)
-        assert abs(np.linalg.det(psi)) > 0
-
-
-def test_decompose_rejects_rank_deficient():
-    op = LinearOperator([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        decompose_full_rank(op)
-
-
 def test_orthonormalize_rejects_dependent_rows():
     with pytest.raises(ValueError):
         orthonormalize_rows([[1.0, 0.0], [2.0, 0.0]])
-
-
-def test_affine_perturbation_table():
-    base = LinearOperator([[1.0, 0.0], [0.0, 1.0]])
-    pert = AffinePerturbation(base, table={"a": [0.1, 0.0]}, lip_bound=1.0)
-    out = apply_perturbed(pert, np.array([1.0, 2.0]), "a")
-    assert np.allclose(out, [1.1, 2.0])
-    with pytest.raises(LookupError):
-        apply_perturbed(pert, np.array([1.0, 2.0]), "missing")
-
-
-def test_affine_perturbation_validation():
-    base = LinearOperator([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        AffinePerturbation(base, table={"a": [0.1]}, lip_bound=1.0)
-    with pytest.raises(ValueError):
-        AffinePerturbation(base, lip_bound=-0.5)
-    pts = {"a": [0.0, 0.0], "b": [1.0, 0.0]}
-    AffinePerturbation(base, table={"a": [0.0, 0.0], "b": [0.05, 0.0]},
-                       lip_bound=0.1, points=pts)
-    with pytest.raises(ValueError):
-        AffinePerturbation(base, table={"a": [0.0, 0.0], "b": [0.5, 0.0]},
-                           lip_bound=0.1, points=pts)

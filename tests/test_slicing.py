@@ -1,18 +1,16 @@
 """Slab conditionals, near-Dirac scores, and translate pairs."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlab import constructions, slicing
-from projlab.constructions import IfsSpec, ifs_atoms
+from projlab import constructions, embedding
+from projlab.constructions import IfsSpec
 from projlab.geom import AtomicMeasure
 from projlab.linalg import Plane
 from projlab.slicing import (dirac_score, nn_spacing_at, slab_conditional,
-                             slice_local_dimension, translate_pair_test)
+                             translate_pair_test)
 from projlab.slicing import _complement_plane
 
 
@@ -147,10 +145,13 @@ def test_distance_rows_match_norm():
     rng = np.random.default_rng(8)
     for dim in range(1, 8):  # numpy sums eight or more pairwise
         pts = rng.normal(0, 3, (50, dim))
-        rows = slicing._distance_rows(pts, 10, 30)
+        # the two forms dirac_score takes: a block of rows and one row
+        rows = np.sqrt(embedding._sq_norms(pts[10:30, None], pts[None]))
         for c in range(10, 30):
-            assert np.array_equal(rows[c - 10],
-                                  np.linalg.norm(pts - pts[c], axis=1))
+            direct = np.linalg.norm(pts - pts[c], axis=1)
+            assert np.array_equal(rows[c - 10], direct)
+            assert np.array_equal(np.sqrt(embedding._sq_norms(pts[c], pts)),
+                                  direct)
 
 
 # lattice atoms with small integer weights: ties in distance and in mass
@@ -240,21 +241,3 @@ def test_translate_pair_rejects_degenerate_input():
                     shifts=[np.zeros(2)] * 3, probs=[1 / 3] * 3)
     with pytest.raises(ValueError):
         translate_pair_test(three, depth=2)
-
-
-def test_slice_local_dimension_product_cantor():
-    cantor = IfsSpec(ratios=[1 / 3, 1 / 3], orthogonals=[np.eye(1)] * 2,
-                     shifts=[np.zeros(1), np.array([2 / 3])], probs=[0.5, 0.5])
-    line = ifs_atoms(cantor, 5).points[:, 0]
-    xx, yy = np.meshgrid(line, line)
-    prod = np.column_stack([xx.ravel(), yy.ravel()])
-    mu = AtomicMeasure(prod, np.full(len(prod), 1.0 / len(prod)))
-    out = slice_local_dimension(mu, X_AXIS, n_slices=12,
-                                half_width=3.0**-5 / 2,
-                                radii=[3.0**-1, 3.0**-2, 3.0**-3, 3.0**-4],
-                                seed=4)
-    # vertical fibers are themselves the one-dimensional construction, so
-    # their local dimension is log 2 / log 3
-    assert out["median_slope"] == pytest.approx(math.log(2) / math.log(3),
-                                                abs=1e-9)
-    assert out["n_slices"] == 12
