@@ -21,22 +21,21 @@ __version__ = "0.1.0"
 
 from .geom import (AtomicMeasure, PointSet, normalized_measure,
                    read_points_csv, write_points_csv)
-from .linalg import (LinearOperator, Plane, project, sample_e,
-                     sample_e_batch, sample_grassmannian)
+from .linalg import Plane, project, sample_e_batch, sample_grassmannian
 from .dimension import (ScalingFit, assouad_probe, box_dimension_fit,
                         covering_number, fit_loglog, local_dimension,
                         min_nn_distance)
-from .constructions import (BitWord, DyadicRational, IfsSpec, SphereNetSpec,
-                            block_constraints, dense_ball_atoms,
-                            dyadic_word_sample, exceptional_set_membership,
-                            ifs_atoms, ifs_chaos_sample,
-                            kernel_shell_witnesses, parabola_lift_measure,
-                            pi_encode, sparse_atoms, sphere_net,
-                            sphere_net_union, verify_digit_lemma,
+from .constructions import (BitWord, IfsSpec, SphereNetSpec, block_constraints,
+                            dense_ball_atoms, dyadic_word_sample,
+                            exceptional_set_membership, ifs_atoms,
+                            ifs_chaos_sample, kernel_shell_witnesses,
+                            parabola_lift_measure, pi_encode, sparse_atoms,
+                            sphere_net, sphere_net_union, verify_digit_lemma,
                             word_entropy_dimension)
 from .embedding import (HolderEstimate, collision_probability, holder_ceiling,
                         inverse_continuity_modulus, log_lipschitz_defect,
-                        pointwise_holder, transversality_fraction)
+                        log_lipschitz_modulus, pointwise_holder,
+                        transversality_fraction)
 from .slicing import (SlabSlice, dirac_score, slab_conditional,
                       translate_pair_test)
 from .experiments import experiment_names, run_experiment

@@ -92,59 +92,13 @@ class BitWord:
         return tuple(self.bits[2 * n + 1] for n in range(self.n_blocks))
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """numerator / 2^exponent in canonical form (odd numerator or zero)."""
-
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.numerator < 0 or self.exponent < 0:
-            raise ValueError("numerator and exponent must be nonnegative")
-        num, exp = self.numerator, self.exponent
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
-            exp = 0
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
-
-    @classmethod
-    def from_fraction(cls, frac):
-        frac = Fraction(frac)
-        den = frac.denominator
-        exp = den.bit_length() - 1
-        if (1 << exp) != den:
-            raise ValueError("denominator is not a power of two")
-        return cls(frac.numerator, exp)
-
-    def as_fraction(self):
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def to_float(self):
-        return self.numerator / float(1 << self.exponent)
-
-    def square(self):
-        return DyadicRational(self.numerator**2, 2 * self.exponent)
-
-    def bit(self, j):
-        """Bit j (1-indexed) of the binary expansion 0.b1 b2 b3 ..."""
-        if j < 1:
-            raise ValueError("positions are 1-indexed")
-        if j > self.exponent:
-            return 0
-        return (self.numerator >> (self.exponent - j)) & 1
-
-
 def pi_encode(word):
-    """Binary-expansion encoding: word -> sum of bit_j * 2^-j."""
+    """Binary-expansion encoding: word -> sum of bit_j * 2^-j, exactly."""
     num = 0
     length = len(word.bits)
     for j, b in enumerate(word.bits, start=1):
         num += b << (length - j)
-    return DyadicRational(num, length)
+    return Fraction(num, 1 << length)
 
 
 def dyadic_word_sample(p, n_blocks, seed, count=None):
@@ -273,7 +227,7 @@ def block_constraints(z, n_blocks):
     Tags state what a block of z forces on the right bits of the summands:
     both zero, both one, exactly one, or no solution at all.
     """
-    frac = Fraction(z) if not isinstance(z, DyadicRational) else z.as_fraction()
+    frac = Fraction(z)
     if not 0 <= frac < 1:
         raise ValueError("z must lie in [0, 1)")
     tags = []
@@ -331,17 +285,18 @@ def parabola_lift_measure(p, n_blocks):
     p = Fraction(p)
     if not 0 < p < Fraction(1, 2):
         raise ValueError("p must lie in (0, 1/2)")
+    length = 2 * n_blocks
+    scale = float(1 << length)  # dividing by a power of two is exact
     pts = np.empty((1 << n_blocks, 2))
     weights = []
     labels = []
     for r in range(1 << n_blocks):
         ones = r.bit_count()
-        word = BitWord.from_right_bits([(r >> n) & 1 for n in range(n_blocks)])
-        enc = pi_encode(word)
-        pts[r, 0] = enc.to_float()
-        pts[r, 1] = enc.square().to_float()
+        x = _sigma_word_int(r, n_blocks)
+        pts[r] = x / scale, x * x / (scale * scale)
         weights.append(p**ones * (1 - p) ** (n_blocks - ones))
-        labels.append(word.to_string())
+        bits = format(x, "0%db" % length)  # the word, as BitWord.to_string
+        labels.append(" ".join(bits[j:j + 2] for j in range(0, length, 2)))
     total = sum(weights)
     w = np.array([float(wt / total) for wt in weights])
     w /= w.sum()
@@ -462,11 +417,7 @@ def _sphere_shell(k, r, ell, rng, max_points):
         return None
     stream = rng.standard_normal((50 * want, k + 1))
     stream /= np.linalg.norm(stream, axis=1, keepdims=True)
-    kept = []
-    for cand in stream:
-        if all(np.linalg.norm(cand - q) >= ell / r for q in kept):
-            kept.append(cand)
-    return np.array(kept) * r
+    return _separated_filter(stream, ell / r) * r
 
 
 def sphere_net(spec, seed, allow_partial=False, sep_floor=None):

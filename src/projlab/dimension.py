@@ -42,11 +42,6 @@ class ScalingFit:
             "table": [{"delta": d, "count": c} for d, c in self.table],
         }
 
-    def to_csv_text(self):
-        lines = ["delta,count"]
-        lines += ["%r,%r" % (d, c) for d, c in self.table]
-        return "\n".join(lines) + "\n"
-
     def rows(self):
         """Table rows expanded to (delta, log2 delta, count, log2 count)."""
         return [(d, float(np.log2(d)), c, float(np.log2(c)) if c > 0 else -np.inf)

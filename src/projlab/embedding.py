@@ -29,13 +29,13 @@ STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
 
 
 def _image_of(points, op):
-    """Images under op: None (identity), a LinearOperator or plain k x N
-    matrix, which gives (n, k) images, or an (m, k, N) stack of matrices,
-    which gives (m, n, k) images."""
+    """Images under op: None (identity), a k x N matrix, which gives (n, k)
+    images, or an (m, k, N) stack of matrices, which gives (m, n, k)
+    images."""
     if op is None:
         return np.asarray(points, dtype=float)
     return np.asarray(points, dtype=float) \
-        @ np.swapaxes(np.asarray(getattr(op, "rows", op), dtype=float), -1, -2)
+        @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
 
 
 def points_provenance(points):
@@ -151,10 +151,10 @@ def _sq_norms(a, b=None, out=None):
 def inverse_continuity_modulus(points, op, delta_grid):
     """eps(delta) = smallest image distance among pairs at least delta apart.
 
-    op is one map (None for the identity, a LinearOperator or a k x N
-    matrix), which gives one table of (delta, eps) rows, or a stack of
-    maps: an (m, k, N) array such as sample_e_batch returns, which gives a
-    list of m tables in stack order.
+    op is one map (None for the identity or a k x N matrix), which gives
+    one table of (delta, eps) rows, or a stack of maps: an (m, k, N) array
+    such as sample_e_batch returns, which gives a list of m tables in stack
+    order.
     Deltas that no pair reaches are cut from every table alike.
 
     The pass runs over blocks of base points.  Point distances and the
@@ -219,6 +219,8 @@ def _binding_ceilings(pd, im, m_const):
     """Binding mask pd > M im and the ceilings of the binding pairs, in C
     order: (log2(pd) - log2 M) / log2(im), with -inf for an exact collision
     (im = 0).  Logs are taken on binding pairs only."""
+    if m_const < 1:
+        raise ValueError("M must be at least 1 (normalized distances)")
     binding = pd > m_const * im
     im_b = im[binding]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -251,8 +253,6 @@ def holder_ceiling(pd, im, m_const):
 
 def pointwise_holder(points, op, base_index, m_const):
     """Best pointwise Holder exponent of the inverse at one base point."""
-    if m_const < 1:
-        raise ValueError("M must be at least 1 (normalized distances)")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     images = np.atleast_2d(_image_of(points, op))
     normalizer = 2.0 * set_diameter(images)
@@ -293,8 +293,23 @@ def set_diameter(points):
                 for s in range(0, len(points), PAIR_BLOCK)), default=0.0)
 
 
+def log_lipschitz_modulus(u, big_r, eta, theta):
+    """The modulus f(u) = u / log2(2R/u)^(eta/theta) at distances u >= 0.
+
+    Needs eta > 1 and theta > 0; f(0) = 0.  f is increasing on (0, R], so
+    R should be at least every distance u it is given.
+    """
+    if eta <= 1:
+        raise ValueError("eta must exceed 1")
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return u / np.log2(2.0 * big_r / u) ** (eta / theta)
+
+
 def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
-    """Smallest constant ratio against the modulus u / log2(2R/u)^(eta/theta).
+    """Smallest constant ratio against the modulus f of log_lipschitz_modulus.
 
     c_hat = min over y of |px - py| / f(|x - y|); the modulus is only
     monotone below R, so R must be at least the point-set diameter (pass
@@ -302,10 +317,6 @@ def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
     collision; for the identity map the ratio is log2(2R/u)^(eta/theta)
     >= 1 everywhere.
     """
-    if eta <= 1:
-        raise ValueError("eta must exceed 1")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     images = np.atleast_2d(_image_of(points, op))
     diam = set_diameter(points)
@@ -322,8 +333,7 @@ def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
     idx = np.nonzero(keep)[0]
     if pd.size == 0:
         raise ValueError("base point has no distinct partners")
-    f = pd / np.log2(2.0 * big_r / pd) ** (eta / theta)
-    ratios = im / f
+    ratios = im / log_lipschitz_modulus(pd, big_r, eta, theta)
     best = int(np.argmin(ratios))
     return {
         "base_index": base_index,

@@ -37,11 +37,12 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension, min_nn_distance)
 from .embedding import (_sq_norms, collision_probability, holder_ceiling,
-                        inverse_continuity_modulus, set_diameter,
-                        transversality_fraction)
+                        inverse_continuity_modulus, log_lipschitz_modulus,
+                        set_diameter, transversality_fraction)
 from .geom import write_points_csv
 from .linalg import Plane, sample_e_batch
-from .slicing import dirac_score, slab_conditional, translate_pair_test
+from .slicing import (dirac_score, nn_spacing_at, slab_conditional,
+                      translate_pair_test)
 from .svgplot import loglog_plot
 
 
@@ -602,12 +603,14 @@ def _holder_ceiling(cfg, art, threads):
                  100 * cfg["required_fraction"]))
         for m in m_grid
     ]
-    # the super-polynomial leg is checked at the baseline modulus budget
-    # M=1: at the shell cap the M-shifted ceilings cannot reach the bar
+    # the super-polynomial leg is checked at the first budget of the grid
+    # (the baseline M=1 by default): at the shell cap the M-shifted
+    # ceilings cannot reach the bar
+    m0 = m_grid[0]
     checks.append(
-        check("pow2sq-ceiling-m1", frac_b[m_grid[0]] >= cfg["required_fraction"],
+        check("pow2sq-ceiling-m%g" % m0, frac_b[m0] >= cfg["required_fraction"],
               "alpha_hat <= %.2f for %.1f%% of maps at M=%g (need %.0f%%)"
-              % (cfg["alpha_bar_pow2sq"], 100 * frac_b[m_grid[0]], m_grid[0],
+              % (cfg["alpha_bar_pow2sq"], 100 * frac_b[m0], m0,
                  100 * cfg["required_fraction"])))
     return results, checks
 
@@ -630,9 +633,7 @@ def _log_lip(cfg, art, threads):
                     for i in range(0, len(pts), 128)])  # no n x n x N
     big_r = float(pd.max())
     partner = pd > 0  # leaves out each atom itself
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_mod = pd / np.log2(2.0 * big_r / np.where(partner, pd, 1.0)) \
-            ** (cfg["eta"] / cfg["theta"])
+    f_mod = log_lipschitz_modulus(pd, big_r, cfg["eta"], cfg["theta"])
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
     m_const = float(cfg["m_const"])
@@ -758,11 +759,10 @@ def _all_directions(cfg, art, threads):
         used = 0
         for idx in picks:
             a = coords[idx]
-            gaps = np.abs(coords - a)
-            gaps = gaps[gaps > 0]
-            if gaps.size == 0:
+            spacing = nn_spacing_at(coords[:, None], a)
+            if spacing == 0:
                 continue
-            width = cfg["width_factor"] * float(gaps.min())
+            width = cfg["width_factor"] * spacing
             sl = slab_conditional(measure, plane, [a], width)
             rho, _ = dirac_score(sl, cfg["tau"])
             used += 1

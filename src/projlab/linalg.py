@@ -1,12 +1,12 @@
 """Random linear maps, planes and projections.
 
-Two samplers drive every randomized experiment: `sample_e` draws the rows
-of a k x N map independently and uniformly from the closed unit ball of
-R^N (gaussian direction times a U^(1/N) radius, so the radius density is
-N r^(N-1)), and `sample_grassmannian` orthonormalizes gaussian rows to get
-a uniformly distributed k-plane.  Both are deterministic functions of the
-seed.  `sample_e_batch` draws a whole stack of maps from one seeded
-stream.
+A linear map is a bare k x N row matrix.  `sample_e_batch` draws every
+random map of the experiments: a stack of them from one seeded stream,
+each row independent and uniform in the closed unit ball of R^N
+(gaussian direction times a U^(1/N) radius, so the radius density is
+N r^(N-1)).  `sample_grassmannian` orthonormalizes gaussian rows to get a
+uniformly distributed k-plane.  Both are deterministic functions of the
+seed.
 """
 
 from __future__ import annotations
@@ -16,49 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GRAM_TOL = 1e-10
-BALL_TOL = 1e-12
-
-
-@dataclass
-class LinearOperator:
-    """k x N matrix acting on column vectors, rows stored explicitly.
-
-    in_unit_ball records (and enforces) that every row lies in the closed
-    unit ball, which gives the operator bound |Lx| <= sqrt(N)|x|.
-    """
-
-    rows: np.ndarray
-    in_unit_ball: bool = False
-
-    def __post_init__(self):
-        self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if not np.all(np.isfinite(self.rows)):
-            raise ValueError("rows must be finite")
-        if self.in_unit_ball:
-            norms = np.linalg.norm(self.rows, axis=1)
-            if np.any(norms > 1.0 + BALL_TOL):
-                raise ValueError("rows exceed the closed unit ball")
-
-    @property
-    def k(self):
-        return self.rows.shape[0]
-
-    @property
-    def ambient_dim(self):
-        return self.rows.shape[1]
-
-    def apply(self, x):
-        """Apply to one vector or to a batch given as (n, N)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.rows @ x
-        return x @ self.rows.T
-
-    __call__ = apply
-
-    def norm_bound(self):
-        """sqrt(N), valid whenever the rows sit in the unit ball."""
-        return float(np.sqrt(self.ambient_dim))
 
 
 @dataclass
@@ -105,14 +62,11 @@ def ball_rows(n_rows, dim, rng):
     return g * r[:, None]
 
 
-def sample_e(ambient_dim, k, seed):
-    """One map with rows uniform in the closed unit ball of R^ambient_dim."""
-    rng = np.random.default_rng(seed)
-    return LinearOperator(ball_rows(k, ambient_dim, rng), in_unit_ball=True)
-
-
 def sample_e_batch(ambient_dim, k, count, seed):
-    """(count, k, ambient_dim) stack of independent sample_e draws."""
+    """(count, k, ambient_dim) stack of maps whose rows are independent and
+    uniform in the closed unit ball of R^ambient_dim."""
+    if count < 1:
+        raise ValueError("need at least one map")
     rng = np.random.default_rng(seed)
     flat = ball_rows(count * k, ambient_dim, rng)
     return flat.reshape(count, k, ambient_dim)

@@ -62,6 +62,11 @@ def test_bad_config_exit_two(tmp_path):
     unknown_key = tmp_path / "key.json"
     unknown_key.write_text(json.dumps({"depth": 4}))
     assert run_cli("digit-lemma", "--config", str(unknown_key)).returncode == 2
+    bad_value = tmp_path / "eta.json"
+    bad_value.write_text(json.dumps({"eta": 0.5, "n_atoms": 60, "n_maps": 2}))
+    proc = run_cli("log-lip", "--config", str(bad_value), "--seed", "0")
+    assert proc.returncode == 2
+    assert "eta must exceed 1" in proc.stderr
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from projlab.constructions import (PRECISION_FLOOR, BitWord, DyadicRational,
-                                   IfsSpec, SphereNetSpec, block_constraints,
+from projlab.constructions import (PRECISION_FLOOR, BitWord, IfsSpec,
+                                   SphereNetSpec, block_constraints,
                                    dense_ball_atoms, dyadic_word_sample,
                                    exceptional_set_membership, ifs_atoms,
                                    ifs_chaos_sample, kernel_shell_witnesses,
                                    parabola_lift_measure, pi_encode,
                                    sparse_atoms, sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
-from projlab.linalg import sample_e, sample_e_batch
+from projlab.linalg import sample_e_batch
 
 
 # --- words and encodings ---
@@ -46,28 +46,15 @@ def test_bit_word_validation():
 
 def test_pi_encode_frozen_value():
     w = BitWord.from_right_bits([1, 1])  # bits 0101
-    enc = pi_encode(w)
-    assert enc.as_fraction() == Fraction(5, 16)
+    assert pi_encode(w) == Fraction(5, 16)
 
 
 def test_pi_encode_injective_depth_5():
     seen = set()
     for r in range(2**5):
         w = BitWord.from_right_bits([(r >> n) & 1 for n in range(5)])
-        seen.add(pi_encode(w).as_fraction())
+        seen.add(pi_encode(w))
     assert len(seen) == 2**5
-
-
-def test_dyadic_rational_arithmetic():
-    q = DyadicRational(5, 4)  # 5/16
-    assert q.to_float() == pytest.approx(5.0 / 16.0)
-    assert q.square().as_fraction() == Fraction(25, 256)
-    assert [q.bit(j) for j in range(1, 5)] == [0, 1, 0, 1]
-    assert q.bit(9) == 0
-    with pytest.raises(ValueError):
-        q.bit(0)
-    assert DyadicRational.from_fraction(Fraction(3, 8)).as_fraction() == \
-        Fraction(3, 8)
 
 
 def test_dyadic_word_sample():
@@ -197,6 +184,15 @@ def test_parabola_lift_is_on_the_parabola():
     assert m.weights.sum() == pytest.approx(1.0)
 
 
+def test_parabola_lift_matches_the_word_encoding():
+    m = parabola_lift_measure(0.25, 6)
+    for r in range(2**6):
+        w = BitWord.from_right_bits([(r >> n) & 1 for n in range(6)])
+        x = pi_encode(w)
+        assert m.labels[r] == w.to_string()
+        assert m.points[r].tolist() == [float(x), float(x * x)]
+
+
 def test_word_entropy_dimension_frozen():
     # H(1/4) / log 4 computed independently
     p = 0.25
@@ -274,6 +270,26 @@ def test_sphere_shell_separation_2d():
         assert d.min() >= spec.ell(i) * (1 - 1e-9)
 
 
+def test_sphere_net_k3_matches_brute_force_greedy():
+    # k >= 3 shells thin a seeded uniform stream on S^3; redraw the stream
+    # and keep each point that is ell-far from every point kept before it
+    spec = SphereNetSpec(4, 3, (0, 1, 2, 3), l_law="pow2t", t=2.0, i_max=2)
+    net = sphere_net(spec, seed=3)
+    rng = np.random.default_rng(3)
+    for i in (1, 2):
+        r, ell = spec.radius(i), spec.ell(i)
+        count = 50 * int(np.ceil(2.0 * (r / ell) ** 3))
+        stream = rng.standard_normal((count, 4))
+        stream /= np.linalg.norm(stream, axis=1, keepdims=True)
+        kept = np.empty((0, 4))
+        for cand in stream:
+            if np.all(np.linalg.norm(kept - cand, axis=1) >= ell / r):
+                kept = np.vstack([kept, cand])
+        shell = net.points[[lab == ((0, 1, 2, 3), i) for lab in net.labels]]
+        assert len(shell) > 1
+        assert np.array_equal(shell, kept * r)
+
+
 def test_sphere_net_point_cap():
     spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq", i_max=6)
     with pytest.raises(ValueError):
@@ -309,15 +325,15 @@ def test_sphere_net_union_subsets_and_origin():
 
 def test_kernel_shell_witnesses_hit_small_images():
     spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq", i_max=6)
-    op = sample_e(3, 2, seed=5)
-    wit = kernel_shell_witnesses(spec, op.rows, seed=5, shells=[4, 5, 6])
+    rows = sample_e_batch(3, 2, 1, seed=5)[0]
+    wit = kernel_shell_witnesses(spec, rows, seed=5, shells=[4, 5, 6])
     assert len(wit.points) == 6  # two antipodal witnesses per shell
     for p, lab in zip(wit.points, wit.labels):
         i = lab[1]
         assert np.linalg.norm(p) == pytest.approx(spec.radius(i), rel=1e-6)
         # witness sits within ell of the kernel direction, so its image is
         # operator-norm small
-        assert np.linalg.norm(op(p)) <= math.sqrt(3) * spec.ell(i) * 1.001
+        assert np.linalg.norm(rows @ p) <= math.sqrt(3) * spec.ell(i) * 1.001
 
 
 def test_precision_depth_is_the_deepest_shell_above_the_floor():

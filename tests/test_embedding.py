@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from projlab import embedding
 from projlab.embedding import (collision_probability, holder_ceiling,
                                inverse_continuity_modulus,
-                               log_lipschitz_defect, pointwise_holder,
-                               set_diameter, transversality_fraction)
-from projlab.linalg import LinearOperator, sample_e, sample_e_batch
+                               log_lipschitz_defect, log_lipschitz_modulus,
+                               pointwise_holder, set_diameter,
+                               transversality_fraction)
+from projlab.linalg import sample_e_batch
 
 
 def test_collision_probability_fields_and_monotonicity():
@@ -70,7 +71,7 @@ def test_modulus_identity_map():
 
 def test_modulus_detects_collision():
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
-    op = LinearOperator([[1.0, 0.0]])
+    op = np.array([[1.0, 0.0]])
     table = inverse_continuity_modulus(pts, op, [0.5])
     assert table[0][1] <= 1e-7  # the vertical pair collides
 
@@ -89,7 +90,7 @@ def test_modulus_truncates_unreachable_scales():
 
 def test_pointwise_holder_hand_example():
     pts = np.array([[0.0], [1.0], [4.0]])
-    op = LinearOperator([[0.5]])
+    op = np.array([[0.5]])
     est = pointwise_holder(pts, op, base_index=1, m_const=1.0)
     # normalizer 4: pd = (1/4, 3/4), im = (1/8, 3/8); the second pair binds
     # hardest: log2(3/4) / log2(3/8)
@@ -102,7 +103,7 @@ def test_pointwise_holder_hand_example():
 def test_pointwise_holder_monotone_in_m():
     rng = np.random.default_rng(6)
     pts = rng.uniform(-1, 1, (60, 3))
-    op = sample_e(3, 2, seed=9)
+    op = sample_e_batch(3, 2, 1, seed=9)[0]
     last = -1.0
     for m in (1.0, 2.0, 4.0, 8.0):
         est = pointwise_holder(pts, op, base_index=0, m_const=m)
@@ -112,7 +113,7 @@ def test_pointwise_holder_monotone_in_m():
 
 def test_pointwise_holder_collision_and_identity():
     pts = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-    op = LinearOperator([[1.0, 0.0]])
+    op = np.array([[1.0, 0.0]])
     est = pointwise_holder(pts, op, base_index=0, m_const=4.0)
     assert est.alpha_hat == 0.0  # exact collision kills every exponent
     ident = pointwise_holder(pts, None, base_index=0, m_const=1.0)
@@ -146,7 +147,7 @@ def test_log_lipschitz_identity_floor():
 
 def test_log_lipschitz_collision_and_validation():
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-    op = LinearOperator([[1.0, 0.0]])
+    op = np.array([[1.0, 0.0]])
     out = log_lipschitz_defect(pts, op, base_index=0, big_r=4.0,
                                eta=2.0, theta=1.0)
     assert out["c_hat"] == 0.0
@@ -157,21 +158,10 @@ def test_log_lipschitz_collision_and_validation():
         log_lipschitz_defect(pts, op, 0, big_r=4.0, eta=2.0, theta=0.0)
     with pytest.raises(ValueError):
         log_lipschitz_defect(pts, op, 0, big_r=0.5, eta=2.0, theta=1.0)
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_operator_and_bare_rows_give_same_bits(k):
-    rng = np.random.default_rng(30 + k)
-    pts = rng.uniform(-1, 1, (60, 4))
-    op = sample_e(4, k, seed=k)
-    for base in (0, 17):
-        assert pointwise_holder(pts, op, base, 2.0) == \
-            pointwise_holder(pts, op.rows, base, 2.0)
-        assert log_lipschitz_defect(pts, op, base, None, 2.0, 1.0) == \
-            log_lipschitz_defect(pts, op.rows, base, None, 2.0, 1.0)
-    deltas = [0.2, 0.7, 1.5]
-    assert inverse_continuity_modulus(pts, op, deltas) == \
-        inverse_continuity_modulus(pts, op.rows, deltas)
+    assert log_lipschitz_modulus([0.0, 1.0], 1.0, 2.0, 1.0).tolist() == [0.0, 1.0]
+    for eta, theta in ((0.5, 1.0), (2.0, 0.0)):
+        with pytest.raises(ValueError):
+            log_lipschitz_modulus([1.0], 1.0, eta, theta)
 
 
 # --- the map-stacked modulus kernel against direct differences ---
@@ -196,8 +186,7 @@ def test_modulus_stack_matches_direct_oracle(k):
     assert len(tables) == len(rows)
     for r, table in zip(rows, tables):
         # a stack gives the tables of one call per map
-        assert table == inverse_continuity_modulus(pts, LinearOperator(r),
-                                                   deltas)
+        assert table == inverse_continuity_modulus(pts, r, deltas)
         for (d, eps), (d_ref, eps_ref) in zip(table,
                                               _direct_modulus(pts, r, deltas)):
             assert d == d_ref
@@ -308,13 +297,15 @@ def test_holder_ceiling_collision_and_empty_rules():
     im = np.array([[0.0, 0.25, 0.0], [0.0, 0.5, 0.5]])
     # row 0: the collision at index 2 gives 0; row 1: nothing binds
     assert holder_ceiling(pd, im, 1.0).tolist() == [0.0, math.inf]
+    with pytest.raises(ValueError):
+        holder_ceiling(pd, im, 0.5)  # M < 1 is refused, as in pointwise_holder
     est = pointwise_holder(np.array([[0.0], [1.0], [4.0]]),
-                           LinearOperator([[0.5]]), base_index=1, m_const=1.0)
+                           np.array([[0.5]]), base_index=1, m_const=1.0)
     pd = np.array([0.25, 0.0, 0.75])
     assert float(holder_ceiling(pd, pd / 2, 1.0)) == est.alpha_hat
     # partner 1 has a negative ceiling, yet the collision at 2 is the witness
     est = pointwise_holder(np.array([[0.0, 0.0], [0.1, 10.0], [0.0, 20.0],
                                      [1.0, 0.0]]),
-                           LinearOperator([[1.0, 0.0]]), base_index=0,
+                           np.array([[1.0, 0.0]]), base_index=0,
                            m_const=1.0)
     assert est.alpha_hat == 0.0 and est.witness == 2

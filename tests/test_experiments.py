@@ -17,7 +17,7 @@ from projlab.embedding import (holder_ceiling, log_lipschitz_defect,
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
-from projlab.linalg import LinearOperator, sample_e_batch
+from projlab.linalg import sample_e_batch
 
 ALL_NAMES = [
     "all-directions", "assouad-probe", "box-dim", "collision-scaling",
@@ -244,6 +244,27 @@ def test_holder_witness_depth_validated():
                 "seed": 0, "i_max": 5, "witness_depth": depth, "n_maps": 2})
 
 
+SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
+         "holder-ceiling": {"i_max": 3, "sq_i_max": 3, "n_maps": 2},
+         "dense-ball-discontinuity": {"n_atoms": 100}}
+
+
+@pytest.mark.parametrize("name, config, message", [
+    ("log-lip", {"eta": 0.5}, "eta must exceed 1"),
+    ("log-lip", {"theta": 0}, "theta must be positive"),
+    ("log-lip", {"m_const": 0.5}, "M must be at least 1"),
+    ("holder-ceiling", {"m_grid": [0.5, 1]}, "M must be at least 1"),
+    ("transversality", {"n_maps": 0}, "at least one map"),
+    ("collision-scaling", {"n_maps": 0}, "at least one map"),
+    ("dense-ball-discontinuity", {"n_maps": 0}, "at least one map"),
+    ("holder-ceiling", {"n_maps": 0}, "at least one map"),
+])
+def test_invalid_config_values_raise(name, config, message):
+    with pytest.raises(ValueError, match=message):
+        run_experiment(name, config={"seed": 0, **SMALL.get(name, {}),
+                                     **config})
+
+
 # --- the experiment paths against the library oracles ---
 
 
@@ -263,9 +284,7 @@ def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
     with open(tmp_path / "tables" / "log_lip.csv") as handle:
         table = list(csv.DictReader(handle))
     assert len(seen) == len(table) == cfg["n_maps"]
-    for midx, rows in enumerate(sample_e_batch(8, 4, cfg["n_maps"],
-                                               seeds[1])):
-        op = LinearOperator(rows)
+    for midx, op in enumerate(sample_e_batch(8, 4, cfg["n_maps"], seeds[1])):
         alpha = np.array([pointwise_holder(pts, op, i, cfg["m_const"]).alpha_hat
                           for i in range(len(pts))])
         assert np.isfinite(alpha).sum() > len(pts) // 2  # pairs do bind

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from projlab.linalg import (LinearOperator, Plane, orthonormalize_rows,
-                            project, sample_e, sample_e_batch,
-                            sample_grassmannian)
+from projlab.linalg import (Plane, orthonormalize_rows, project,
+                            sample_e_batch, sample_grassmannian)
 
 
 def test_row_radius_distribution():
@@ -23,41 +22,22 @@ def test_first_coordinate_second_moment():
 
 
 def test_operator_norm_bound():
+    # unit-ball rows give |Lx| <= sqrt(N) |x|, and sqrt(4) = 2
     rng = np.random.default_rng(5)
     for seed in range(20):
-        op = sample_e(4, 2, seed=seed)
+        rows = sample_e_batch(4, 2, 1, seed=seed)[0]
         x = rng.standard_normal(4)
-        assert np.linalg.norm(op(x)) <= op.norm_bound() * np.linalg.norm(x) + 1e-12
-    assert sample_e(4, 2, seed=0).norm_bound() == pytest.approx(2.0)
+        assert np.linalg.norm(rows @ x) <= 2.0 * np.linalg.norm(x) + 1e-12
 
 
 def test_sampler_determinism():
-    a = sample_e(5, 3, seed=11)
-    b = sample_e(5, 3, seed=11)
-    c = sample_e(5, 3, seed=12)
-    assert np.array_equal(a.rows, b.rows)
-    assert not np.array_equal(a.rows, c.rows)
     batch = sample_e_batch(5, 3, 4, seed=11)
     assert batch.shape == (4, 3, 5)
     assert np.array_equal(batch, sample_e_batch(5, 3, 4, seed=11))
+    assert not np.array_equal(batch, sample_e_batch(5, 3, 4, seed=12))
     assert np.all(np.linalg.norm(batch, axis=2) <= 1.0)
-
-
-def test_operator_validation():
     with pytest.raises(ValueError):
-        LinearOperator([[np.nan, 0.0]])
-    with pytest.raises(ValueError):
-        LinearOperator([[1.0, 1.0]], in_unit_ball=True)
-    op = LinearOperator([[0.6, 0.8]], in_unit_ball=True)  # boundary row is fine
-    assert op.k == 1 and op.ambient_dim == 2
-
-
-def test_apply_single_and_batch_agree():
-    op = sample_e(4, 2, seed=7)
-    xs = np.random.default_rng(8).standard_normal((6, 4))
-    batch = op(xs)
-    for i in range(6):
-        assert np.allclose(batch[i], op(xs[i]))
+        sample_e_batch(5, 3, 0, seed=11)
 
 
 def test_plane_requires_orthonormal_rows():
