@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import AtomicMeasure, PointSet, normalized_measure
 from .linalg import ball_rows
@@ -137,6 +136,57 @@ def _corrupt_add(x, y, mode):
     return x + y + 1  # off by one ulp
 
 
+def _pair_problems(x, y, z, depth):
+    """What one pair of words violates: x and y are the integer encodings
+    of two admissible depth-block words, z the adder's sum.  The sum
+    escaping [0, 1) ends the list; otherwise the first prefix carry and
+    every failing block check are named."""
+    length = 2 * depth
+    if z >= (1 << length):
+        return ["sum escapes [0,1)"]
+    bad = []
+    for k in range(1, length + 1):
+        shift = length - k + 1
+        if (x >> (shift - 1)) & 1 or (y >> (shift - 1)) & 1:
+            continue
+        if z >> shift != (x >> shift) + (y >> shift):
+            bad.append("prefix carry at position %d" % k)
+            break
+    for n in range(1, depth + 1):
+        zl = (z >> (length - 2 * n + 1)) & 1
+        zr = (z >> (length - 2 * n)) & 1
+        xr = (x >> (length - 2 * n)) & 1
+        yr = (y >> (length - 2 * n)) & 1
+        if 2 * zl + zr != xr + yr:
+            bad.append("block value mismatch at block %d" % n)
+        if (zl, zr) == (1, 1):
+            bad.append("infeasible block (1,1) at block %d" % n)
+        elif (zl, zr) == (0, 0) and not (xr == 0 and yr == 0):
+            bad.append("(0,0) block fails to force zeros")
+        elif (zl, zr) == (1, 0) and not (xr == 1 and yr == 1):
+            bad.append("(1,0) block fails to force ones")
+        elif (zl, zr) == (0, 1) and xr + yr != 1:
+            bad.append("(0,1) block fails exactly-one")
+    return bad
+
+
+def _violation_mask(x, y, z, depth):
+    """bool(_pair_problems(x, y, z, depth)) over int64 arrays of pairs."""
+    length = 2 * depth
+    bad = z >= (1 << length)
+    for shift in range(length, 0, -1):  # position k = length - shift + 1
+        both_zero = (((x | y) >> (shift - 1)) & 1) == 0
+        bad |= both_zero & (z >> shift != (x >> shift) + (y >> shift))
+    for n in range(1, depth + 1):
+        # with zl, zr, xr, yr bits, 2 zl + zr = xr + yr rules out (1,1)
+        # and makes each forcing check hold: a block fails exactly when
+        # its value does
+        z_block = (z >> (length - 2 * n)) & 3
+        bad |= z_block != ((x >> (length - 2 * n)) & 1) \
+            + ((y >> (length - 2 * n)) & 1)
+    return bad
+
+
 def verify_digit_lemma(depth, corrupt_seed=None):
     """Exhaustive check of the carry-confinement and block-forcing facts.
 
@@ -151,58 +201,29 @@ def verify_digit_lemma(depth, corrupt_seed=None):
     * block-value identity: each block of z contributes exactly
       (x_right + y_right) * 2^-(2n).
 
+    All pairs are checked at once in int64 arrays; the problems are
+    spelled out for the first eight violating pairs, in (x, y) order.
     With corrupt_seed set, the adder is deliberately mutated (seeded
     choice of bug) and the report is expected to show violations.
     """
     if not 1 <= depth <= 8:
         raise ValueError("exhaustive check supports depths 1..8")
-    length = 2 * depth
     n_words = 1 << depth
-    violations = 0
-    examples = []
-    pairs = 0
     mode = None if corrupt_seed is None else corrupt_seed % 3
-    words = [_sigma_word_int(r, depth) for r in range(n_words)]
-    for xi in range(n_words):
-        x = words[xi]
-        for yi in range(n_words):
-            y = words[yi]
-            pairs += 1
-            z = x + y if mode is None else _corrupt_add(x, y, mode)
-            bad = []
-            if z >= (1 << length):
-                bad.append("sum escapes [0,1)")
-            else:
-                for k in range(1, length + 1):
-                    shift = length - k + 1
-                    if (x >> (shift - 1)) & 1 or (y >> (shift - 1)) & 1:
-                        continue
-                    if z >> shift != (x >> shift) + (y >> shift):
-                        bad.append("prefix carry at position %d" % k)
-                        break
-                for n in range(1, depth + 1):
-                    zl = (z >> (length - 2 * n + 1)) & 1
-                    zr = (z >> (length - 2 * n)) & 1
-                    xr = (x >> (length - 2 * n)) & 1
-                    yr = (y >> (length - 2 * n)) & 1
-                    if 2 * zl + zr != xr + yr:
-                        bad.append("block value mismatch at block %d" % n)
-                    if (zl, zr) == (1, 1):
-                        bad.append("infeasible block (1,1) at block %d" % n)
-                    elif (zl, zr) == (0, 0) and not (xr == 0 and yr == 0):
-                        bad.append("(0,0) block fails to force zeros")
-                    elif (zl, zr) == (1, 0) and not (xr == 1 and yr == 1):
-                        bad.append("(1,0) block fails to force ones")
-                    elif (zl, zr) == (0, 1) and xr + yr != 1:
-                        bad.append("(0,1) block fails exactly-one")
-            if bad:
-                violations += 1
-                if len(examples) < 8:
-                    examples.append({"x": xi, "y": yi, "problems": bad})
+    words = np.array([_sigma_word_int(r, depth) for r in range(n_words)],
+                     dtype=np.int64)
+    x = np.repeat(words, n_words)  # pair xi * n_words + yi
+    y = np.tile(words, n_words)
+    z = x + y if mode is None else _corrupt_add(x, y, mode)
+    bad = np.flatnonzero(_violation_mask(x, y, z, depth))
+    examples = [{"x": i // n_words, "y": i % n_words,
+                 "problems": _pair_problems(int(x[i]), int(y[i]), int(z[i]),
+                                            depth)}
+                for i in bad[:8].tolist()]
     return {
         "depth": depth,
-        "pairs": pairs,
-        "violations": violations,
+        "pairs": n_words * n_words,
+        "violations": len(bad),
         "corrupted": mode is not None,
         "examples": examples,
     }
@@ -381,6 +402,8 @@ def fibonacci_sphere(count):
 
 def _separated_filter(pts, ell):
     """Keep a subset with pairwise distances >= ell (first come wins)."""
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     close = tree.query_pairs(ell * (1 - 1e-12), output_type="ndarray")
     drop = np.zeros(len(pts), dtype=bool)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import AtomicMeasure, PointSet
 
@@ -82,6 +81,8 @@ def cover_index(ps):
     Built once, it serves every covering_number call on the same set
     (pass it as index=), whatever the scale or subset.
     """
+    from scipy.spatial import cKDTree
+
     pts = _as_points(ps)
     tree = cKDTree(pts)
     return tree, _nn_distances(tree, pts)

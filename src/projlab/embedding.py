@@ -16,16 +16,30 @@ their configuration to reproduce the run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .dimension import fit_loglog
 from .linalg import sample_e_batch
 
 PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
+MAP_BLOCK = 32  # maps per block in collision_probability
+
+
+def __getattr__(name):
+    """ConvexHull and QhullError, from scipy.spatial on first use: importing
+    scipy.spatial costs more than the rest of the package, and most runs
+    never build a hull.  Once read, the name is a module global, so it can
+    be replaced like one."""
+    if name in ("ConvexHull", "QhullError"):
+        from scipy import spatial
+
+        globals()[name] = value = getattr(spatial, name)
+        return value
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _image_of(points, op):
@@ -66,6 +80,13 @@ def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
     the base to the points at distance >= delta; the per-eps count is how
     many maps push that minimum below eps.  Returns the counts and a
     log2-log2 fit of frequency against eps.
+
+    The maps are taken in blocks of MAP_BLOCK: one product gives the
+    images of every far difference under every map of the block, and the
+    squares are summed coordinate by coordinate.  For k < 8 that is the
+    order of np.linalg.norm, so each minimum is bit-equal to the norm
+    taken map by map; from 8 rows on the norm sums pairwise and the two
+    may differ in the last bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
@@ -81,10 +102,18 @@ def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
     if len(far) == 0:
         raise ValueError("no points at distance >= delta from the base")
     rows = sample_e_batch(points.shape[1], k, n_maps, seed)
-    mins = np.empty(n_maps)
     diffs = far - base
-    for m in range(n_maps):
-        mins[m] = np.linalg.norm(diffs @ rows[m].T, axis=1).min()
+    diffs_t = np.ascontiguousarray(diffs.T)
+    min2 = np.empty(n_maps)
+    for s in range(0, n_maps, MAP_BLOCK):
+        block = rows[s:s + MAP_BLOCK]
+        if k == 1:  # a one-row map gives matrix-vector products, which
+            # BLAS sums in another order than a matrix product: keep them
+            images = diffs @ np.swapaxes(block, 1, 2)
+        else:
+            images = np.swapaxes(block @ diffs_t, 1, 2)
+        min2[s:s + MAP_BLOCK] = _sq_norms(images).min(axis=1)
+    mins = np.sqrt(min2)
     counts = [(float(e), int(np.count_nonzero(mins <= e))) for e in eps_grid]
     return {
         "delta": float(delta),
@@ -141,9 +170,11 @@ def _sq_norms(a, b=None, out=None):
     so no (..., k) difference tensor is built and nothing cancels.
     """
     for c in range(a.shape[-1]):
-        d = np.subtract(a[..., c], 0.0 if b is None else b[..., c],
-                        out=None if c else out)
-        np.square(d, out=d)
+        if b is None:
+            d = np.square(a[..., c], out=None if c else out)
+        else:
+            d = np.subtract(a[..., c], b[..., c], out=None if c else out)
+            np.square(d, out=d)
         out = d if c == 0 else np.add(out, d, out=out)
     return out
 
@@ -215,12 +246,17 @@ class HolderEstimate:
     n_binding: int
 
 
+def check_holder_budget(m_const):
+    """Refuse a Holder budget M below 1."""
+    if m_const < 1:
+        raise ValueError("M must be at least 1 (normalized distances)")
+
+
 def _binding_ceilings(pd, im, m_const):
     """Binding mask pd > M im and the ceilings of the binding pairs, in C
     order: (log2(pd) - log2 M) / log2(im), with -inf for an exact collision
     (im = 0).  Logs are taken on binding pairs only."""
-    if m_const < 1:
-        raise ValueError("M must be at least 1 (normalized distances)")
+    check_holder_budget(m_const)
     binding = pd > m_const * im
     im_b = im[binding]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,10 +319,10 @@ def set_diameter(points):
     if points.shape[1] == 1:
         return float(points.max() - points.min()) if len(points) else 0.0
     if len(points) > 4 * PAIR_BLOCK:
+        module = sys.modules[__name__]  # the hull as a module attribute
         try:
-            hull = ConvexHull(points)
-            points = points[hull.vertices]
-        except QhullError:
+            points = points[module.ConvexHull(points).vertices]
+        except module.QhullError:
             pass
     return max((float(np.sqrt(_sq_norms(points[s:s + PAIR_BLOCK, None],
                                         points[None]).max()))

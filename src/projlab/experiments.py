@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.spatial import ConvexHull, cKDTree
 
 from . import __version__
 from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
@@ -36,9 +35,10 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             verify_digit_lemma, word_entropy_dimension)
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension, min_nn_distance)
-from .embedding import (_sq_norms, collision_probability, holder_ceiling,
-                        inverse_continuity_modulus, log_lipschitz_modulus,
-                        set_diameter, transversality_fraction)
+from .embedding import (_sq_norms, check_holder_budget, collision_probability,
+                        holder_ceiling, inverse_continuity_modulus,
+                        log_lipschitz_modulus, set_diameter,
+                        transversality_fraction)
 from .geom import write_points_csv
 from .linalg import Plane, sample_e_batch
 from .slicing import (dirac_score, nn_spacing_at, slab_conditional,
@@ -484,6 +484,9 @@ def _collision_scaling(cfg, art, threads):
 def _holder_ceiling(cfg, art, threads):
     seeds = _sub_seeds(cfg["seed"], 3)
     m_grid = [float(m) for m in cfg["m_grid"]]
+    for m in m_grid:  # before the union and the maps are built
+        check_holder_budget(m)
+    from scipy.spatial import ConvexHull
 
     # leg A: polynomially separated union, full nets to i_max.  Deeper
     # shells would break the point cap, so, as in leg B, each map gets the
@@ -686,6 +689,8 @@ def _log_lip(cfg, art, threads):
     "degraded_ceiling": 0.9, "seed": None,
 })
 def _decode_sparse(cfg, art, threads):
+    from scipy.spatial import cKDTree
+
     seeds = _sub_seeds(cfg["seed"], 4)
     measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
                            seeds[0])

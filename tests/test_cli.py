@@ -20,6 +20,19 @@ def test_list_names():
         assert name in proc.stdout
 
 
+def test_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial is loaded by the first tree or hull, not by the import;
+    # embedding's hull names still resolve, to scipy's own objects
+    code = ("import sys, projlab.cli; print('scipy.spatial' in sys.modules); "
+            "from projlab import embedding; import scipy.spatial as sp; "
+            "print(embedding.ConvexHull is sp.ConvexHull, "
+            "embedding.QhullError is sp.QhullError)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
 def test_pass_run_exit_zero(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth_max": 4}))

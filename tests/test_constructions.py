@@ -11,7 +11,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from projlab.constructions import (PRECISION_FLOOR, BitWord, IfsSpec,
-                                   SphereNetSpec, block_constraints,
+                                   SphereNetSpec, _corrupt_add,
+                                   _pair_problems, _sigma_word_int,
+                                   _violation_mask, block_constraints,
                                    dense_ball_atoms, dyadic_word_sample,
                                    exceptional_set_membership, ifs_atoms,
                                    ifs_chaos_sample, kernel_shell_witnesses,
@@ -85,6 +87,79 @@ def test_digit_lemma_catches_every_corruption_mode():
         assert report["corrupted"]
         assert report["violations"] > 0
         assert report["examples"]
+
+
+def _digit_lemma_loop(depth, corrupt_seed=None):
+    """verify_digit_lemma pair by pair in Python integers, as an oracle."""
+    length = 2 * depth
+    mode = None if corrupt_seed is None else corrupt_seed % 3
+    words = [_sigma_word_int(r, depth) for r in range(1 << depth)]
+    violations, examples = 0, []
+    for xi, x in enumerate(words):
+        for yi, y in enumerate(words):
+            z = x + y if mode is None else _corrupt_add(x, y, mode)
+            bad = []
+            if z >= (1 << length):
+                bad.append("sum escapes [0,1)")
+            else:
+                for k in range(1, length + 1):
+                    shift = length - k + 1
+                    if (x >> (shift - 1)) & 1 or (y >> (shift - 1)) & 1:
+                        continue
+                    if z >> shift != (x >> shift) + (y >> shift):
+                        bad.append("prefix carry at position %d" % k)
+                        break
+                for n in range(1, depth + 1):
+                    zl = (z >> (length - 2 * n + 1)) & 1
+                    zr = (z >> (length - 2 * n)) & 1
+                    xr = (x >> (length - 2 * n)) & 1
+                    yr = (y >> (length - 2 * n)) & 1
+                    if 2 * zl + zr != xr + yr:
+                        bad.append("block value mismatch at block %d" % n)
+                    if (zl, zr) == (1, 1):
+                        bad.append("infeasible block (1,1) at block %d" % n)
+                    elif (zl, zr) == (0, 0) and not (xr == 0 and yr == 0):
+                        bad.append("(0,0) block fails to force zeros")
+                    elif (zl, zr) == (1, 0) and not (xr == 1 and yr == 1):
+                        bad.append("(1,0) block fails to force ones")
+                    elif (zl, zr) == (0, 1) and xr + yr != 1:
+                        bad.append("(0,1) block fails exactly-one")
+            if bad:
+                violations += 1
+                if len(examples) < 8:
+                    examples.append({"x": xi, "y": yi, "problems": bad})
+    return {"depth": depth, "pairs": len(words) ** 2,
+            "violations": violations, "corrupted": mode is not None,
+            "examples": examples}
+
+
+@pytest.mark.parametrize("corrupt_seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_digit_lemma_matches_the_pair_loop(depth, corrupt_seed):
+    assert verify_digit_lemma(depth, corrupt_seed) == \
+        _digit_lemma_loop(depth, corrupt_seed)
+    mode = None if corrupt_seed is None else corrupt_seed % 3
+    words = np.array([_sigma_word_int(r, depth) for r in range(1 << depth)])
+    x, y = (a.ravel() for a in np.meshgrid(words, words, indexing="ij"))
+    z = x + y if mode is None else _corrupt_add(x, y, mode)
+    mask = _violation_mask(x, y, z, depth)
+    assert mask.tolist() == [
+        bool(_pair_problems(int(a), int(b), int(c), depth))
+        for a, b, c in zip(x, y, z)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 8])
+def test_violation_mask_matches_the_pair_checks_on_any_bits(depth):
+    # on admissible words a failed prefix check always comes with a failed
+    # block, so only arbitrary bit patterns test each check on its own
+    length = 2 * depth
+    x, y, z = np.random.default_rng(depth).integers(
+        0, [[1 << length], [1 << length], [1 << (length + 1)]], (3, 4000))
+    z[::2] = x[::2] + y[::2] + (z[::2] & 1)  # near sums: few block errors
+    mask = _violation_mask(x, y, z, depth)
+    assert mask.tolist() == [
+        bool(_pair_problems(int(a), int(b), int(c), depth))
+        for a, b, c in zip(x, y, z)]
 
 
 def test_digit_lemma_depth_bounds():

@@ -34,6 +34,48 @@ def test_collision_probability_fields_and_monotonicity():
     assert again["table"] == out["table"]
 
 
+def _collision_loop(points, base_index, delta, eps_grid, k, n_maps, seed):
+    """Per-map minima and table, one map at a time, as a direct oracle."""
+    base = points[base_index]
+    far = points[np.linalg.norm(points - base, axis=1) >= delta]
+    rows = sample_e_batch(points.shape[1], k, n_maps, seed)
+    mins = np.array([np.linalg.norm((far - base) @ rows[m].T, axis=1).min()
+                     for m in range(n_maps)])
+    table = [(float(e), int(np.count_nonzero(mins <= e)))
+             for e in sorted(eps_grid, reverse=True)]
+    return mins, table
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n_maps", [1, embedding.MAP_BLOCK - 1,
+                                    embedding.MAP_BLOCK + 1,
+                                    3 * embedding.MAP_BLOCK])
+def test_collision_blocks_match_the_per_map_loop(n_maps, k):
+    rng = np.random.default_rng(n_maps + k)
+    pts = rng.uniform(-1, 1, (300, 4)) * 10.0 ** rng.uniform(-3, 0, (300, 1))
+    grid = [2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9]
+    out = collision_probability(pts, 0, 0.25, grid, k, n_maps, seed=k)
+    mins, table = _collision_loop(pts, 0, 0.25, grid, k, n_maps, seed=k)
+    assert out["min_distances"].tobytes() == mins.tobytes()
+    assert out["table"] == table
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+       k=st.integers(1, 3))
+def test_collision_table_permutation_invariant(seed, n, k):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 3))
+    pts[-1] = pts[0] + 1.0  # at least one point at distance >= delta
+    perm = rng.permutation(n)
+    grid = [2.0**-2, 2.0**-4, 2.0**-6]
+    n_maps = 2 * embedding.MAP_BLOCK + 5
+    out = collision_probability(pts, 0, 0.5, grid, k, n_maps, seed)
+    moved = collision_probability(pts[perm], int(np.argmax(perm == 0)), 0.5,
+                                  grid, k, n_maps, seed)
+    assert moved["table"] == out["table"]
+
+
 def test_transversality_event_scaling():
     # event |L e1| <= eps over ball-row maps: fraction scales like eps^k
     out = transversality_fraction([1.0, 0.0, 0.0], [0.0, 0.0],
@@ -134,6 +176,27 @@ def test_set_diameter_paths():
     flat = np.zeros((9000, 2))
     flat[:, 0] = np.linspace(0, 3, 9000)  # degenerate hull falls back
     assert set_diameter(flat) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_set_diameter_calls_the_hull_through_the_module(monkeypatch):
+    # a hull put on the module is the one set_diameter calls, on the
+    # regular and on the degenerate (QhullError) path alike
+    calls = []
+    hull = embedding.ConvexHull
+
+    def counting(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(embedding, "ConvexHull", counting)
+    cloud = np.random.default_rng(8).uniform(0, 1, (9000, 2))
+    cloud[0], cloud[1] = [0.0, 0.0], [1.0, 1.0]
+    assert set_diameter(cloud) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    cloud[:, 1] = 0.0
+    assert set_diameter(cloud) == 1.0
+    assert calls == [9000, 9000]
+    with pytest.raises(AttributeError):
+        embedding.__getattr__("no_such_name")
 
 
 def test_log_lipschitz_identity_floor():

@@ -265,6 +265,15 @@ def test_invalid_config_values_raise(name, config, message):
                                      **config})
 
 
+def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the union was built")
+
+    monkeypatch.setattr(experiments, "sphere_net_union", unreachable)
+    with pytest.raises(ValueError, match="M must be at least 1"):
+        run_experiment("holder-ceiling", config={"seed": 0, "m_grid": [1, 0.5]})
+
+
 # --- the experiment paths against the library oracles ---
 
 
