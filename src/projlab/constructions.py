@@ -499,7 +499,7 @@ def sphere_net_union(ambient_dim, k, l_law="pow2t", t=2.0, i_max=8, seed=0,
     return PointSet(np.vstack(pts), labels=labels)
 
 
-def kernel_shell_witnesses(spec, rows, seed, shells=None):
+def kernel_shell_witnesses(spec, rows, seed, shells):
     """Stand-ins for the net points adjacent to ker L on each shell.
 
     An ell_i-net of r_i S_J has a point within ell_i of every point of the
@@ -513,8 +513,8 @@ def kernel_shell_witnesses(spec, rows, seed, shells=None):
     points of any particular net.  They are conservative stand-ins,
     checked against the nets that can be built: put in place of built
     shells, they leave holder-ceiling's median ceilings no lower and its
-    fractions of maps under the bar no higher.  shells restricts which
-    shell indices get witnesses (default: all of them).
+    fractions of maps under the bar no higher.  shells lists the shell
+    indices that get witnesses.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     rng = np.random.default_rng(seed)
@@ -522,8 +522,6 @@ def kernel_shell_witnesses(spec, rows, seed, shells=None):
     sub = rows[:, cols]  # k x (k+1), nullspace dim >= 1
     _, _, vt = np.linalg.svd(sub)
     kernel = vt[-1]
-    if shells is None:
-        shells = range(1, spec.i_max + 1)
     pts = []
     labels = []
     for i in shells:

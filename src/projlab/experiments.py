@@ -304,12 +304,14 @@ def _assouad_probe(cfg, art, threads):
     spec = SphereNetSpec(cfg["ambient_dim"], cfg["k"],
                          tuple(range(cfg["k"] + 1)), l_law="pow2sq",
                          i_max=cfg["i_max"])
+    shells = [i for i in range(1, cfg["i_max"] + 1)
+              if spec.ell(i) < spec.radius(i)]
+    if not shells:
+        raise ValueError("i_max must reach a shell with rho < r")
     net = sphere_net(spec, cfg["seed"])
     rows = []
-    for i in range(1, cfg["i_max"] + 1):
+    for i in shells:
         r, rho = spec.radius(i), spec.ell(i)
-        if rho >= r:
-            continue
         probe = assouad_probe(net, min(cfg["n_centers"], net.n), r, rho,
                               seed=cfg["seed"])
         probe["shell"] = i
@@ -475,6 +477,42 @@ def _collision_scaling(cfg, art, threads):
 # --- pointwise Holder ceilings at the origin of the unions ---
 
 
+def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
+    """alpha_hat for each M, one dict per map, on a net with the origin
+    at index 0.
+
+    Each map sees the net's images and the two kernel-adjacent witnesses
+    of every spec on shells; spec j of map midx draws its witnesses from
+    _sub_seeds(seed, len(specs) * n_maps)[j * n_maps + midx].  The
+    normalizer is twice the image diameter, taken over the images of the
+    net's hull vertices (conv(LX) = L conv(X)) and of the witnesses.
+    """
+    from scipy.spatial import ConvexHull
+
+    n_maps = len(rows)
+    pd_net = np.sqrt(_sq_norms(net.points))
+    hull_idx = ConvexHull(net.points).vertices
+    wit_seeds = _sub_seeds(seed, len(specs) * n_maps)
+
+    def one_map(midx):
+        op = rows[midx]
+        wit = np.vstack([
+            kernel_shell_witnesses(s, op, wit_seeds[j * n_maps + midx],
+                                   shells).points
+            for j, s in enumerate(specs)])
+        imgs, wit_imgs = net.points @ op.T, wit @ op.T
+        normalizer = 2.0 * set_diameter(np.vstack([imgs[hull_idx], wit_imgs]))
+        # the base, at the origin, never binds, and the ceiling is a
+        # minimum over points, so it splits over the net and the witnesses
+        scaled = [(pd / normalizer, np.sqrt(_sq_norms(im)) / normalizer)
+                  for pd, im in ((pd_net, imgs),
+                                 (np.sqrt(_sq_norms(wit)), wit_imgs))]
+        return {m: min(float(holder_ceiling(pd, im, m)) for pd, im in scaled)
+                for m in m_grid}
+
+    return _map_loop(one_map, n_maps, threads)
+
+
 @_register("holder-ceiling", needs_seed=True, defaults={
     "ambient_dim": 3, "k": 2, "t": 2.0, "i_max": 8, "witness_depth": None,
     "sq_i_max": 6, "n_maps": 200, "m_grid": [1.0, 4.0, 16.0],
@@ -484,14 +522,16 @@ def _collision_scaling(cfg, art, threads):
 def _holder_ceiling(cfg, art, threads):
     seeds = _sub_seeds(cfg["seed"], 3)
     m_grid = [float(m) for m in cfg["m_grid"]]
-    for m in m_grid:  # before the union and the maps are built
+    for m in m_grid:  # before the nets and the witnesses are built
         check_holder_budget(m)
-    from scipy.spatial import ConvexHull
+    rows_a, rows_b = (sample_e_batch(cfg["ambient_dim"], cfg["k"],
+                                     cfg["n_maps"], s) for s in seeds[1:])
 
     # leg A: polynomially separated union, full nets to i_max.  Deeper
     # shells would break the point cap, so, as in leg B, each map gets the
     # two kernel-adjacent witnesses of every S_J on shells i_max+1 ..
     # witness_depth (default: the deepest shell above PRECISION_FLOOR).
+    # They lie inside conv(X), so they never set leg A's diameter.
     wit_specs = [SphereNetSpec(cfg["ambient_dim"], cfg["k"], J, t=cfg["t"],
                                i_max=cfg["i_max"])
                  for J in itertools.combinations(range(cfg["ambient_dim"]),
@@ -504,117 +544,54 @@ def _holder_ceiling(cfg, art, threads):
     wit_specs = [dataclasses.replace(s, i_max=depth) for s in wit_specs]
     deep_shells = range(cfg["i_max"] + 1, depth + 1)
 
-    union = sphere_net_union(cfg["ambient_dim"], cfg["k"], l_law="pow2t",
-                             t=cfg["t"], i_max=cfg["i_max"], seed=seeds[0])
-    pts = union.points
-    pd_raw = np.sqrt(_sq_norms(pts))  # base atom is the origin, index 0
-    hull_idx = ConvexHull(pts).vertices
-    rows_a = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
-                            seeds[1])
-    wit_seeds_a = _sub_seeds(seeds[1], len(wit_specs) * cfg["n_maps"])
+    def legs():
+        """One tuple per leg.  Leg B's net is built only after leg A is
+        scored, so it adds nothing to leg A's peak memory."""
+        union = sphere_net_union(cfg["ambient_dim"], cfg["k"], l_law="pow2t",
+                                 t=cfg["t"], i_max=cfg["i_max"], seed=seeds[0])
+        yield ("pow2t", union, wit_specs, deep_shells, rows_a, seeds[1],
+               m_grid, {"witness_depth": depth,
+                        "n_witnesses": 2 * len(deep_shells) * len(wit_specs)})
+        # leg B: super-polynomially separated net; deep shells cannot be
+        # materialized, so each map gets its two kernel-adjacent witnesses
+        # per missing shell in place of the unbuildable full net.  It is
+        # checked at the first budget of the grid (the baseline M=1 by
+        # default): at the shell cap the M-shifted ceilings cannot reach
+        # the bar.
+        spec = SphereNetSpec(cfg["ambient_dim"], cfg["k"],
+                             tuple(range(cfg["k"] + 1)), l_law="pow2sq",
+                             i_max=cfg["sq_i_max"])
+        net = sphere_net(spec, seeds[0], allow_partial=True)
+        partial_shells = sorted({lab[1] for lab in net.labels
+                                 if lab[0] == "partial"})
+        yield ("pow2sq", net, [spec], partial_shells, rows_b, seeds[2],
+               m_grid[:1], {"partial_shells": partial_shells})
 
-    def ceilings(parts, normalizer):
-        """alpha_hat for each M over (point norms, images) parts; the base,
-        at the origin, never binds, and the ceiling is a minimum over
-        points, so it splits over the parts."""
-        scaled = [(pd / normalizer, np.sqrt(_sq_norms(imgs)) / normalizer)
-                  for pd, imgs in parts]
-        return {m: min(float(holder_ceiling(pd, im, m)) for pd, im in scaled)
-                for m in m_grid}
-
-    def leg_a(midx):
-        rows = rows_a[midx]
-        imgs = pts @ rows.T
-        wit = np.vstack([
-            kernel_shell_witnesses(s, rows,
-                                   wit_seeds_a[j * cfg["n_maps"] + midx],
-                                   shells=deep_shells).points
-            for j, s in enumerate(wit_specs)])
-        return ceilings([(pd_raw, imgs), (np.sqrt(_sq_norms(wit)),
-                                          wit @ rows.T)],
-                        2.0 * set_diameter(imgs[hull_idx]))
-
-    alphas_a = _map_loop(leg_a, cfg["n_maps"], threads)
-
-    # leg B: super-polynomially separated net; deep shells cannot be
-    # materialized, so each map gets its two kernel-adjacent witnesses
-    # per missing shell in place of the unbuildable full net.
-    spec = SphereNetSpec(cfg["ambient_dim"], cfg["k"],
-                         tuple(range(cfg["k"] + 1)), l_law="pow2sq",
-                         i_max=cfg["sq_i_max"])
-    net = sphere_net(spec, seeds[0], allow_partial=True)
-    partial_shells = sorted({lab[1] for lab in net.labels
-                             if lab[0] == "partial"})
-    pd_net = np.sqrt(_sq_norms(net.points))
-    hull_net = ConvexHull(net.points).vertices
-    rows_b = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
-                            seeds[2])
-    wit_seeds = _sub_seeds(seeds[2], cfg["n_maps"])
-
-    def leg_b(midx):
-        rows = rows_b[midx]
-        wit = kernel_shell_witnesses(spec, rows, wit_seeds[midx],
-                                     shells=partial_shells).points
-        imgs, wit_imgs = net.points @ rows.T, wit @ rows.T
-        # conv(LX) = L conv(X): the image diameter is taken on hull vertices
-        normalizer = 2.0 * set_diameter(np.vstack([imgs[hull_net], wit_imgs]))
-        return ceilings([(pd_net, imgs),
-                         (np.sqrt(_sq_norms(wit)), wit_imgs)], normalizer)
-
-    alphas_b = _map_loop(leg_b, cfg["n_maps"], threads)
-
-    def fractions(alphas, bar):
-        return {m: float(np.mean([a[m] <= bar for a in alphas]))
-                for m in m_grid}
-
-    frac_a = fractions(alphas_a, cfg["alpha_bar_pow2t"])
-    frac_b = fractions(alphas_b, cfg["alpha_bar_pow2sq"])
-    art.table("holder_pow2t", ["map_index"] + ["alpha_m%g" % m for m in m_grid],
-              [(i,) + tuple(a[m] for m in m_grid)
-               for i, a in enumerate(alphas_a)])
-    art.table("holder_pow2sq", ["map_index"] + ["alpha_m%g" % m for m in m_grid],
-              [(i,) + tuple(a[m] for m in m_grid)
-               for i, a in enumerate(alphas_b)])
-    for tag, alphas in (("pow2t", alphas_a), ("pow2sq", alphas_b)):
-        series = []
+    results, checks = {}, []
+    for tag, pts, specs, shells, rows, seed, budgets, extra in legs():
+        alphas = _holder_leg(pts, specs, shells, rows, seed, m_grid, threads)
+        cols = {m: [a[m] for a in alphas] for m in m_grid}
+        bar = cfg["alpha_bar_" + tag]
+        frac = {m: float(np.mean([a <= bar for a in cols[m]])) for m in m_grid}
+        results[tag] = dict(extra, n_points=pts.n, fractions_below_bar=frac,
+                            alpha_bar=bar, median_alpha={
+                                m: float(np.median(cols[m])) for m in m_grid})
+        art.table("holder_" + tag,
+                  ["map_index"] + ["alpha_m%g" % m for m in m_grid],
+                  [(i,) + tuple(a[m] for m in m_grid)
+                   for i, a in enumerate(alphas)])
         xs = [(i + 1) / len(alphas) for i in range(len(alphas))]
-        for m in m_grid:
-            ys = sorted(a[m] for a in alphas)
-            series.append({"x": xs, "y": [min(y, 10.0) for y in ys],
-                           "label": "M=%g" % m})
-        art.plot("holder_%s" % tag, series, log_x=False, log_y=False,
-                 title="sorted alpha ceilings (%s)" % tag,
-                 xlabel="map quantile", ylabel="alpha_hat")
-    results = {
-        "pow2t": {"n_points": union.n, "witness_depth": depth,
-                  "n_witnesses": 2 * len(deep_shells) * len(wit_specs),
-                  "fractions_below_bar": frac_a,
-                  "alpha_bar": cfg["alpha_bar_pow2t"],
-                  "median_alpha": {m: float(np.median([a[m] for a in alphas_a]))
-                                   for m in m_grid}},
-        "pow2sq": {"n_points": net.n, "partial_shells": partial_shells,
-                   "fractions_below_bar": frac_b,
-                   "alpha_bar": cfg["alpha_bar_pow2sq"],
-                   "median_alpha": {m: float(np.median([a[m] for a in alphas_b]))
-                                    for m in m_grid}},
-    }
-    checks = [
-        check("pow2t-ceiling-m%g" % m,
-              frac_a[m] >= cfg["required_fraction"],
-              "alpha_hat <= %.2f for %.1f%% of maps at M=%g (need %.0f%%)"
-              % (cfg["alpha_bar_pow2t"], 100 * frac_a[m], m,
-                 100 * cfg["required_fraction"]))
-        for m in m_grid
-    ]
-    # the super-polynomial leg is checked at the first budget of the grid
-    # (the baseline M=1 by default): at the shell cap the M-shifted
-    # ceilings cannot reach the bar
-    m0 = m_grid[0]
-    checks.append(
-        check("pow2sq-ceiling-m%g" % m0, frac_b[m0] >= cfg["required_fraction"],
-              "alpha_hat <= %.2f for %.1f%% of maps at M=%g (need %.0f%%)"
-              % (cfg["alpha_bar_pow2sq"], 100 * frac_b[m0], m0,
-                 100 * cfg["required_fraction"])))
+        art.plot("holder_" + tag, [
+            {"x": xs, "y": [min(y, 10.0) for y in sorted(cols[m])],
+             "label": "M=%g" % m} for m in m_grid],
+            log_x=False, log_y=False, title="sorted alpha ceilings (%s)" % tag,
+            xlabel="map quantile", ylabel="alpha_hat")
+        checks += [
+            check("%s-ceiling-m%g" % (tag, m),
+                  frac[m] >= cfg["required_fraction"],
+                  "alpha_hat <= %.2f for %.1f%% of maps at M=%g (need %.0f%%)"
+                  % (bar, 100 * frac[m], m, 100 * cfg["required_fraction"]))
+            for m in budgets]
     return results, checks
 
 
@@ -748,6 +725,9 @@ def _decode_sparse(cfg, art, threads):
     "seed": None,
 })
 def _all_directions(cfg, art, threads):
+    for key in ("n_directions", "n_slabs"):
+        if cfg[key] < 1:
+            raise ValueError("%s must be at least 1" % key)
     measure = parabola_lift_measure(cfg["p"], cfg["n_blocks"])
     atom_res = min_nn_distance(measure.points)
     n = measure.points.shape[0]

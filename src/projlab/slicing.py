@@ -171,6 +171,8 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         raise ValueError("the two maps coincide (t = 0)")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if n_slices < 1:
+        raise ValueError("n_slices must be at least 1")
     plane = _complement_plane(translate)
     gap = float(np.abs(plane.basis @ translate).max())
     if gap > 1e-10:

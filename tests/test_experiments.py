@@ -215,6 +215,33 @@ def test_holder_witnesses_at_i_max_change_nothing(tmp_path):
                           np.array(expected))
 
 
+def test_holder_witnesses_never_set_the_power_law_diameter(tmp_path):
+    # witnesses on shells 6..8 lie inside conv(X), so the power-law leg
+    # scores net and witnesses against the diameter of the net's image alone
+    cfg = {"seed": 3, "i_max": 5, "witness_depth": 8, "sq_i_max": 3,
+           "n_maps": 12}
+    summary = run_experiment("holder-ceiling", config=cfg, out_dir=tmp_path)
+    assert summary["results"]["pow2t"]["n_witnesses"] == 6
+    seeds = _sub_seeds(cfg["seed"], 3)
+    m_grid = [1.0, 4.0, 16.0]
+    pts = sphere_net_union(3, 2, t=2.0, i_max=5, seed=seeds[0]).points
+    hull_idx = ConvexHull(pts).vertices
+    spec = SphereNetSpec(3, 2, (0, 1, 2), t=2.0, i_max=8)
+    wit_seeds = _sub_seeds(seeds[1], cfg["n_maps"])
+    expected = []
+    for midx, rows in enumerate(sample_e_batch(3, 2, cfg["n_maps"],
+                                               seeds[1])):
+        wit = kernel_shell_witnesses(spec, rows, wit_seeds[midx],
+                                     shells=[6, 7, 8])
+        normalizer = 2.0 * set_diameter((pts @ rows.T)[hull_idx])
+        merged = np.vstack([pts, wit.points])
+        imgs = merged @ rows.T
+        expected.append(_direct_alphas(
+            np.linalg.norm(merged, axis=1)[1:] / normalizer,
+            np.linalg.norm(imgs, axis=1)[1:] / normalizer, m_grid))
+    assert np.array_equal(_holder_table(tmp_path), np.array(expected))
+
+
 THREAD_CONFIGS = {
     "holder-ceiling": {"seed": 5, "i_max": 5, "sq_i_max": 3, "n_maps": 12},
     "log-lip": {"seed": 5, "n_atoms": 200, "n_maps": 6, "m_const": 2.0},
@@ -258,6 +285,10 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("collision-scaling", {"n_maps": 0}, "at least one map"),
     ("dense-ball-discontinuity", {"n_maps": 0}, "at least one map"),
     ("holder-ceiling", {"n_maps": 0}, "at least one map"),
+    ("assouad-probe", {"i_max": 1}, "i_max must reach a shell"),
+    ("all-directions", {"n_directions": 0}, "n_directions must be at least 1"),
+    ("all-directions", {"n_slabs": 0}, "n_slabs must be at least 1"),
+    ("ifs-translate", {"n_slices": 0}, "n_slices must be at least 1"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -270,8 +301,10 @@ def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
         raise AssertionError("the union was built")
 
     monkeypatch.setattr(experiments, "sphere_net_union", unreachable)
-    with pytest.raises(ValueError, match="M must be at least 1"):
-        run_experiment("holder-ceiling", config={"seed": 0, "m_grid": [1, 0.5]})
+    for config, message in (({"m_grid": [1, 0.5]}, "M must be at least 1"),
+                            ({"n_maps": 0}, "at least one map")):
+        with pytest.raises(ValueError, match=message):
+            run_experiment("holder-ceiling", config={"seed": 0, **config})
 
 
 # --- the experiment paths against the library oracles ---
