@@ -27,6 +27,8 @@ from .linalg import sample_e_batch
 PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
+CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
+CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
 
 
 def __getattr__(name):
@@ -285,6 +287,80 @@ def holder_ceiling(pd, im, m_const):
         alpha[filled] = np.minimum.reduceat(
             ceil, np.cumsum(counts[filled]) - counts[filled])
     return np.where(alpha > 0.0, alpha, 0.0)
+
+
+def _chunk_argmins(values, chunk):
+    """Index of the first least entry of each chunk-long chunk of a 1-D
+    array, the last chunk ragged."""
+    whole = len(values) - len(values) % chunk
+    idx = values[:whole].reshape(-1, chunk).argmin(axis=1) \
+        + np.arange(0, whole, chunk)
+    if whole < len(values):
+        idx = np.append(idx, whole + values[whole:].argmin())
+    return idx
+
+
+def origin_ceiling_scorer(pd):
+    """A function score(sq_im, normalizer, m_grid) that returns
+    holder_ceiling(pd / normalizer, sqrt(sq_im) / normalizer, M) as a
+    float for each M of m_grid, bit for bit, with exact ceilings taken only
+    on a candidate set that holds every arg-min.
+
+    pd holds the distances of a set's points from a base point and sq_im,
+    one map's squared image distances of the same points.  The set is cut
+    into chunks of CEIL_CHUNK points, whose largest distances are taken
+    once here.  Let P be a chunk's largest normalized pd.  The bound: in a
+    chunk with P <= M/2 a point binds only if im < pd/M <= 1/2, and then
+    its ceiling log2(pd/M) / log2(im) is positive and grows with im; as
+    log2(pd/M) <= log2(P/M) < 0, every binding point with
+    im >= tau = (P/M)^(1/c) has a ceiling of at least c.
+
+    c* is the exact ceiling over each chunk's point of least image
+    distance, an upper bound on the answer; c* = 0 is the answer.
+    Otherwise tau takes c* raised by CEIL_SLACK, and only the points with
+    im < tau are scored exactly, so a chunk whose least im is not below
+    tau is skipped.  c* = inf (none of them binds) gives tau = 1, above
+    every binding im.  A chunk with P > M/2 is kept whole: the bound needs
+    P < M, and P <= M/2 keeps log2(P/M) a bit away from 0, so that the
+    slack outweighs the rounding of the logs, the division and the power.
+    tau is floored at the least normal float, where it would lose that
+    precision; a binding point of a chunk with P/M below it has a smaller
+    im anyway, and the floor keeps every exact collision.  The answer is
+    the smaller of c* and the candidates' ceiling: a minimum over a
+    superset of the arg-min is the same float.
+    """
+    chunk = CEIL_CHUNK
+    pd_max = np.maximum.reduceat(pd, np.arange(0, len(pd), chunk))
+
+    def score(sq_im, normalizer, m_grid):
+        idx = _chunk_argmins(sq_im, chunk)
+        pd_c = pd[idx] / normalizer
+        im_c = np.sqrt(sq_im[idx]) / normalizer  # each chunk's least im
+        top = pd_max / normalizer  # division is monotone: the chunks' P
+        alphas = []
+        for m in m_grid:
+            c_star = float(holder_ceiling(pd_c, im_c, m))
+            if c_star == 0.0:  # also keeps 1 / c* finite below
+                alphas.append(c_star)
+                continue
+            with np.errstate(over="ignore"):  # only where 2 P > M, set below
+                tau = (top / m) ** (1.0 / (c_star * (1.0 + CEIL_SLACK)))
+            tau = np.maximum(tau, np.finfo(float).tiny)
+            tau[2.0 * top > m] = np.inf
+            parts = []
+            for c in np.flatnonzero(im_c < tau):
+                s = c * chunk
+                near = np.sqrt(sq_im[s:s + chunk]) / normalizer < tau[c]
+                parts.append(s + np.flatnonzero(near))
+            if parts:
+                keep = np.concatenate(parts)
+                c_star = min(c_star, float(holder_ceiling(
+                    pd[keep] / normalizer, np.sqrt(sq_im[keep]) / normalizer,
+                    m)))
+            alphas.append(c_star)
+        return alphas
+
+    return score
 
 
 def pointwise_holder(points, op, base_index, m_const):

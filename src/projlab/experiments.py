@@ -35,9 +35,10 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             verify_digit_lemma, word_entropy_dimension)
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension, min_nn_distance)
-from .embedding import (_sq_norms, check_holder_budget, collision_probability,
-                        holder_ceiling, inverse_continuity_modulus,
-                        log_lipschitz_modulus, set_diameter,
+from .embedding import (_sq_norms, check_holder_budget,
+                        collision_probability, holder_ceiling,
+                        inverse_continuity_modulus, log_lipschitz_modulus,
+                        origin_ceiling_scorer, set_diameter,
                         transversality_fraction)
 from .geom import write_points_csv
 from .linalg import Plane, sample_e_batch
@@ -301,6 +302,8 @@ def _box_dim(cfg, art, threads):
     "exponent_floor": 1.7, "seed": None,
 })
 def _assouad_probe(cfg, art, threads):
+    if cfg["n_centers"] < 1:
+        raise ValueError("n_centers must be at least 1")
     spec = SphereNetSpec(cfg["ambient_dim"], cfg["k"],
                          tuple(range(cfg["k"] + 1)), l_law="pow2sq",
                          i_max=cfg["i_max"])
@@ -344,6 +347,8 @@ def _assouad_probe(cfg, art, threads):
     "r_min": 2.0 ** -14, "tol": 0.05, "seed": None,
 })
 def _local_dim(cfg, art, threads):
+    if cfg["n_atoms"] < 1:
+        raise ValueError("n_atoms must be at least 1")
     measure = parabola_lift_measure(cfg["p"], cfg["n_blocks"])
     radii = dyadic_scales(cfg["r_max"], cfg["r_min"])
     rng = np.random.default_rng(cfg["seed"])
@@ -490,7 +495,7 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
     from scipy.spatial import ConvexHull
 
     n_maps = len(rows)
-    pd_net = np.sqrt(_sq_norms(net.points))
+    score = origin_ceiling_scorer(np.sqrt(_sq_norms(net.points)))
     hull_idx = ConvexHull(net.points).vertices
     wit_seeds = _sub_seeds(seed, len(specs) * n_maps)
 
@@ -500,15 +505,18 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
             kernel_shell_witnesses(s, op, wit_seeds[j * n_maps + midx],
                                    shells).points
             for j, s in enumerate(specs)])
-        imgs, wit_imgs = net.points @ op.T, wit @ op.T
-        normalizer = 2.0 * set_diameter(np.vstack([imgs[hull_idx], wit_imgs]))
+        # (k, n) images: the product with the transposed view is the
+        # faster form; a test pins its bits to those of net.points @ op.T
+        imgs, wit_imgs = op @ net.points.T, wit @ op.T
+        normalizer = 2.0 * set_diameter(np.vstack([imgs[:, hull_idx].T,
+                                                   wit_imgs]))
         # the base, at the origin, never binds, and the ceiling is a
         # minimum over points, so it splits over the net and the witnesses
-        scaled = [(pd / normalizer, np.sqrt(_sq_norms(im)) / normalizer)
-                  for pd, im in ((pd_net, imgs),
-                                 (np.sqrt(_sq_norms(wit)), wit_imgs))]
-        return {m: min(float(holder_ceiling(pd, im, m)) for pd, im in scaled)
-                for m in m_grid}
+        alphas = score(_sq_norms(imgs.T), normalizer, m_grid)
+        pd_wit = np.sqrt(_sq_norms(wit)) / normalizer
+        im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
+        return {m: min(a, float(holder_ceiling(pd_wit, im_wit, m)))
+                for m, a in zip(m_grid, alphas)}
 
     return _map_loop(one_map, n_maps, threads)
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import embedding
-from projlab.embedding import (collision_probability, holder_ceiling,
-                               inverse_continuity_modulus,
+from projlab.embedding import (_sq_norms, collision_probability,
+                               holder_ceiling, inverse_continuity_modulus,
                                log_lipschitz_defect, log_lipschitz_modulus,
-                               pointwise_holder, set_diameter,
-                               transversality_fraction)
+                               origin_ceiling_scorer, pointwise_holder,
+                               set_diameter, transversality_fraction)
 from projlab.linalg import sample_e_batch
 
 
@@ -372,3 +372,159 @@ def test_holder_ceiling_collision_and_empty_rules():
                            np.array([[1.0, 0.0]]), base_index=0,
                            m_const=1.0)
     assert est.alpha_hat == 0.0 and est.witness == 2
+
+
+# --- exact ceilings on a certified candidate set ---
+
+M_GRID = [1.0, 1.5, 2.0, 4.0, 16.0, 1000.0]
+
+
+def _full_pass(pd, sq_im, normalizer, m_grid=M_GRID):
+    """holder_ceiling over every point: the oracle."""
+    im = np.sqrt(sq_im) / normalizer
+    return [float(holder_ceiling(pd / normalizer, im, m)) for m in m_grid]
+
+
+def _candidate_pass(pd, sq_im, normalizer, m_grid=M_GRID):
+    return origin_ceiling_scorer(pd)(sq_im, normalizer, m_grid)
+
+
+def _shell_net(n, seed, shuffle):
+    """Distances and squared image norms of a net with the origin first and
+    its other points on shells of radius 2^-i, in shell order as a sphere
+    net lays them out (or shuffled), under one random map; and the
+    normalizer, twice the image diameter."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    radii = 2.0 ** -np.sort(rng.integers(0, 12, n))
+    pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+    pts[0] = 0.0
+    if shuffle:
+        pts[1:] = rng.permutation(pts[1:])
+    imgs = pts @ sample_e_batch(3, 2, 1, seed)[0].T
+    return np.sqrt(_sq_norms(pts)), _sq_norms(imgs), \
+        2.0 * set_diameter(imgs)
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("n", [embedding.CEIL_CHUNK - 1, embedding.CEIL_CHUNK,
+                               embedding.CEIL_CHUNK + 1,
+                               3 * embedding.CEIL_CHUNK + 17])
+def test_origin_ceilings_match_the_full_pass(n, shuffle, monkeypatch):
+    scored = []
+
+    def spy(pd, im, m_const):
+        scored.append(len(pd))
+        return holder_ceiling(pd, im, m_const)
+
+    monkeypatch.setattr(embedding, "holder_ceiling", spy)
+    for seed in range(3):
+        pd, sq_im, normalizer = _shell_net(n, seed, shuffle)
+        assert _candidate_pass(pd, sq_im, normalizer) == \
+            _full_pass(pd, sq_im, normalizer)
+    # one chunk holds the origin, its least image, so c* = inf, tau = 1
+    # and every point is scored; past one chunk some M scores a proper
+    # subset
+    n_chunks = -(-n // embedding.CEIL_CHUNK)
+    assert (n_chunks > 1) == any(n_chunks < size < n for size in scored)
+
+
+def _chunks(*rows):
+    """pd and sq_im from rows of (pd, im) pairs, one row per chunk, with
+    normalizer 1."""
+    pairs = np.array([pair for row in rows for pair in row], dtype=float)
+    return pairs[:, 0], pairs[:, 1] ** 2
+
+
+@pytest.mark.parametrize("case, expected", [
+    # an exact collision behind the origin's tie at im = 0, in a chunk
+    # whose largest distance is tiny
+    (([(0.2, 0.01), (0.3, 0.1), (0.3, 0.2), (0.4, 0.3)],
+      [(0.0, 0.0), (1e-300, 0.0), (1e-300, 0.4), (0.0, 0.1)]), 0.0),
+    # the chunk minima bind nowhere, nor does anything else
+    (([(0.0, 0.0), (0.1, 0.1), (0.2, 0.3), (0.1, 0.4)],
+      [(0.0, 0.01), (0.01, 0.2), (0.2, 0.2)]), math.inf),
+    # tied minima: chunk 1 sets c*, and chunk 0's least im is a tie
+    # whose first member does not bind while the second sets the answer
+    (([(0.0, 0.05), (0.3, 0.05), (0.2, 0.3), (0.1, 0.4)],
+      [(0.2, 0.1), (0.1, 0.2), (0.3, 0.25)]),
+     math.log2(0.3) / math.log2(0.05)),
+    # the chunk minima do not bind, a later point does (c* = inf)
+    (([(0.0, 0.0), (0.4, 0.3), (0.2, 0.3), (0.1, 0.4)],
+      [(0.01, 0.1), (0.4, 0.11)]), None),
+    # P >= M: a point at distance 2 binds at M = 1 with a negative ceiling
+    (([(0.1, 0.001), (0.2, 0.3), (0.3, 0.3), (0.4, 0.3)],
+      [(0.0, 0.01), (2.0, 0.4), (0.1, 0.4)]), None),
+])
+def test_origin_ceilings_special_cases(case, expected, monkeypatch):
+    monkeypatch.setattr(embedding, "CEIL_CHUNK", 4)
+    rows = [row + [(0.0, 0.5)] * (4 - len(row)) for row in case[:-1]] \
+        + [case[-1]]
+    pd, sq_im = _chunks(*rows)
+    alphas = _candidate_pass(pd, sq_im, 1.0)
+    assert alphas == _full_pass(pd, sq_im, 1.0)
+    if expected is not None:
+        assert alphas[0] == expected  # at M = 1
+
+
+def test_origin_ceilings_p_at_least_m_beyond_im_one(monkeypatch):
+    # c* = log2 5 / log2 1.5 comes from chunk 0; chunk 1 has P = 3 M, and
+    # its point at im = 2 binds with a smaller ceiling, log2 3 / log2 2,
+    # beyond the chunk's tau
+    monkeypatch.setattr(embedding, "CEIL_CHUNK", 2)
+    pd, sq_im = _chunks([(5.0, 1.5), (0.0, 1.6)], [(0.0, 0.01), (3.0, 2.0)])
+    alpha, = _candidate_pass(pd, sq_im, 1.0, [1.0])
+    assert alpha == math.log2(3.0) / math.log2(2.0) < \
+        math.log2(5.0) / math.log2(1.5)
+
+
+@pytest.mark.parametrize("near_m", [False, True])
+def test_origin_ceilings_keep_points_at_the_rounded_threshold(near_m,
+                                                              monkeypatch):
+    # chunk 0 sets c*; in chunk 1 a point sits at tau = (P/M)^(1/c*)
+    # itself, where rounding can put its ceiling a bit under c*.  With P
+    # near M, log2(P/M) is near 0 and that error outgrows any slack.
+    monkeypatch.setattr(embedding, "CEIL_CHUNK", 2)
+    rng = np.random.default_rng(12)
+    below = 0
+    for _ in range(300):
+        m = float(rng.choice([1.0, 3.0, 16.0]))
+        pd_a = m * rng.uniform(0.01, 0.5)
+        im_a = pd_a / m * rng.uniform(0.01, 0.9)
+        c_star = float(holder_ceiling(np.array([pd_a]), np.array([im_a]), m))
+        p = m * (1.0 - 10.0 ** -rng.uniform(5, 13) if near_m
+                 else rng.uniform(0.001, 0.5))
+        tau = (p / m) ** (1.0 / c_star)
+        pd, sq_im = _chunks([(pd_a, im_a), (0.0, 1.0)], [(0.0, 0.0),
+                                                         (p, tau)])
+        full = _full_pass(pd, sq_im, 1.0, [m])
+        below += full[0] < c_star
+        assert _candidate_pass(pd, sq_im, 1.0, [m]) == full
+    assert below > 0  # the rounding case did occur
+
+
+def _random_rows(seed, n):
+    """pd, sq_im and normalizer with collisions, ties at the origin and
+    image distances up to 1.5 times the point distance."""
+    rng = np.random.default_rng(seed)
+    pd = rng.uniform(0.0, 1.0, n) * 2.0 ** rng.integers(-30, 2, n)
+    im = pd * rng.uniform(0.0, 1.5, n) ** rng.integers(1, 4, n)
+    im[rng.random(n) < 0.05] = 0.0
+    pd[0] = im[0] = 0.0
+    normalizer = float(rng.uniform(0.5, 2.0))
+    return pd * normalizer, (im * normalizer) ** 2, normalizer
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+def test_origin_ceilings_permutation_within_chunks_and_monotone_in_m(seed, n):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "CEIL_CHUNK", 8)
+        pd, sq_im, normalizer = _random_rows(seed, n)
+        alphas = _candidate_pass(pd, sq_im, normalizer)
+        assert alphas == _full_pass(pd, sq_im, normalizer)
+        assert alphas == sorted(alphas)  # M_GRID is increasing
+        rng = np.random.default_rng(seed)
+        perm = np.concatenate([s + rng.permutation(len(pd[s:s + 8]))
+                               for s in range(0, n, 8)])
+        assert _candidate_pass(pd[perm], sq_im[perm], normalizer) == alphas

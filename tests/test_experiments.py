@@ -242,6 +242,21 @@ def test_holder_witnesses_never_set_the_power_law_diameter(tmp_path):
     assert np.array_equal(_holder_table(tmp_path), np.array(expected))
 
 
+def test_holder_images_by_the_transposed_view_keep_their_bits():
+    # _holder_leg takes (k, n) images as op @ net.points.T; BLAS builds do
+    # not promise that this equals net.points @ op.T, so pin it on both
+    # default nets and maps at seed 42
+    seeds = _sub_seeds(42, 3)
+    union = sphere_net_union(3, 2, l_law="pow2t", t=2.0, i_max=8,
+                             seed=seeds[0]).points
+    net = sphere_net(SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq",
+                                   i_max=6), seeds[0],
+                     allow_partial=True).points
+    for pts, seed in ((union, seeds[1]), (net, seeds[2])):
+        for op in sample_e_batch(3, 2, 200, seed):
+            assert np.array_equal(op @ pts.T, (pts @ op.T).T)
+
+
 THREAD_CONFIGS = {
     "holder-ceiling": {"seed": 5, "i_max": 5, "sq_i_max": 3, "n_maps": 12},
     "log-lip": {"seed": 5, "n_atoms": 200, "n_maps": 6, "m_const": 2.0},
@@ -289,6 +304,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("all-directions", {"n_directions": 0}, "n_directions must be at least 1"),
     ("all-directions", {"n_slabs": 0}, "n_slabs must be at least 1"),
     ("ifs-translate", {"n_slices": 0}, "n_slices must be at least 1"),
+    ("local-dim", {"n_atoms": 0}, "n_atoms must be at least 1"),
+    ("assouad-probe", {"n_centers": 0}, "n_centers must be at least 1"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
