@@ -61,14 +61,6 @@ class BitWord:
             bits += [0, int(b)]
         return cls(tuple(bits))
 
-    @classmethod
-    def from_string(cls, text):
-        """Parse '01 00 01' (pairs separated by whitespace)."""
-        pairs = text.split()
-        if any(len(p) != 2 for p in pairs):
-            raise ValueError("expected two-character groups")
-        return cls(tuple(int(c) for p in pairs for c in p))
-
     def to_string(self):
         return " ".join(
             "%d%d" % (self.bits[2 * n], self.bits[2 * n + 1])
@@ -78,14 +70,6 @@ class BitWord:
     @property
     def n_blocks(self):
         return len(self.bits) // 2
-
-    @property
-    def admissible(self):
-        return all(self.bits[2 * n] == 0 for n in range(self.n_blocks))
-
-    def block(self, n):
-        """(left, right) bits of block n, 1-indexed."""
-        return (self.bits[2 * n - 2], self.bits[2 * n - 1])
 
     def right_bits(self):
         return tuple(self.bits[2 * n + 1] for n in range(self.n_blocks))
@@ -98,21 +82,6 @@ def pi_encode(word):
     for j, b in enumerate(word.bits, start=1):
         num += b << (length - j)
     return Fraction(num, 1 << length)
-
-
-def dyadic_word_sample(p, n_blocks, seed, count=None):
-    """Admissible words with independent blocks: right bit 1 w.p. p.
-
-    The block distribution puts mass p on (0,1) and 1-p on (0,0); p must
-    lie in (0, 1/2).  Returns one word, or a list when count is given.
-    """
-    if not 0 < p < 0.5:
-        raise ValueError("p must lie in (0, 1/2)")
-    rng = np.random.default_rng(seed)
-    n = 1 if count is None else count
-    draws = rng.uniform(size=(n, n_blocks)) < p
-    words = [BitWord.from_right_bits(row.astype(int)) for row in draws]
-    return words[0] if count is None else words
 
 
 # --- digit arithmetic ---
@@ -608,21 +577,6 @@ def ifs_atoms(spec, depth):
                 new_lab.append((idx + 1,) + lab)
         pts, weights, labels = new_pts, new_w, new_lab
     return normalized_measure(np.array(pts), np.array(weights), labels=labels)
-
-
-def ifs_chaos_sample(spec, n_points, burn_in=100, seed=0):
-    """Chaos-game trajectory sample of the stationary measure."""
-    if burn_in < 50:
-        raise ValueError("burn_in must be at least 50")
-    rng = np.random.default_rng(seed)
-    x = spec.fixed_point(0)
-    idxs = rng.choice(len(spec.ratios), size=burn_in + n_points, p=spec.probs)
-    out = np.empty((n_points, spec.dim))
-    for step, idx in enumerate(idxs):
-        x = spec.apply(idx, x)
-        if step >= burn_in:
-            out[step - burn_in] = x
-    return PointSet(out)
 
 
 # --- sparse and dense atom clouds ---

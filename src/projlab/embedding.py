@@ -4,8 +4,8 @@ Everything here asks one of two questions about a map image:
 
 * collisions: which well-separated pairs land close together, how does
   the chance of that scale in the tolerance, and what does it cost to
-  invert the map on the set (inverse modulus, pointwise Holder exponent,
-  log-Lipschitz defect)?
+  invert the map on the set (inverse continuity modulus, pointwise
+  Holder ceilings, the log-Lipschitz modulus)?
 * transversality: how likely is a random map to send a fixed vector
   eps-close to a fixed target?
 
@@ -16,8 +16,6 @@ their configuration to reproduce the run.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +30,17 @@ CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
 
 
 def __getattr__(name):
-    """ConvexHull and QhullError, from scipy.spatial on first use: importing
-    scipy.spatial costs more than the rest of the package, and most runs
-    never build a hull.  Once read, the name is a module global, so it can
-    be replaced like one."""
-    if name in ("ConvexHull", "QhullError"):
+    """ConvexHull, from scipy.spatial on first use.  Nothing here builds a
+    hull; the name resolves only because perfbench/traced.py reads it and
+    puts its counting wrapper in its place.  Resolving it lazily keeps the
+    import of scipy.spatial, which costs more than the rest of the package,
+    out of every untraced run."""
+    if name == "ConvexHull":
         from scipy import spatial
 
-        globals()[name] = value = getattr(spatial, name)
+        globals()[name] = value = spatial.ConvexHull
         return value
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def _image_of(points, op):
-    """Images under op: None (identity), a k x N matrix, which gives (n, k)
-    images, or an (m, k, N) stack of matrices, which gives (m, n, k)
-    images."""
-    if op is None:
-        return np.asarray(points, dtype=float)
-    return np.asarray(points, dtype=float) \
-        @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
 
 
 def points_provenance(points):
@@ -201,7 +190,8 @@ def inverse_continuity_modulus(points, op, delta_grid):
     raise the minimum).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = _image_of(points, op)
+    images = points if op is None \
+        else points @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
     stacked = images.ndim == 3
     images = np.ascontiguousarray(images if stacked else images[None])
     delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
@@ -230,41 +220,10 @@ def inverse_continuity_modulus(points, op, delta_grid):
     return tables if stacked else tables[0]
 
 
-@dataclass
-class HolderEstimate:
-    """Largest exponent a with |x - y| <= M |px - py|^a across the set.
-
-    Distances are normalized by twice the image diameter so the modulus
-    question is scale free; alpha_hat is the minimum over pairs that
-    actually constrain the inequality, math.inf when none do, and 0 when
-    an exact collision leaves no positive exponent.
-    """
-
-    base_index: int
-    m_const: float
-    alpha_hat: float
-    witness: int | None
-    normalizer: float
-    n_binding: int
-
-
 def check_holder_budget(m_const):
     """Refuse a Holder budget M below 1."""
     if m_const < 1:
         raise ValueError("M must be at least 1 (normalized distances)")
-
-
-def _binding_ceilings(pd, im, m_const):
-    """Binding mask pd > M im and the ceilings of the binding pairs, in C
-    order: (log2(pd) - log2 M) / log2(im), with -inf for an exact collision
-    (im = 0).  Logs are taken on binding pairs only."""
-    check_holder_budget(m_const)
-    binding = pd > m_const * im
-    im_b = im[binding]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ceil = (np.log2(pd[binding]) - math.log2(m_const)) / np.log2(im_b)
-    ceil[im_b == 0.0] = -np.inf
-    return binding, ceil
 
 
 def holder_ceiling(pd, im, m_const):
@@ -279,7 +238,12 @@ def holder_ceiling(pd, im, m_const):
     The base point itself (pd = 0) never binds.  Returns an array of shape
     pd.shape[:-1].
     """
-    binding, ceil = _binding_ceilings(pd, im, m_const)
+    check_holder_budget(m_const)
+    binding = pd > m_const * im
+    im_b = im[binding]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ceil = (np.log2(pd[binding]) - math.log2(m_const)) / np.log2(im_b)
+    ceil[im_b == 0.0] = -np.inf  # an exact collision
     counts = np.asarray(np.count_nonzero(binding, axis=-1))
     alpha = np.full(counts.shape, np.inf)
     filled = counts > 0
@@ -363,43 +327,17 @@ def origin_ceiling_scorer(pd):
     return score
 
 
-def pointwise_holder(points, op, base_index, m_const):
-    """Best pointwise Holder exponent of the inverse at one base point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = np.atleast_2d(_image_of(points, op))
-    normalizer = 2.0 * set_diameter(images)
-    if normalizer == 0.0:
-        raise ValueError("image has zero diameter")
-    pd = np.linalg.norm(points - points[base_index], axis=1) / normalizer
-    im = np.linalg.norm(images - images[base_index], axis=1) / normalizer
-    binding, ceil = _binding_ceilings(pd, im, m_const)
-    if not ceil.size:
-        return HolderEstimate(base_index, float(m_const), math.inf, None,
-                              normalizer, 0)
-    # the first minimizer: the first collision when there is one
-    best = int(np.argmin(ceil))
-    return HolderEstimate(base_index, float(m_const),
-                          max(0.0, float(ceil[best])),
-                          int(np.flatnonzero(binding)[best]), normalizer,
-                          int(ceil.size))
-
-
 def set_diameter(points):
-    """Exact diameter of a point array.
+    """Exact diameter of a point array, by a direct scan over blocks of
+    PAIR_BLOCK rows.
 
-    The diameter is attained on convex-hull vertices, so large sets in
-    dimension >= 2 are reduced to their hull before the pairwise scan;
-    degenerate (flat) inputs fall back to the direct blockwise scan.
+    The scan costs a pass over all pairs.  The diameter is attained on
+    convex-hull vertices, so a caller with a large set reduces it to its
+    hull vertices first, as holder-ceiling's _holder_leg does once per net.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] == 1:
         return float(points.max() - points.min()) if len(points) else 0.0
-    if len(points) > 4 * PAIR_BLOCK:
-        module = sys.modules[__name__]  # the hull as a module attribute
-        try:
-            points = points[module.ConvexHull(points).vertices]
-        except module.QhullError:
-            pass
     return max((float(np.sqrt(_sq_norms(points[s:s + PAIR_BLOCK, None],
                                         points[None]).max()))
                 for s in range(0, len(points), PAIR_BLOCK)), default=0.0)
@@ -418,40 +356,3 @@ def log_lipschitz_modulus(u, big_r, eta, theta):
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return u / np.log2(2.0 * big_r / u) ** (eta / theta)
-
-
-def log_lipschitz_defect(points, op, base_index, big_r, eta, theta):
-    """Smallest constant ratio against the modulus f of log_lipschitz_modulus.
-
-    c_hat = min over y of |px - py| / f(|x - y|); the modulus is only
-    monotone below R, so R must be at least the point-set diameter (pass
-    None to use the diameter itself).  A c_hat of zero certifies an exact
-    collision; for the identity map the ratio is log2(2R/u)^(eta/theta)
-    >= 1 everywhere.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = np.atleast_2d(_image_of(points, op))
-    diam = set_diameter(points)
-    if big_r is None:
-        big_r = diam
-    if big_r < diam:
-        raise ValueError("R must be at least the point-set diameter")
-    x = points[base_index]
-    px = images[base_index]
-    pd = np.linalg.norm(points - x, axis=1)
-    im = np.linalg.norm(images - px, axis=1)
-    keep = pd > 0
-    pd, im = pd[keep], im[keep]
-    idx = np.nonzero(keep)[0]
-    if pd.size == 0:
-        raise ValueError("base point has no distinct partners")
-    ratios = im / log_lipschitz_modulus(pd, big_r, eta, theta)
-    best = int(np.argmin(ratios))
-    return {
-        "base_index": base_index,
-        "eta": float(eta),
-        "theta": float(theta),
-        "R": float(big_r),
-        "c_hat": float(ratios[best]),
-        "witness": int(idx[best]),
-    }

@@ -4,9 +4,8 @@ A linear map is a bare k x N row matrix.  `sample_e_batch` draws every
 random map of the experiments: a stack of them from one seeded stream,
 each row independent and uniform in the closed unit ball of R^N
 (gaussian direction times a U^(1/N) radius, so the radius density is
-N r^(N-1)).  `sample_grassmannian` orthonormalizes gaussian rows to get a
-uniformly distributed k-plane.  Both are deterministic functions of the
-seed.
+N r^(N-1)).  It is a deterministic function of the seed.  A plane is an
+orthonormal basis of rows, and `project` gives coordinates on it.
 """
 
 from __future__ import annotations
@@ -70,13 +69,6 @@ def sample_e_batch(ambient_dim, k, count, seed):
     rng = np.random.default_rng(seed)
     flat = ball_rows(count * k, ambient_dim, rng)
     return flat.reshape(count, k, ambient_dim)
-
-
-def sample_grassmannian(ambient_dim, k, seed):
-    """Uniformly random k-plane in R^ambient_dim."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((k, ambient_dim))
-    return Plane(orthonormalize_rows(g))
 
 
 def project(plane, x):

@@ -22,15 +22,14 @@ def test_list_names():
 
 def test_import_leaves_scipy_spatial_unloaded():
     # scipy.spatial is loaded by the first tree or hull, not by the import;
-    # embedding's hull names still resolve, to scipy's own objects
+    # embedding's hull name still resolves, to scipy's own object
     code = ("import sys, projlab.cli; print('scipy.spatial' in sys.modules); "
             "from projlab import embedding; import scipy.spatial as sp; "
-            "print(embedding.ConvexHull is sp.ConvexHull, "
-            "embedding.QhullError is sp.QhullError)")
+            "print(embedding.ConvexHull is sp.ConvexHull)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_pass_run_exit_zero(tmp_path):

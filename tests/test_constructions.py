@@ -14,9 +14,8 @@ from projlab.constructions import (PRECISION_FLOOR, BitWord, IfsSpec,
                                    SphereNetSpec, _corrupt_add,
                                    _pair_problems, _sigma_word_int,
                                    _violation_mask, block_constraints,
-                                   dense_ball_atoms, dyadic_word_sample,
-                                   exceptional_set_membership, ifs_atoms,
-                                   ifs_chaos_sample, kernel_shell_witnesses,
+                                   dense_ball_atoms, exceptional_set_membership,
+                                   ifs_atoms, kernel_shell_witnesses,
                                    parabola_lift_measure, pi_encode,
                                    sparse_atoms, sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
@@ -27,19 +26,14 @@ from projlab.linalg import sample_e_batch
 
 
 def test_bit_word_round_trip():
-    w = BitWord.from_string("00 01")
+    w = BitWord.from_right_bits([0, 1])
+    assert w.bits == (0, 0, 0, 1)
     assert w.to_string() == "00 01"
     assert w.n_blocks == 2
-    assert w.block(1) == (0, 0) and w.block(2) == (0, 1)
     assert w.right_bits() == (0, 1)
-    assert BitWord.from_right_bits([0, 1]).bits == w.bits
-    assert w.admissible
-    assert not BitWord.from_string("10").admissible
 
 
 def test_bit_word_validation():
-    with pytest.raises(ValueError):
-        BitWord.from_string("011")  # groups must have two characters
     with pytest.raises(ValueError):
         BitWord((0,))  # odd length
     with pytest.raises(ValueError):
@@ -57,17 +51,6 @@ def test_pi_encode_injective_depth_5():
         w = BitWord.from_right_bits([(r >> n) & 1 for n in range(5)])
         seen.add(pi_encode(w))
     assert len(seen) == 2**5
-
-
-def test_dyadic_word_sample():
-    with pytest.raises(ValueError):
-        dyadic_word_sample(0.6, 4, seed=0)
-    words = dyadic_word_sample(0.25, 10, seed=1, count=2000)
-    assert len(words) == 2000
-    ones = np.mean([sum(w.right_bits()) / 10 for w in words])
-    assert abs(ones - 0.25) < 0.02
-    again = dyadic_word_sample(0.25, 10, seed=1, count=3)
-    assert [w.bits for w in again] == [w.bits for w in words[:3]]
 
 
 # --- digit lemmas ---
@@ -481,18 +464,6 @@ def test_ifs_atoms_depth_six_gaps():
     assert m.n == 64
     gaps = np.diff(np.sort(m.points[:, 0]))
     assert gaps.min() == pytest.approx(2 * 3.0**-6, rel=1e-9)
-
-
-def test_ifs_chaos_sample_stays_on_attractor():
-    ps = ifs_chaos_sample(CANTOR, 500, burn_in=100, seed=2)
-    assert ps.points.shape == (500, 1)
-    assert ps.points.min() >= 0.0 and ps.points.max() <= 1.0
-    # every sample is within the deepest enumerated cylinder width of an atom
-    atoms = ifs_atoms(CANTOR, 12).points
-    d, _ = cKDTree(atoms).query(ps.points)
-    assert d.max() <= 3.0**-12
-    with pytest.raises(ValueError):
-        ifs_chaos_sample(CANTOR, 10, burn_in=10, seed=0)
 
 
 # --- atom clouds ---

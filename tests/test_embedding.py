@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from projlab import embedding
 from projlab.embedding import (_sq_norms, collision_probability,
                                holder_ceiling, inverse_continuity_modulus,
-                               log_lipschitz_defect, log_lipschitz_modulus,
-                               origin_ceiling_scorer, pointwise_holder,
+                               log_lipschitz_modulus, origin_ceiling_scorer,
                                set_diameter, transversality_fraction)
 from projlab.linalg import sample_e_batch
 
@@ -130,97 +130,54 @@ def test_modulus_truncates_unreachable_scales():
     assert [d for d, _ in table] == [0.5, 1.5]  # no pair at distance 10
 
 
-def test_pointwise_holder_hand_example():
-    pts = np.array([[0.0], [1.0], [4.0]])
-    op = np.array([[0.5]])
-    est = pointwise_holder(pts, op, base_index=1, m_const=1.0)
-    # normalizer 4: pd = (1/4, 3/4), im = (1/8, 3/8); the second pair binds
-    # hardest: log2(3/4) / log2(3/8)
-    expect = math.log2(0.75) / math.log2(0.375)
-    assert est.alpha_hat == pytest.approx(expect, abs=1e-12)
-    assert est.witness == 2
-    assert est.n_binding == 2
-
-
-def test_pointwise_holder_monotone_in_m():
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-1, 1, (60, 3))
-    op = sample_e_batch(3, 2, 1, seed=9)[0]
-    last = -1.0
-    for m in (1.0, 2.0, 4.0, 8.0):
-        est = pointwise_holder(pts, op, base_index=0, m_const=m)
-        assert est.alpha_hat >= last
-        last = est.alpha_hat
-
-
-def test_pointwise_holder_collision_and_identity():
-    pts = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-    op = np.array([[1.0, 0.0]])
-    est = pointwise_holder(pts, op, base_index=0, m_const=4.0)
-    assert est.alpha_hat == 0.0  # exact collision kills every exponent
-    ident = pointwise_holder(pts, None, base_index=0, m_const=1.0)
-    assert ident.alpha_hat == math.inf  # nothing binds at M = 1
-    with pytest.raises(ValueError):
-        pointwise_holder(pts, None, base_index=0, m_const=0.5)
-
-
 def test_set_diameter_paths():
-    pts = np.array([[0.0], [2.0], [7.0]])
-    assert set_diameter(pts) == 7.0
-    rng = np.random.default_rng(8)
-    cloud = rng.uniform(0, 1, (9000, 2))
-    cloud[0] = [0.0, 0.0]
-    cloud[1] = [1.0, 1.0]
-    # large input takes the hull shortcut; the diagonal is the diameter
-    assert set_diameter(cloud) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    flat = np.zeros((9000, 2))
-    flat[:, 0] = np.linspace(0, 3, 9000)  # degenerate hull falls back
-    assert set_diameter(flat) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_set_diameter_calls_the_hull_through_the_module(monkeypatch):
-    # a hull put on the module is the one set_diameter calls, on the
-    # regular and on the degenerate (QhullError) path alike
-    calls = []
-    hull = embedding.ConvexHull
-
-    def counting(points):
-        calls.append(len(points))
-        return hull(points)
-
-    monkeypatch.setattr(embedding, "ConvexHull", counting)
-    cloud = np.random.default_rng(8).uniform(0, 1, (9000, 2))
-    cloud[0], cloud[1] = [0.0, 0.0], [1.0, 1.0]
-    assert set_diameter(cloud) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    cloud[:, 1] = 0.0
-    assert set_diameter(cloud) == 1.0
-    assert calls == [9000, 9000]
-    with pytest.raises(AttributeError):
+    # the 1-D path takes max - min; the direct scan covers the rest
+    assert set_diameter(np.array([[0.0], [2.0], [7.0]])) == 7.0
+    assert set_diameter(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])) \
+        == math.sqrt(2.0)
+    assert set_diameter(np.empty((0, 1))) == 0.0
+    assert set_diameter(np.empty((0, 2))) == 0.0
+    with pytest.raises(AttributeError):  # only ConvexHull resolves lazily
         embedding.__getattr__("no_such_name")
 
 
+def _pair_max(pts):
+    """The diameter as the largest np.linalg.norm over all pairs."""
+    return float(np.linalg.norm(pts[:, None] - pts[None], axis=-1).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       dim=st.integers(1, 3), block=st.sampled_from([1, 7, 64, 2048]),
+       power=st.integers(-30, 30))
+def test_set_diameter_is_the_pair_maximum(seed, n, dim, block, power):
+    # bit for bit against every pair, under any block size, for any row
+    # order, and scaled exactly by powers of two
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim)) * 2.0 ** rng.integers(-4, 5, (n, 1))
+    pts[rng.random(n) < 0.1] = pts[0]  # some repeated points
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embedding, "PAIR_BLOCK", block)
+        diam = set_diameter(pts)
+        assert diam == _pair_max(pts)
+        assert set_diameter(pts[rng.permutation(n)]) == diam
+        assert set_diameter(2.0**power * pts) == 2.0**power * diam
+
+
 def test_log_lipschitz_identity_floor():
-    rng = np.random.default_rng(10)
-    pts = rng.uniform(0, 1, (50, 2))
-    out = log_lipschitz_defect(pts, None, base_index=0, big_r=None,
-                               eta=2.0, theta=1.0)
-    assert out["c_hat"] >= 1.0  # log factor only helps the identity
-    assert out["R"] == pytest.approx(set_diameter(pts))
+    # for the identity the ratio u / f(u) is log2(2R/u)^(eta/theta) >= 1
+    # at every distance up to R
+    pts = np.random.default_rng(10).uniform(0, 1, (50, 2))
+    pd = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    pd = pd[pd > 0]
+    assert np.all(pd / log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0) >= 1.0)
 
 
 def test_log_lipschitz_collision_and_validation():
-    pts = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-    op = np.array([[1.0, 0.0]])
-    out = log_lipschitz_defect(pts, op, base_index=0, big_r=4.0,
-                               eta=2.0, theta=1.0)
-    assert out["c_hat"] == 0.0
-    assert out["witness"] == 1
-    with pytest.raises(ValueError):
-        log_lipschitz_defect(pts, op, 0, big_r=4.0, eta=1.0, theta=1.0)
-    with pytest.raises(ValueError):
-        log_lipschitz_defect(pts, op, 0, big_r=4.0, eta=2.0, theta=0.0)
-    with pytest.raises(ValueError):
-        log_lipschitz_defect(pts, op, 0, big_r=0.5, eta=2.0, theta=1.0)
+    # f is positive on (0, R], so a ratio against it is 0 exactly at a
+    # collision
+    u = np.array([1e-12, 0.5, 1.0, 4.0])
+    assert np.all(log_lipschitz_modulus(u, 4.0, 2.0, 1.0) > 0)
     assert log_lipschitz_modulus([0.0, 1.0], 1.0, 2.0, 1.0).tolist() == [0.0, 1.0]
     for eta, theta in ((0.5, 1.0), (2.0, 0.0)):
         with pytest.raises(ValueError):
@@ -355,23 +312,39 @@ def test_holder_ceiling_rows_match_direct_and_grow_with_m(seed, rows, cols):
         last = alpha
 
 
+def test_holder_ceiling_hand_example():
+    # points 0, 1, 4 under x -> x/2, base 1, normalizer 4: pd = (1/4, 3/4)
+    # and im = (1/8, 3/8); both bind, the second hardest
+    pd = np.array([0.25, 0.0, 0.75])
+    alpha = float(holder_ceiling(pd, pd / 2, 1.0))
+    assert alpha == pytest.approx(math.log2(0.75) / math.log2(0.375),
+                                  abs=1e-12)
+
+
+def test_holder_ceiling_monotone_in_m():
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1, 1, (60, 3))
+    imgs = pts @ sample_e_batch(3, 2, 1, seed=9)[0].T
+    normalizer = 2.0 * set_diameter(imgs)
+    pd = np.linalg.norm(pts - pts[0], axis=1) / normalizer
+    im = np.linalg.norm(imgs - imgs[0], axis=1) / normalizer
+    alphas = [float(holder_ceiling(pd, im, m)) for m in (1.0, 2.0, 4.0, 8.0)]
+    assert alphas == sorted(alphas) and math.isfinite(alphas[0])
+
+
 def test_holder_ceiling_collision_and_empty_rules():
     pd = np.array([[0.0, 0.25, 0.5], [0.0, 0.25, 0.5]])
     im = np.array([[0.0, 0.25, 0.0], [0.0, 0.5, 0.5]])
     # row 0: the collision at index 2 gives 0; row 1: nothing binds
     assert holder_ceiling(pd, im, 1.0).tolist() == [0.0, math.inf]
     with pytest.raises(ValueError):
-        holder_ceiling(pd, im, 0.5)  # M < 1 is refused, as in pointwise_holder
-    est = pointwise_holder(np.array([[0.0], [1.0], [4.0]]),
-                           np.array([[0.5]]), base_index=1, m_const=1.0)
-    pd = np.array([0.25, 0.0, 0.75])
-    assert float(holder_ceiling(pd, pd / 2, 1.0)) == est.alpha_hat
-    # partner 1 has a negative ceiling, yet the collision at 2 is the witness
-    est = pointwise_holder(np.array([[0.0, 0.0], [0.1, 10.0], [0.0, 20.0],
-                                     [1.0, 0.0]]),
-                           np.array([[1.0, 0.0]]), base_index=0,
-                           m_const=1.0)
-    assert est.alpha_hat == 0.0 and est.witness == 2
+        holder_ceiling(pd, im, 0.5)  # M < 1 is refused
+    # partner 1 binds with a negative ceiling (pd > 1), partner 2 collides:
+    # both floor at 0
+    pd = np.array([0.0, 10.0, 20.0, 1.0]) / 2.0
+    im = np.array([0.0, 0.1, 0.0, 1.0]) / 2.0
+    assert float(holder_ceiling(pd, im, 1.0)) == 0.0
+    assert float(holder_ceiling(pd[:2], im[:2], 1.0)) == 0.0
 
 
 # --- exact ceilings on a certified candidate set ---
@@ -403,7 +376,7 @@ def _shell_net(n, seed, shuffle):
         pts[1:] = rng.permutation(pts[1:])
     imgs = pts @ sample_e_batch(3, 2, 1, seed)[0].T
     return np.sqrt(_sq_norms(pts)), _sq_norms(imgs), \
-        2.0 * set_diameter(imgs)
+        2.0 * set_diameter(imgs[ConvexHull(imgs).vertices])
 
 
 @pytest.mark.parametrize("shuffle", [False, True])

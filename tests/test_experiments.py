@@ -12,8 +12,7 @@ from projlab import experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.embedding import (holder_ceiling, log_lipschitz_defect,
-                               pointwise_holder, set_diameter)
+from projlab.embedding import log_lipschitz_modulus, set_diameter
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
@@ -207,7 +206,7 @@ def test_holder_witnesses_at_i_max_change_nothing(tmp_path):
         assert wit.n == 2
         merged = np.vstack([net.points, wit.points])
         imgs = merged @ rows.T
-        normalizer = 2.0 * set_diameter(imgs)
+        normalizer = 2.0 * set_diameter(imgs[ConvexHull(imgs).vertices])
         expected.append(_direct_alphas(
             np.linalg.norm(merged, axis=1)[1:] / normalizer,
             np.linalg.norm(imgs, axis=1)[1:] / normalizer, m_grid))
@@ -328,34 +327,56 @@ def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
 
 
 def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
-    cfg = {"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 2.0}
+    # each atom's ceiling and defect, bit for bit, against direct norms:
+    # _direct_alphas with the atom itself left out, and image distances
+    # over log_lipschitz_modulus of the point distances.  The second config
+    # has one-row maps of small image diameter, where binding ceilings go
+    # negative and the floor at 0 decides.
     seen = []
+    map_loop = experiments._map_loop
 
-    def spy(pd, im, m_const):
-        seen.append(holder_ceiling(pd, im, m_const))
-        return seen[-1]
+    def spy(one_map, n_maps, threads):
+        seen[:] = map_loop(one_map, n_maps, threads)
+        return seen
 
-    monkeypatch.setattr(experiments, "holder_ceiling", spy)
-    run_experiment("log-lip", config=cfg, out_dir=tmp_path)
-    seeds = _sub_seeds(cfg["seed"], 2)
-    measure = sparse_atoms(8, 2, cfg["n_atoms"], seeds[0])
-    pts, w = measure.points, measure.weights
-    with open(tmp_path / "tables" / "log_lip.csv") as handle:
-        table = list(csv.DictReader(handle))
-    assert len(seen) == len(table) == cfg["n_maps"]
-    for midx, op in enumerate(sample_e_batch(8, 4, cfg["n_maps"], seeds[1])):
-        alpha = np.array([pointwise_holder(pts, op, i, cfg["m_const"]).alpha_hat
-                          for i in range(len(pts))])
-        assert np.isfinite(alpha).sum() > len(pts) // 2  # pairs do bind
-        assert np.array_equal(seen[midx], alpha)
-        c_hat = np.array([log_lipschitz_defect(pts, op, i, None, 2.0,
-                                               1.0)["c_hat"]
-                          for i in range(len(pts))])
-        row = table[midx]
-        assert float(row["alpha_weighted_fraction"]) == \
-            float(w[alpha >= 0.9].sum())
-        assert float(row["defect_positive_fraction"]) == \
-            float(np.mean(c_hat > 0))
+    monkeypatch.setattr(experiments, "_map_loop", spy)
+    for cfg in ({"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 2.0},
+                {"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 1.0,
+                 "ambient_dim": 3, "s": 1, "k": 1}):
+        cfg = {**experiments.REGISTRY["log-lip"]["defaults"], **cfg}
+        out = tmp_path / str(cfg["m_const"])
+        run_experiment("log-lip", config=cfg, out_dir=out)
+        seeds = _sub_seeds(cfg["seed"], 2)
+        measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
+                               seeds[0])
+        pts, w = measure.points, measure.weights
+        n = len(pts)
+        pd = [np.linalg.norm(pts - x, axis=1) for x in pts]
+        big_r = max(float(d.max()) for d in pd)
+        with open(out / "tables" / "log_lip.csv") as handle:
+            table = list(csv.DictReader(handle))
+        assert len(seen) == len(table) == cfg["n_maps"]
+        for midx, op in enumerate(sample_e_batch(
+                cfg["ambient_dim"], cfg["k"], cfg["n_maps"], seeds[1])):
+            imgs = pts @ op.T
+            im = [np.linalg.norm(imgs - y, axis=1) for y in imgs]
+            normalizer = 2.0 * max(float(d.max()) for d in im)
+            alpha, c_hat = np.empty(n), np.empty(n)
+            for i in range(n):
+                others = np.arange(n) != i
+                alpha[i], = _direct_alphas(pd[i][others] / normalizer,
+                                           im[i][others] / normalizer,
+                                           [cfg["m_const"]])
+                c_hat[i] = (im[i][others] / log_lipschitz_modulus(
+                    pd[i][others], big_r, cfg["eta"], cfg["theta"])).min()
+            assert np.isfinite(alpha).sum() > n // 2  # pairs do bind
+            assert np.array_equal(seen[midx][0], alpha)
+            assert np.array_equal(seen[midx][1], c_hat)
+            row = table[midx]
+            assert float(row["alpha_weighted_fraction"]) == \
+                float(w[alpha >= cfg["alpha_floor"]].sum())
+            assert float(row["defect_positive_fraction"]) == \
+                float(np.mean(c_hat > 0))
 
 
 def test_dense_ball_has_no_false_collision(tmp_path):
