@@ -332,6 +332,28 @@ def test_holder_ceiling_monotone_in_m():
     assert alphas == sorted(alphas) and math.isfinite(alphas[0])
 
 
+def _base_distances(pts, imgs, base_index=0):
+    """Distances from the base point in the domain and in the image, over
+    twice the image diameter (or the domain's, when the image is a point)."""
+    normalizer = 2.0 * (set_diameter(imgs) or set_diameter(pts))
+    pd = np.linalg.norm(pts - pts[base_index], axis=1) / normalizer
+    im = np.linalg.norm(imgs - imgs[base_index], axis=1) / normalizer
+    return pd, im
+
+
+def test_pointwise_holder_collision_and_identity():
+    pts = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
+    op = np.array([[1.0, 0.0]])
+    pd, im = _base_distances(pts, pts @ op.T)
+    # the projection sends (0, 2) onto the base: an exact collision kills
+    # every exponent
+    assert float(holder_ceiling(pd, im, 4.0)) == 0.0
+    pd, im = _base_distances(pts, pts)
+    assert float(holder_ceiling(pd, im, 1.0)) == math.inf  # nothing binds
+    with pytest.raises(ValueError):
+        holder_ceiling(pd, im, 0.5)  # M < 1 is refused
+
+
 def test_holder_ceiling_collision_and_empty_rules():
     pd = np.array([[0.0, 0.25, 0.5], [0.0, 0.25, 0.5]])
     im = np.array([[0.0, 0.25, 0.0], [0.0, 0.5, 0.5]])
