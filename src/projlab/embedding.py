@@ -23,9 +23,11 @@ from .dimension import fit_loglog
 from .linalg import sample_e_batch
 
 PAIR_BLOCK = 2048
-STACK_BLOCK = 1 << 21  # float64 entries per map-stack block (16 MB)
+STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
 CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
+IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
+TRI_BLOCK = 64  # rows per block in log_lip_pass
 CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
 
 
@@ -327,6 +329,30 @@ def origin_ceiling_scorer(pd):
     return score
 
 
+def image_sq_norms(op, points_t, keep):
+    """Squared norms of the images op @ points_t of a (d, n) point array,
+    and the (len(keep), k) images of its columns keep, in ascending order
+    of keep.
+
+    The product is taken IMAGE_CHUNK columns at a time, so that each
+    chunk's images are squared and summed while they are in cache; a
+    test pins every value, bit for bit, to that of the whole product on
+    holder-ceiling's nets.
+    """
+    n = points_t.shape[1]
+    keep = np.sort(keep)
+    starts = range(0, n, IMAGE_CHUNK)
+    cuts = np.searchsorted(keep, [*starts, n])
+    sq_im = np.empty(n)
+    kept = np.empty((len(keep), len(op)))
+    for s, a, b in zip(starts, cuts, cuts[1:]):
+        imgs = op @ points_t[:, s:s + IMAGE_CHUNK]
+        _sq_norms(imgs.T, out=sq_im[s:s + IMAGE_CHUNK])
+        if a < b:
+            kept[a:b] = imgs[:, keep[a:b] - s].T
+    return sq_im, kept
+
+
 def set_diameter(points):
     """Exact diameter of a point array, by a direct scan over blocks of
     PAIR_BLOCK rows.
@@ -356,3 +382,76 @@ def log_lipschitz_modulus(u, big_r, eta, theta):
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return u / np.log2(2.0 * big_r / u) ** (eta / theta)
+
+
+def log_lip_pass(pd, f_mod, images, m_const):
+    """Pointwise Holder ceilings and log-Lipschitz defects of n atoms
+    under one map, in one pass over the pairs.
+
+    pd and f_mod are the atoms' n x n distances and modulus values f(pd),
+    images their (n, k) images.  With im the image distances and the
+    normalizer N = 2 max im, atom i gets alpha_i, holder_ceiling(pd_i / N,
+    im_i / N, M) over its row, and c_hat_i, the least im_ij / f_ij over its
+    partners (pd_ij > 0), inf without one: both bit for bit what the whole
+    n x n matrices give.  Returns (alpha, c_hat).
+
+    The pass walks blocks of TRI_BLOCK rows over the columns from the
+    block's first row on, so that a block's arrays stay in cache.  pd and
+    f_mod must be bit-symmetric and pd below 2^512, as a distance matrix
+    taken entry by entry from finite squares is; the image distances are
+    symmetric, since a - b and b - a square alike.  A
+    minimum is exact, so each row's minimum is the smaller of its part
+    right of the diagonal and its column part above it.  A block gives its
+    image distances, summed coordinate by coordinate from a (k, n) copy of
+    the images, their running maximum, the c_hat minima, and as candidates
+    the pairs with pd > z = fl(lo im), lo = M (1 - CEIL_SLACK).  Once N is
+    known, holder_ceiling scores the candidates, one pair a row, and each
+    atom takes the least ceiling of its pairs; the floor at 0 commutes with
+    that minimum.
+
+    The candidates hold every pair that binds, fl(pd/N) > fl(M fl(im/N)).
+    Let u = 2^-53 and take a pair that is not a candidate.  If im = 0, then
+    pd = 0 (or M = inf, where neither test can hold) and the pair does not
+    bind.  A positive im is the root of a sum of squares of at least
+    2^-1074, so im >= 2^-537, and as N <= 2^485 (checked here) im/N is a
+    normal float: fl(im/N) >= (im/N)(1 - u).  If z is finite, then pd <= z
+    <= M (1 - CEIL_SLACK)(1 + u)^3 im <= M (1 - u) im, so pd/N <=
+    M fl(im/N) and, rounding being monotone, fl(pd/N) <= fl(M fl(im/N)).
+    If z overflows, M im exceeds 2^1023 > pd, and the pair cannot bind.
+
+    Buffers are allocated per call, so maps can run on parallel threads.
+    """
+    check_holder_budget(m_const)
+    images_t = np.ascontiguousarray(np.asarray(images, dtype=float).T)
+    n = images_t.shape[1]
+    lo = m_const * (1.0 - CEIL_SLACK)
+    c_hat = np.full(n, np.inf)
+    top = 0.0
+    cand = []
+    buf = np.empty(TRI_BLOCK * n)
+    for s in range(0, n, TRI_BLOCK):
+        e = min(s + TRI_BLOCK, n)  # rows s..e-1 against columns s..n-1
+        im = _sq_norms(images_t[:, s:e].T[:, None], images_t[:, s:].T[None],
+                       out=buf[:(e - s) * (n - s)].reshape(e - s, n - s))
+        np.sqrt(im, out=im)
+        top = max(top, float(im.max()))
+        part = pd[s:e, s:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = im / f_mod[s:e, s:]
+        ratio[~(part > 0.0)] = np.inf
+        np.minimum(c_hat[s:e], ratio.min(axis=1), out=c_hat[s:e])
+        np.minimum(c_hat[s:], ratio.min(axis=0), out=c_hat[s:])
+        r, c = np.nonzero(part > lo * im)
+        upper = c > r  # the block's own lower triangle repeats its pairs
+        cand.append((r[upper] + s, c[upper] + s, im[r[upper], c[upper]]))
+    normalizer = 2.0 * top
+    if not normalizer <= 2.0 ** 485:
+        raise ValueError("image distances beyond 2^484 leave the range "
+                         "where the candidate pairs are certified")
+    i, j, im_c = (np.concatenate(parts) for parts in zip(*cand))
+    ceil = holder_ceiling(pd[i, j][:, None] / normalizer,
+                          im_c[:, None] / normalizer, m_const)
+    alpha = np.full(n, np.inf)
+    np.minimum.at(alpha, i, ceil)
+    np.minimum.at(alpha, j, ceil)
+    return alpha, c_hat

@@ -37,7 +37,8 @@ from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension, min_nn_distance)
 from .embedding import (_sq_norms, check_holder_budget,
                         collision_probability, holder_ceiling,
-                        inverse_continuity_modulus, log_lipschitz_modulus,
+                        image_sq_norms, inverse_continuity_modulus,
+                        log_lip_pass, log_lipschitz_modulus,
                         origin_ceiling_scorer, set_diameter,
                         transversality_fraction)
 from .geom import write_points_csv
@@ -86,7 +87,7 @@ def _sub_seeds(seed, n):
 
 def _map_loop(fn, n, threads):
     """fn(i) for i in range(n), optionally on a thread pool, order kept."""
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             return list(pool.map(fn, range(n)))
     return [fn(i) for i in range(n)]
@@ -155,9 +156,9 @@ def run_experiment(name, config=None, out_dir=None, threads=1,
                    export_points=False):
     """Run one registered experiment and return its summary dict.
 
-    config overrides the registered defaults key by key; unknown keys and
-    a missing seed (for seeded experiments) raise ValueError before any
-    work happens.  threads caps the per-map workers of holder-ceiling and
+    config overrides the registered defaults key by key; unknown keys, a
+    missing seed (for seeded experiments) and threads below 1 raise
+    ValueError before any work happens.  threads caps the per-map workers of holder-ceiling and
     log-lip (the others run single-threaded) and never changes results;
     export_points additionally dumps constructed point sets as CSV.
     """
@@ -174,6 +175,8 @@ def run_experiment(name, config=None, out_dir=None, threads=1,
     if entry["needs_seed"] and cfg.get("seed") is None:
         raise ValueError("experiment %s draws random maps: a seed is required"
                          % name)
+    if int(threads) < 1:
+        raise ValueError("threads must be at least 1")
     art = Artifacts(out_dir, export_points=export_points)
     start = time.perf_counter()
     results, checks = entry["fn"](cfg, art, int(threads))
@@ -496,6 +499,7 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
 
     n_maps = len(rows)
     score = origin_ceiling_scorer(np.sqrt(_sq_norms(net.points)))
+    points_t = np.ascontiguousarray(net.points.T)
     hull_idx = ConvexHull(net.points).vertices
     wit_seeds = _sub_seeds(seed, len(specs) * n_maps)
 
@@ -505,14 +509,12 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
             kernel_shell_witnesses(s, op, wit_seeds[j * n_maps + midx],
                                    shells).points
             for j, s in enumerate(specs)])
-        # (k, n) images: the product with the transposed view is the
-        # faster form; a test pins its bits to those of net.points @ op.T
-        imgs, wit_imgs = op @ net.points.T, wit @ op.T
-        normalizer = 2.0 * set_diameter(np.vstack([imgs[:, hull_idx].T,
-                                                   wit_imgs]))
+        sq_im, hull_imgs = image_sq_norms(op, points_t, hull_idx)
+        wit_imgs = wit @ op.T
+        normalizer = 2.0 * set_diameter(np.vstack([hull_imgs, wit_imgs]))
         # the base, at the origin, never binds, and the ceiling is a
         # minimum over points, so it splits over the net and the witnesses
-        alphas = score(_sq_norms(imgs.T), normalizer, m_grid)
+        alphas = score(sq_im, normalizer, m_grid)
         pd_wit = np.sqrt(_sq_norms(wit)) / normalizer
         im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
         return {m: min(a, float(holder_ceiling(pd_wit, im_wit, m)))
@@ -612,6 +614,8 @@ def _holder_ceiling(cfg, art, threads):
     "eta": 2.0, "theta": 1.0, "defect_fraction": 0.99, "seed": None,
 })
 def _log_lip(cfg, art, threads):
+    if cfg["n_atoms"] < 2:  # a ceiling and a defect need a pair
+        raise ValueError("n_atoms must be at least 2")
     seeds = _sub_seeds(cfg["seed"], 2)
     measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
                            seeds[0])
@@ -620,20 +624,13 @@ def _log_lip(cfg, art, threads):
     pd = np.vstack([np.linalg.norm(pts[i:i + 128, None] - pts[None], axis=2)
                     for i in range(0, len(pts), 128)])  # no n x n x N
     big_r = float(pd.max())
-    partner = pd > 0  # leaves out each atom itself
     f_mod = log_lipschitz_modulus(pd, big_r, cfg["eta"], cfg["theta"])
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
     m_const = float(cfg["m_const"])
 
     def one_map(midx):
-        imgs = pts @ rows[midx].T
-        im = np.sqrt(_sq_norms(imgs[:, None, :], imgs[None, :, :]))
-        normalizer = 2.0 * float(im.max())
-        alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_hat = np.min(im / f_mod, axis=1, initial=np.inf, where=partner)
-        return alpha, c_hat
+        return log_lip_pass(pd, f_mod, pts @ rows[midx].T, m_const)
 
     per_map = _map_loop(one_map, cfg["n_maps"], threads)
     alpha_frac = np.array([float(w[a >= cfg["alpha_floor"]].sum())

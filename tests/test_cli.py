@@ -81,6 +81,13 @@ def test_bad_config_exit_two(tmp_path):
     assert "eta must exceed 1" in proc.stderr
 
 
+def test_threads_below_one_exit_two():
+    for threads in ("0", "-2"):
+        proc = run_cli("digit-lemma", "--threads", threads)
+        assert proc.returncode == 2
+        assert "threads must be at least 1" in proc.stderr
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1, "n_maps": 2000}))

@@ -11,8 +11,9 @@ from scipy.spatial import ConvexHull
 from projlab import embedding
 from projlab.embedding import (_sq_norms, collision_probability,
                                holder_ceiling, inverse_continuity_modulus,
-                               log_lipschitz_modulus, origin_ceiling_scorer,
-                               set_diameter, transversality_fraction)
+                               log_lip_pass, log_lipschitz_modulus,
+                               origin_ceiling_scorer, set_diameter,
+                               transversality_fraction)
 from projlab.linalg import sample_e_batch
 
 
@@ -184,6 +185,96 @@ def test_log_lipschitz_collision_and_validation():
             log_lipschitz_modulus([1.0], 1.0, eta, theta)
 
 
+# --- log-lip's triangle pass against the whole matrices ---
+
+
+def _full_matrix_pass(pd, f_mod, images, m_const):
+    """(alpha, c_hat) from the whole n x n matrices, as log-lip first took
+    them map by map."""
+    im = np.sqrt(_sq_norms(images[:, None, :], images[None, :, :]))
+    normalizer = 2.0 * float(im.max())
+    alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_hat = np.min(im / f_mod, axis=1, initial=np.inf, where=pd > 0)
+    return alpha, c_hat
+
+
+def _atoms_and_images(seed, n, k):
+    """Bit-symmetric distances and moduli of n atoms, some of them
+    repeated, and images of them, some of which collide."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, 3)) * 2.0 ** rng.integers(-6, 1, (n, 1))
+    pts[rng.random(n) < 0.1] = pts[0]
+    pd = np.sqrt(_sq_norms(pts[:, None], pts[None]))
+    f_mod = log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0)
+    images = pts @ sample_e_batch(3, k, 1, seed)[0].T
+    images[rng.random(n) < 0.1] = images[-1]
+    return pd, f_mod, images
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       k=st.integers(1, 2), m_const=st.sampled_from([1.0, 3.0, 16.0]))
+def test_log_lip_pass_blocks_and_permutation(seed, n, k, m_const):
+    pd, f_mod, images = _atoms_and_images(seed, n, k)
+    alpha, c_hat = _full_matrix_pass(pd, f_mod, images, m_const)
+    with pytest.MonkeyPatch.context() as patch:
+        for block in (1, 3, 64, n + 1):
+            patch.setattr(embedding, "TRI_BLOCK", block)
+            got = log_lip_pass(pd, f_mod, images, m_const)
+            assert np.array_equal(got[0], alpha)
+            assert np.array_equal(got[1], c_hat)
+    perm = np.random.default_rng(seed).permutation(n)
+    moved = log_lip_pass(pd[perm][:, perm], f_mod[perm][:, perm],
+                         images[perm], m_const)
+    assert np.array_equal(moved[0], alpha[perm])
+    assert np.array_equal(moved[1], c_hat[perm])
+
+
+def test_log_lip_pass_refuses_images_beyond_the_certified_range():
+    pd, f_mod, images = _atoms_and_images(3, 10, 2)
+    log_lip_pass(pd, f_mod, 2.0**480 * images, 1.0)
+    with pytest.raises(ValueError, match="certified"):
+        log_lip_pass(pd, f_mod, 2.0**490 * images, 1.0)
+    with pytest.raises(ValueError, match="M must be at least 1"):
+        log_lip_pass(pd, f_mod, images, 0.5)
+
+
+@pytest.mark.parametrize("m_const", [3.0, 5.0, 10.0])
+def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
+    # every pair sits at pd = fl(M im) or one step beside it, and some
+    # images collide; normalizing can make a pair with pd <= M im bind,
+    # and the scored candidates must still hold every binding pair
+    rng = np.random.default_rng(int(m_const))
+    n = 40
+    images = rng.uniform(-1, 1, (n, 2))
+    images[5:9] = images[4]  # exact collisions
+    im = np.sqrt(_sq_norms(images[:, None], images[None]))
+    pd = np.where(im > 0, m_const * im, rng.uniform(0.1, 1.0, (n, n)))
+    step = rng.integers(-1, 2, (n, n))
+    pd = np.where(step < 0, np.nextafter(pd, 0.0),
+                  np.where(step > 0, np.nextafter(pd, np.inf), pd))
+    pd = np.triu(pd, 1) + np.triu(pd, 1).T
+    f_mod = log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0)
+    scored = []
+
+    def spy(pd_c, im_c, m):
+        scored.append(np.count_nonzero(pd_c > m * im_c))
+        return holder_ceiling(pd_c, im_c, m)
+
+    monkeypatch.setattr(embedding, "holder_ceiling", spy)
+    alpha, c_hat = log_lip_pass(pd, f_mod, images, m_const)
+    monkeypatch.undo()
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (alpha, c_hat), _full_matrix_pass(pd, f_mod, images, m_const)))
+    normalizer = 2.0 * im.max()
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    binding = upper & (pd / normalizer > m_const * (im / normalizer))
+    assert scored == [np.count_nonzero(binding)]
+    assert np.any(binding & (im == 0))  # a collision binds
+    assert np.any(binding & (pd <= m_const * im) & (im > 0))  # by rounding
+
+
 # --- the map-stacked modulus kernel against direct differences ---
 
 
@@ -218,13 +309,16 @@ def test_modulus_stack_matches_direct_oracle(k):
 
 
 def test_modulus_blocks_smaller_than_the_stack(monkeypatch):
-    # one base point per block: the block size must not change the table
+    # from one base point per block to the whole stack in one block: the
+    # block size must not change the table
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, (30, 3))
     rows = sample_e_batch(3, 2, 4, seed=5)
+    monkeypatch.setattr(embedding, "STACK_BLOCK", 4 * 30 * 30)
     whole = inverse_continuity_modulus(pts, rows, [0.2, 0.9])
-    monkeypatch.setattr(embedding, "STACK_BLOCK", 1)
-    assert inverse_continuity_modulus(pts, rows, [0.2, 0.9]) == whole
+    for block in (1, 1 << 18, 1 << 21):
+        monkeypatch.setattr(embedding, "STACK_BLOCK", block)
+        assert inverse_continuity_modulus(pts, rows, [0.2, 0.9]) == whole
 
 
 def _cloud_and_maps(seed, n, k):

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from projlab import experiments
+from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.embedding import log_lipschitz_modulus, set_diameter
+from projlab.embedding import (_sq_norms, image_sq_norms,
+                               log_lipschitz_modulus, set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
@@ -242,9 +243,10 @@ def test_holder_witnesses_never_set_the_power_law_diameter(tmp_path):
 
 
 def test_holder_images_by_the_transposed_view_keep_their_bits():
-    # _holder_leg takes (k, n) images as op @ net.points.T; BLAS builds do
-    # not promise that this equals net.points @ op.T, so pin it on both
-    # default nets and maps at seed 42
+    # _holder_leg takes (k, n) images chunk by chunk from a (3, n) copy of
+    # the net; BLAS builds do not promise that these products equal
+    # net.points @ op.T or the whole product, so pin the squared norms and
+    # the hull-vertex images on both default nets and maps at seed 42
     seeds = _sub_seeds(42, 3)
     union = sphere_net_union(3, 2, l_law="pow2t", t=2.0, i_max=8,
                              seed=seeds[0]).points
@@ -252,8 +254,14 @@ def test_holder_images_by_the_transposed_view_keep_their_bits():
                                    i_max=6), seeds[0],
                      allow_partial=True).points
     for pts, seed in ((union, seeds[1]), (net, seeds[2])):
+        pts_t = np.ascontiguousarray(pts.T)
+        hull = ConvexHull(pts).vertices
         for op in sample_e_batch(3, 2, 200, seed):
-            assert np.array_equal(op @ pts.T, (pts @ op.T).T)
+            imgs = op @ pts.T
+            assert np.array_equal(imgs, (pts @ op.T).T)
+            sq_im, hull_imgs = image_sq_norms(op, pts_t, hull)
+            assert np.array_equal(sq_im, _sq_norms(imgs.T))
+            assert np.array_equal(hull_imgs, imgs[:, np.sort(hull)].T)
 
 
 THREAD_CONFIGS = {
@@ -305,6 +313,7 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("ifs-translate", {"n_slices": 0}, "n_slices must be at least 1"),
     ("local-dim", {"n_atoms": 0}, "n_atoms must be at least 1"),
     ("assouad-probe", {"n_centers": 0}, "n_centers must be at least 1"),
+    ("log-lip", {"n_atoms": 1}, "n_atoms must be at least 2"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -331,7 +340,8 @@ def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
     # _direct_alphas with the atom itself left out, and image distances
     # over log_lipschitz_modulus of the point distances.  The second config
     # has one-row maps of small image diameter, where binding ceilings go
-    # negative and the floor at 0 decides.
+    # negative and the floor at 0 decides; the last two span more than one
+    # row block and end on a ragged one.
     seen = []
     map_loop = experiments._map_loop
 
@@ -340,11 +350,19 @@ def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
         return seen
 
     monkeypatch.setattr(experiments, "_map_loop", spy)
-    for cfg in ({"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 2.0},
-                {"seed": 11, "n_atoms": 60, "n_maps": 3, "m_const": 1.0,
-                 "ambient_dim": 3, "s": 1, "k": 1}):
+    default_block = embedding.TRI_BLOCK
+    for run, (block, cfg) in enumerate((
+            (default_block, {"seed": 11, "n_atoms": 60, "n_maps": 3,
+                             "m_const": 2.0}),
+            (default_block, {"seed": 11, "n_atoms": 60, "n_maps": 3,
+                             "m_const": 1.0, "ambient_dim": 3, "s": 1,
+                             "k": 1}),
+            (7, {"seed": 12, "n_atoms": 60, "n_maps": 2, "m_const": 2.0}),
+            (default_block, {"seed": 13, "n_atoms": 2 * default_block + 5,
+                             "n_maps": 2, "m_const": 1.0}))):
+        monkeypatch.setattr(embedding, "TRI_BLOCK", block)
         cfg = {**experiments.REGISTRY["log-lip"]["defaults"], **cfg}
-        out = tmp_path / str(cfg["m_const"])
+        out = tmp_path / str(run)
         run_experiment("log-lip", config=cfg, out_dir=out)
         seeds = _sub_seeds(cfg["seed"], 2)
         measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +85,13 @@ def test_every_public_definition_is_reached_from_the_package():
     assert sorted(defined[name][1] + " " + name
                   for name in unreached - exempt) == []
     assert sorted(exempt - unreached) == []  # no stale exception
+
+
+def test_block_sizes_are_known_only_to_embedding():
+    # the kernels' block and chunk sizes are embedding's own decision, so
+    # no other module names them, not even in prose; tests may patch them
+    names = re.compile(r"\b(PAIR_BLOCK|STACK_BLOCK|MAP_BLOCK|CEIL_CHUNK"
+                       r"|IMAGE_CHUNK|TRI_BLOCK)\b")
+    assert ["%s %s" % (path.name, name)
+            for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
+            for name in names.findall(path.read_text())] == []
