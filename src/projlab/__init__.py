@@ -4,7 +4,7 @@ inverse-regularity experiments on finite point models.
 Submodules:
 
 * geom: point sets, atomic measures, CSV round-trip.
-* linalg: random maps with unit-ball rows, planes, projections.
+* linalg: random maps with unit-ball rows, Gram-Schmidt on rows.
 * dimension: covering numbers, box-counting and local-dimension fits,
   localized homogeneity probes.
 * constructions: sphere nets, blocked dyadic words and their parabola
@@ -12,7 +12,8 @@ Submodules:
 * embedding: collision probabilities, transversality Monte Carlo,
   the inverse continuity modulus, pointwise Holder ceilings, the
   log-Lipschitz modulus.
-* slicing: slab conditional measures, Dirac scores, translate pairs.
+* slicing: slab conditionals on projected coordinates, Dirac scores,
+  translate pairs.
 * experiments / cli: named, config-driven experiment runs with
   deterministic JSON/CSV/SVG artifacts.
 """
@@ -21,7 +22,7 @@ __version__ = "0.1.0"
 
 from .geom import (AtomicMeasure, PointSet, normalized_measure,
                    read_points_csv, write_points_csv)
-from .linalg import Plane, project, sample_e_batch
+from .linalg import sample_e_batch
 from .dimension import (ScalingFit, assouad_probe, box_dimension_fit,
                         covering_number, fit_loglog, local_dimension,
                         min_nn_distance)
@@ -34,6 +35,5 @@ from .constructions import (BitWord, IfsSpec, SphereNetSpec, block_constraints,
 from .embedding import (collision_probability, holder_ceiling,
                         inverse_continuity_modulus, log_lipschitz_modulus,
                         transversality_fraction)
-from .slicing import (SlabSlice, dirac_score, slab_conditional,
-                      translate_pair_test)
+from .slicing import dirac_score, slab_conditional, translate_pair_test
 from .experiments import experiment_names, run_experiment

@@ -172,14 +172,13 @@ def _sq_norms(a, b=None, out=None):
     return out
 
 
-def inverse_continuity_modulus(points, op, delta_grid):
+def inverse_continuity_modulus(points, ops, delta_grid):
     """eps(delta) = smallest image distance among pairs at least delta apart.
 
-    op is one map (None for the identity or a k x N matrix), which gives
-    one table of (delta, eps) rows, or a stack of maps: an (m, k, N) array
-    such as sample_e_batch returns, which gives a list of m tables in stack
-    order.
-    Deltas that no pair reaches are cut from every table alike.
+    ops is a stack of maps, an (m, k, N) array such as sample_e_batch
+    returns; the result is a list of m tables of (delta, eps) rows, in
+    stack order.  Deltas that no pair reaches are cut from every table
+    alike.
 
     The pass runs over blocks of base points.  Point distances and the
     far-pair masks of a block are found once for the whole stack; image
@@ -192,10 +191,10 @@ def inverse_continuity_modulus(points, op, delta_grid):
     raise the minimum).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    images = points if op is None \
-        else points @ np.swapaxes(np.asarray(op, dtype=float), -1, -2)
-    stacked = images.ndim == 3
-    images = np.ascontiguousarray(images if stacked else images[None])
+    ops = np.asarray(ops, dtype=float)
+    if ops.ndim != 3:
+        raise ValueError("ops must be an (m, k, N) stack of maps")
+    images = np.ascontiguousarray(points @ np.swapaxes(ops, 1, 2))
     delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
     m, n = images.shape[:2]
     min2 = np.full((len(delta_grid), m), np.inf)
@@ -217,9 +216,8 @@ def inverse_continuity_modulus(points, op, delta_grid):
     if count[0] == 0:
         raise ValueError("no pairs at the smallest delta")
     reached = delta_grid[count > 0]  # counts fall with delta: a prefix
-    tables = [[(float(d), math.sqrt(float(e))) for d, e in zip(reached, col)]
-              for col in min2[:len(reached)].T]
-    return tables if stacked else tables[0]
+    return [[(float(d), math.sqrt(float(e))) for d, e in zip(reached, col)]
+            for col in min2[:len(reached)].T]
 
 
 def check_holder_budget(m_const):
@@ -360,10 +358,10 @@ def set_diameter(points):
     The scan costs a pass over all pairs.  The diameter is attained on
     convex-hull vertices, so a caller with a large set reduces it to its
     hull vertices first, as holder-ceiling's _holder_leg does once per net.
+    On a line the scan's largest distance is fl(sqrt(fl(x^2))) = |x| at the
+    extreme pair, that is fl(max - min), outside overflow and underflow.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] == 1:
-        return float(points.max() - points.min()) if len(points) else 0.0
     return max((float(np.sqrt(_sq_norms(points[s:s + PAIR_BLOCK, None],
                                         points[None]).max()))
                 for s in range(0, len(points), PAIR_BLOCK)), default=0.0)

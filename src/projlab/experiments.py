@@ -42,7 +42,7 @@ from .embedding import (_sq_norms, check_holder_budget,
                         origin_ceiling_scorer, set_diameter,
                         transversality_fraction)
 from .geom import write_points_csv
-from .linalg import Plane, sample_e_batch
+from .linalg import sample_e_batch
 from .slicing import (dirac_score, nn_spacing_at, slab_conditional,
                       translate_pair_test)
 from .svgplot import loglog_plot
@@ -217,6 +217,10 @@ def _fit_artifacts(art, name, fit, title):
     "seed": None,
 })
 def _digit_lemma(cfg, art, threads):
+    if not 1 <= cfg["depth_max"] <= 8:
+        raise ValueError("depth_max must lie in 1..8")
+    if not cfg["corrupt_seeds"]:
+        raise ValueError("corrupt_seeds must not be empty")
     if cfg["seed"] is not None:
         cfg = dict(cfg)
         cfg["corrupt_seeds"] = [int(cfg["seed"]) + j for j in range(3)]
@@ -532,7 +536,9 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
 def _holder_ceiling(cfg, art, threads):
     seeds = _sub_seeds(cfg["seed"], 3)
     m_grid = [float(m) for m in cfg["m_grid"]]
-    for m in m_grid:  # before the nets and the witnesses are built
+    if not m_grid:  # before the nets and the witnesses are built
+        raise ValueError("m_grid must not be empty")
+    for m in m_grid:
         check_holder_budget(m)
     rows_a, rows_b = (sample_e_batch(cfg["ambient_dim"], cfg["k"],
                                      cfg["n_maps"], s) for s in seeds[1:])
@@ -741,20 +747,20 @@ def _all_directions(cfg, art, threads):
     worst = None
     for j in range(cfg["n_directions"]):
         theta = math.pi * j / cfg["n_directions"]
-        plane = Plane(np.array([[math.cos(theta), math.sin(theta)]]))
-        coords = measure.points @ plane.basis[0]
+        coords = measure.points @ np.array([[math.cos(theta)],
+                                            [math.sin(theta)]])
         picks = rng.choice(n, size=cfg["n_slabs"], replace=True,
                            p=measure.weights)
         hits = 0
         used = 0
         for idx in picks:
             a = coords[idx]
-            spacing = nn_spacing_at(coords[:, None], a)
+            spacing = nn_spacing_at(coords, a)
             if spacing == 0:
                 continue
             width = cfg["width_factor"] * spacing
-            sl = slab_conditional(measure, plane, [a], width)
-            rho, _ = dirac_score(sl, cfg["tau"])
+            _, sliced = slab_conditional(measure, coords, a, width)
+            rho, _ = dirac_score(sliced, cfg["tau"])
             used += 1
             hits += rho <= atom_res + 1e-15
         frac = hits / used if used else 0.0

@@ -2,64 +2,42 @@
 
 A slab is the preimage of a small ball under orthogonal projection onto a
 plane; conditioning an atomic measure on it gives the empirical slice.
-The near-Dirac score asks how concentrated such a slice is: the smallest
-radius at which a ball around some atom already holds a 1 - tau share of
-the slice.  Translate-pair systems (two copies of one contraction shifted
-by a vector orthogonal to the slab plane) are the canonical example where
-every slice splits into two matched copies and the score stays near the
-translation length.
+Callers project the atoms once per plane, as points @ basis.T for an
+orthonormal basis of rows, and cut every slab of that plane from these
+coordinates.  The near-Dirac score asks how concentrated a slice is: the
+smallest radius at which a ball around some atom already holds a 1 - tau
+share of the slice.  Translate-pair systems (two copies of one
+contraction shifted by a vector orthogonal to the slab plane) are the
+canonical example where every slice splits into two matched copies and
+the score stays near the translation length.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import _sq_norms
 from .geom import AtomicMeasure
-from .linalg import Plane, orthonormalize_rows, project
+from .linalg import orthonormalize_rows
 
 
-@dataclass
-class SlabSlice:
-    """Conditional measure on {x : |P_V x - a| <= delta}."""
+def slab_conditional(measure, coords, center, half_width):
+    """Condition an atomic measure on the closed slab
+    {x : |P_V x - center| <= half_width}.
 
-    plane: Plane
-    center: np.ndarray
-    half_width: float
-    raw_mass: float
-    indices: np.ndarray  # positions of the surviving atoms in the parent
-    measure: AtomicMeasure | None
-
-    @property
-    def empty(self):
-        return self.measure is None
-
-
-def slab_conditional(measure, plane, center, half_width):
-    """Condition an atomic measure on a closed projection slab.
-
-    Atoms whose projection lies within half_width of the center survive
-    with renormalized weights; a slab that catches no mass is returned
-    flagged empty rather than raising.
+    coords holds the atoms' coordinates on the plane V, one row per atom.
+    Returns (indices, conditional measure): the surviving atoms' positions
+    in the parent, and the survivors with renormalized weights.  A slab
+    that catches no mass raises ValueError.
     """
     if half_width <= 0:
         raise ValueError("half_width must be positive")
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    coords = project(plane, measure.points)
-    keep = np.linalg.norm(coords - center, axis=1) <= half_width
+    keep = np.linalg.norm(coords - np.atleast_1d(center), axis=1) <= half_width
     raw = float(measure.weights[keep].sum())
     if raw <= 0.0:
-        return SlabSlice(plane, center, float(half_width), 0.0,
-                         np.nonzero(keep)[0], None)
-    labels = None
-    if measure.labels is not None:
-        labels = [measure.labels[i] for i in np.nonzero(keep)[0]]
-    sliced = AtomicMeasure(measure.points[keep],
-                           measure.weights[keep] / raw, labels=labels)
-    return SlabSlice(plane, center, float(half_width), raw,
-                     np.nonzero(keep)[0], sliced)
+        raise ValueError("the slab catches no mass")
+    return np.flatnonzero(keep), AtomicMeasure(measure.points[keep],
+                                               measure.weights[keep] / raw)
 
 
 DIRAC_BLOCK = 2 ** 18  # distance entries per row block of dirac_score
@@ -72,7 +50,7 @@ def _row_radius(d, w, need):
     return float(d[order[hit]]) if hit < len(d) else np.inf
 
 
-def dirac_score(slice_or_measure, tau):
+def dirac_score(measure, tau):
     """Smallest radius at which one atom-centered ball holds mass 1 - tau.
 
     Returns (rho_star, center_index).  Zero radius means a 1 - tau
@@ -91,9 +69,6 @@ def dirac_score(slice_or_measure, tau):
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
-    measure = getattr(slice_or_measure, "measure", slice_or_measure)
-    if measure is None:
-        raise ValueError("cannot score an empty slice")
     pts = measure.points
     w = measure.weights
     n = len(pts)
@@ -132,7 +107,7 @@ def _complement_plane(t):
             continue
         if len(rows) == n:
             break
-    return Plane(np.vstack(rows[1:]))
+    return np.vstack(rows[1:])
 
 
 def nn_spacing_at(coords, center):
@@ -147,9 +122,10 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
                         tau=0.25, tol=0.05):
     """Slice structure of a two-branch system phi2 = phi1 + t.
 
-    Builds the depth-d atoms of the pair system, projects onto a plane
-    orthogonal to t (constructed here; orthogonality asserted to 1e-10),
-    and on slabs around sampled projected atoms checks that:
+    Builds the depth-d atoms of the pair system, projects them once onto a
+    plane orthogonal to t (constructed here; its basis rows are asserted
+    orthonormal and orthogonal to t within 1e-10), and on slabs around
+    sampled projected atoms checks that:
 
     * the two branch slices carry exactly the same composition labels
       (membership is branch independent when the plane kills t);
@@ -173,9 +149,10 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         raise ValueError("depth must be at least 1")
     if n_slices < 1:
         raise ValueError("n_slices must be at least 1")
-    plane = _complement_plane(translate)
-    gap = float(np.abs(plane.basis @ translate).max())
-    if gap > 1e-10:
+    basis = _complement_plane(translate)
+    if np.abs(basis @ basis.T - np.eye(len(basis))).max() > 1e-10:
+        raise ValueError("slab plane basis is not orthonormal within 1e-10")
+    if np.abs(basis @ translate).max() > 1e-10:
         raise ValueError("slab plane is not orthogonal to the translate")
 
     from .constructions import ifs_atoms
@@ -183,10 +160,9 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
     nu = ifs_atoms(spec, depth)
     branches = np.array([lab[0] for lab in nu.labels])
     tails = [lab[1:] for lab in nu.labels]
-    coords = project(plane, nu.points)
+    coords = nu.points @ basis.T
 
     rng = np.random.default_rng(seed)
-    checked = 0
     label_matches = 0
     shift_ok = 0
     mixed_seen = 0
@@ -198,17 +174,14 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         if width is None:
             spacing = nn_spacing_at(coords, a)
             width = 2.0 * spacing if spacing > 0 else 2.0 * t_norm
-        sl = slab_conditional(nu, plane, a, width)
-        if sl.empty:
-            continue
-        checked += 1
-        got_b = branches[sl.indices]
-        got_t = [tails[i] for i in sl.indices]
+        indices, sliced = slab_conditional(nu, coords, a, width)
+        got_b = branches[indices]
+        got_t = [tails[i] for i in indices]
         tails1 = sorted(t for b, t in zip(got_b, got_t) if b == 1)
         tails2 = sorted(t for b, t in zip(got_b, got_t) if b == 2)
         if tails1 == tails2:
             label_matches += 1
-        by_key = {(b, t): i for b, t, i in zip(got_b, got_t, sl.indices)}
+        by_key = {(b, t): i for b, t, i in zip(got_b, got_t, indices)}
         matched = [(i, by_key[(2, t)]) for (b, t), i in by_key.items()
                    if b == 1 and (2, t) in by_key]
         one, two = np.array(matched, dtype=np.intp).reshape(-1, 2).T
@@ -216,18 +189,16 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         shift_ok += bool(ok)
         if tails1 and tails2:
             mixed_seen += 1
-            score, _ = dirac_score(sl, tau)
+            score, _ = dirac_score(sliced, tau)
             min_mixed_score = min(min_mixed_score, score)
     return {
         "depth": depth,
-        "n_slices_checked": checked,
+        "n_slices_checked": n_slices,
         "n_mixed": mixed_seen,
-        "all_labels_match": label_matches == checked and checked > 0,
-        "all_shifts_match": shift_ok == checked and checked > 0,
+        "all_labels_match": label_matches == n_slices,
+        "all_shifts_match": shift_ok == n_slices,
         "min_mixed_score": float(min_mixed_score),
         "translate_norm": t_norm,
         "score_floor": (1.0 - tol) * t_norm,
         "passes_floor": bool(min_mixed_score >= (1.0 - tol) * t_norm),
-        "plane": plane,
-        "measure": nu,
     }

@@ -38,7 +38,7 @@ def _esc(text):
 def loglog_plot(series, path, title="", xlabel="", ylabel="", log_x=True,
                 log_y=True):
     """Write an SVG plot; each series is a dict with keys x, y and
-    optionally label, color, and dashed.
+    optionally label and dashed; series take the palette's colors in turn.
 
     Axes are log2 when the corresponding flag is set; points with
     nonpositive coordinates on a log axis are dropped.
@@ -59,7 +59,6 @@ def loglog_plot(series, path, title="", xlabel="", ylabel="", log_x=True,
             "x": np.log2(x) if log_x else x,
             "y": np.log2(y) if log_y else y,
             "label": s.get("label", ""),
-            "color": s.get("color"),
             "dashed": s.get("dashed", False),
         })
     if not prepared:
@@ -120,7 +119,7 @@ def loglog_plot(series, path, title="", xlabel="", ylabel="", log_x=True,
                      % (HEIGHT // 2, HEIGHT // 2, _esc(ylabel)))
     legend_y = MARGIN_T + 14
     for si, s in enumerate(prepared):
-        color = s["color"] or PALETTE[si % len(PALETTE)]
+        color = PALETTE[si % len(PALETTE)]
         pts = " ".join("%.2f,%.2f" % (float(sx(a)), float(sy(b)))
                        for a, b in zip(s["x"], s["y"]))
         dash = ' stroke-dasharray="6,4"' if s["dashed"] else ""

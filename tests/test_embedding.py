@@ -103,7 +103,7 @@ def test_transversality_scale_equivariance():
 def test_modulus_identity_map():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 1, (200, 2))
-    table = inverse_continuity_modulus(pts, None, [0.1, 0.3, 0.5])
+    table, = inverse_continuity_modulus(pts, np.eye(2)[None], [0.1, 0.3, 0.5])
     assert len(table) == 3
     for delta, eps in table:
         assert eps >= delta - 1e-7  # identity never contracts
@@ -115,24 +115,28 @@ def test_modulus_identity_map():
 def test_modulus_detects_collision():
     pts = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
     op = np.array([[1.0, 0.0]])
-    table = inverse_continuity_modulus(pts, op, [0.5])
+    table, = inverse_continuity_modulus(pts, op[None], [0.5])
     assert table[0][1] <= 1e-7  # the vertical pair collides
+    with pytest.raises(ValueError, match="stack of maps"):
+        inverse_continuity_modulus(pts, op, [0.5])
 
 
 def test_modulus_no_pairs_raises():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(ValueError):
-        inverse_continuity_modulus(pts, None, [5.0])
+        inverse_continuity_modulus(pts, np.eye(1)[None], [5.0])
 
 
 def test_modulus_truncates_unreachable_scales():
     pts = np.array([[0.0], [1.0], [2.0]])
-    table = inverse_continuity_modulus(pts, None, [0.5, 1.5, 10.0])
+    table, = inverse_continuity_modulus(pts, np.eye(1)[None],
+                                        [0.5, 1.5, 10.0])
     assert [d for d, _ in table] == [0.5, 1.5]  # no pair at distance 10
 
 
 def test_set_diameter_paths():
-    # the 1-D path takes max - min; the direct scan covers the rest
+    # one scan for every dimension: in 1-D its largest pair distance is
+    # fl(sqrt(fl(x^2))) = |x| at the extreme pair, so max - min exactly
     assert set_diameter(np.array([[0.0], [2.0], [7.0]])) == 7.0
     assert set_diameter(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.2]])) \
         == math.sqrt(2.0)
@@ -297,12 +301,12 @@ def test_modulus_stack_matches_direct_oracle(k):
     assert len(tables) == len(rows)
     for r, table in zip(rows, tables):
         # a stack gives the tables of one call per map
-        assert table == inverse_continuity_modulus(pts, r, deltas)
+        assert [table] == inverse_continuity_modulus(pts, r[None], deltas)
         for (d, eps), (d_ref, eps_ref) in zip(table,
                                               _direct_modulus(pts, r, deltas)):
             assert d == d_ref
             assert eps == pytest.approx(eps_ref, rel=1e-12)
-    identity = inverse_continuity_modulus(pts, None, deltas)
+    identity, = inverse_continuity_modulus(pts, np.eye(3)[None], deltas)
     oracle = _direct_modulus(pts, np.eye(3), deltas)
     assert [e for _, e in identity] == pytest.approx([e for _, e in oracle],
                                                      rel=1e-12)

@@ -314,6 +314,10 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("local-dim", {"n_atoms": 0}, "n_atoms must be at least 1"),
     ("assouad-probe", {"n_centers": 0}, "n_centers must be at least 1"),
     ("log-lip", {"n_atoms": 1}, "n_atoms must be at least 2"),
+    ("holder-ceiling", {"m_grid": []}, "m_grid must not be empty"),
+    ("digit-lemma", {"corrupt_seeds": []}, "corrupt_seeds must not be empty"),
+    ("digit-lemma", {"depth_max": 0}, r"depth_max must lie in 1\.\.8"),
+    ("digit-lemma", {"depth_max": 9}, r"depth_max must lie in 1\.\.8"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -327,9 +331,24 @@ def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
 
     monkeypatch.setattr(experiments, "sphere_net_union", unreachable)
     for config, message in (({"m_grid": [1, 0.5]}, "M must be at least 1"),
+                            ({"m_grid": []}, "m_grid must not be empty"),
                             ({"n_maps": 0}, "at least one map")):
         with pytest.raises(ValueError, match=message):
             run_experiment("holder-ceiling", config={"seed": 0, **config})
+
+
+def test_empty_list_values_raise():
+    # a key whose default is a non-empty list never runs on an empty one,
+    # which would pass its checks vacuously
+    keys = [(name, key) for name in ALL_NAMES
+            for key, value in experiments.REGISTRY[name]["defaults"].items()
+            if isinstance(value, list) and value]
+    assert {key for _, key in keys} >= {"corrupt_seeds", "m_grid",
+                                        "translate"}
+    for name, key in keys:
+        with pytest.raises(ValueError):
+            run_experiment(name, config={"seed": 0, **SMALL.get(name, {}),
+                                         key: []})
 
 
 # --- the experiment paths against the library oracles ---

@@ -1,9 +1,9 @@
-"""Random map samplers, planes and projections."""
+"""Random map samplers and Gram-Schmidt on rows."""
 
 import numpy as np
 import pytest
 
-from projlab.linalg import Plane, orthonormalize_rows, project, sample_e_batch
+from projlab.linalg import orthonormalize_rows, sample_e_batch
 
 
 def test_row_radius_distribution():
@@ -37,22 +37,6 @@ def test_sampler_determinism():
     assert np.all(np.linalg.norm(batch, axis=2) <= 1.0)
     with pytest.raises(ValueError):
         sample_e_batch(5, 3, 0, seed=11)
-
-
-def test_plane_requires_orthonormal_rows():
-    with pytest.raises(ValueError):
-        Plane([[1.0, 1.0], [0.0, 1.0]])
-    p = Plane([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert p.k == 2 and p.ambient_dim == 3
-
-
-def test_project_batch():
-    pl = Plane(orthonormalize_rows(
-        np.random.default_rng(1).standard_normal((2, 4))))
-    xs = np.random.default_rng(2).standard_normal((5, 4))
-    coords = project(pl, xs)
-    assert coords.shape == (5, 2)
-    assert np.allclose(coords[3], project(pl, xs[3]))
 
 
 def test_orthonormalize_rejects_dependent_rows():

@@ -5,40 +5,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlab import constructions, embedding
+from projlab import constructions, embedding, slicing
 from projlab.constructions import IfsSpec
-from projlab.geom import AtomicMeasure
-from projlab.linalg import Plane
+from projlab.geom import WEIGHT_TOL, AtomicMeasure
 from projlab.slicing import (dirac_score, nn_spacing_at, slab_conditional,
                              translate_pair_test)
 from projlab.slicing import _complement_plane
 
 
 FOUR = AtomicMeasure([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
-                     [0.1, 0.2, 0.3, 0.4], labels=["a", "b", "c", "d"])
-X_AXIS = Plane([[1.0, 0.0]])
+                     [0.1, 0.2, 0.3, 0.4])
+X_COORDS = FOUR.points @ np.array([[1.0], [0.0]])  # coordinates on the x axis
 
 
 def test_slab_conditional_renormalizes():
-    sl = slab_conditional(FOUR, X_AXIS, [0.0], 0.25)
-    assert not sl.empty
-    assert sl.raw_mass == pytest.approx(0.3)
-    assert np.allclose(sl.measure.weights, [1.0 / 3.0, 2.0 / 3.0])
-    assert sl.measure.labels == ["a", "b"]
-    assert list(sl.indices) == [0, 1]
+    indices, sliced = slab_conditional(FOUR, X_COORDS, [0.0], 0.25)
+    assert list(indices) == [0, 1]
+    assert np.array_equal(sliced.points, FOUR.points[:2])
+    assert np.allclose(sliced.weights, [1.0 / 3.0, 2.0 / 3.0])
 
 
 def test_slab_boundary_is_closed():
-    sl = slab_conditional(FOUR, X_AXIS, [0.75], 0.25)  # x = 1 sits on the rim
-    assert sorted(sl.measure.labels) == ["c", "d"]
+    # x = 1 sits on the rim
+    indices, _ = slab_conditional(FOUR, X_COORDS, [0.75], 0.25)
+    assert list(indices) == [2, 3]
 
 
-def test_slab_empty_flag_and_validation():
-    sl = slab_conditional(FOUR, X_AXIS, [5.0], 0.1)
-    assert sl.empty
-    assert sl.raw_mass == 0.0
-    with pytest.raises(ValueError):
-        slab_conditional(FOUR, X_AXIS, [0.0], 0.0)
+def test_slab_without_mass_raises():
+    with pytest.raises(ValueError, match="catches no mass"):
+        slab_conditional(FOUR, X_COORDS, [5.0], 0.1)
+    with pytest.raises(ValueError, match="half_width"):
+        slab_conditional(FOUR, X_COORDS, [0.0], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atoms=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                st.integers(1, 5)), min_size=1, max_size=25),
+       angle=st.floats(0.0, np.pi), half_width=st.floats(0.01, 3.0))
+def test_slab_conditional_matches_brute_force(atoms, angle, half_width):
+    # lattice atoms, some repeated, cut by slabs of one random direction
+    # centred on every atom in turn: one of random width, and one whose
+    # rim passes through the farthest atom
+    pts = np.array([a[:2] for a in atoms], dtype=float)
+    raw = np.array([a[2] for a in atoms], dtype=float)
+    measure = AtomicMeasure(pts, raw / raw.sum())
+    unit = np.array([np.cos(angle), np.sin(angle)])
+    coords = pts @ unit[:, None]
+    for c in range(len(pts)):
+        gaps = np.abs(coords[:, 0] - coords[c, 0])
+        for width in (half_width, gaps.max() or half_width):
+            indices, sliced = slab_conditional(measure, coords, coords[c],
+                                               width)
+            brute = [i for i in range(len(pts)) if gaps[i] <= width]
+            assert list(indices) == brute
+            assert c in indices
+            assert np.array_equal(sliced.points, pts[brute])
+            assert abs(sliced.weights.sum() - 1.0) <= WEIGHT_TOL
 
 
 def test_dirac_score_single_atom():
@@ -77,15 +99,6 @@ def test_dirac_score_validation():
         dirac_score(m, 0.0)
     with pytest.raises(ValueError):
         dirac_score(m, 1.0)
-    empty = slab_conditional(FOUR, X_AXIS, [9.0], 0.1)
-    with pytest.raises(ValueError):
-        dirac_score(empty, 0.25)
-
-
-def test_dirac_score_accepts_slice():
-    sl = slab_conditional(FOUR, X_AXIS, [0.0], 0.25)
-    rho, center = dirac_score(sl, 0.5)
-    assert rho == 0.0  # the heavier of the two atoms holds 2/3 >= 1/2
 
 
 def dirac_loop(measure, tau):
@@ -174,9 +187,10 @@ def test_dirac_score_nonincreasing_in_tau(measure, taus):
 
 def test_complement_plane():
     t = np.array([0.0, 0.5, 0.0])
-    pl = _complement_plane(t)
-    assert pl.basis.shape == (2, 3)
-    assert np.abs(pl.basis @ t).max() < 1e-12
+    basis = _complement_plane(t)
+    assert basis.shape == (2, 3)
+    assert np.abs(basis @ t).max() < 1e-12
+    assert np.abs(basis @ basis.T - np.eye(2)).max() < 1e-12
 
 
 def test_nn_spacing_at():
@@ -241,3 +255,15 @@ def test_translate_pair_rejects_degenerate_input():
                     shifts=[np.zeros(2)] * 3, probs=[1 / 3] * 3)
     with pytest.raises(ValueError):
         translate_pair_test(three, depth=2)
+
+
+def test_translate_pair_refuses_a_non_orthonormal_basis(monkeypatch):
+    # rows orthogonal to t = (0, 0, 1) but not to each other
+    skewed = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+    monkeypatch.setattr(slicing, "_complement_plane", lambda t: skewed)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        translate_pair_test(pair_spec(0.3, [0.0, 0.0, 1.0]), depth=2)
+    scaled = np.array([[1.0 + 1e-9, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    monkeypatch.setattr(slicing, "_complement_plane", lambda t: scaled)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        translate_pair_test(pair_spec(0.3, [0.0, 0.0, 1.0]), depth=2)
