@@ -360,26 +360,95 @@ class SphereNetSpec:
         return i
 
 
+GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+
+
 def fibonacci_sphere(count):
     """Near-uniform lattice on the unit 2-sphere."""
     i = np.arange(count, dtype=float)
     z = 1.0 - (2 * i + 1) / count
-    theta = np.pi * (3.0 - np.sqrt(5.0)) * i
+    theta = GOLDEN_ANGLE * i
     rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+
+
+def _first_come_keep(pts, close):
+    """pts without the points that close pairs (a, b), a < b, drop: in
+    increasing a, a point not yet dropped drops its partner b."""
+    drop = np.zeros(len(pts), dtype=bool)
+    for a, b in close[np.argsort(close[:, 0])]:
+        if not drop[a]:
+            drop[b] = True
+    return pts[~drop]
 
 
 def _separated_filter(pts, ell):
     """Keep a subset with pairwise distances >= ell (first come wins)."""
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(pts)
-    close = tree.query_pairs(ell * (1 - 1e-12), output_type="ndarray")
-    drop = np.zeros(len(pts), dtype=bool)
-    for a, b in close[np.argsort(close[:, 0])]:
-        if not drop[a]:
-            drop[b] = True
-    return pts[~drop]
+    close = cKDTree(pts).query_pairs(ell * (1 - 1e-12), output_type="ndarray")
+    return _first_come_keep(pts, close)
+
+
+def _lattice_filter(pts, ell):
+    """_separated_filter(pts, ell) for pts = fibonacci_sphere(n) @ q.T
+    with q orthogonal, found from the lattice's index offsets, no tree.
+
+    Point i has height z_i = 1 - (2i+1)/n, radius rho_i = sqrt(1 - z_i^2)
+    and angle g*i, g = GOLDEN_ANGLE.  For j = i + d the squared chord is
+
+        (2d/n)^2 + (rho_i - rho_j)^2 + 2 rho_i rho_j (1 - cos g d)
+            >= (2d/n)^2 + 2 min(rho_i, rho_j)^2 (1 - cos g d),
+
+    so a pair closer than ell needs d < ell n / 2 and
+    min(rho_i, rho_j)^2 < q_d = (ell^2 - (2d/n)^2) / (2 (1 - cos g d)).
+    rho^2 < q_d means |z| > s_d = sqrt(1 - q_d); as z falls with the
+    index, that puts i in the north cap z_i > s_d, the first
+    h_d = (n (1 - s_d) - 1) / 2 indices, or j in the mirror south cap,
+    the last h_d.  Only these pairs are candidates; their distances are
+    taken on pts itself.
+
+    Margins for the rounding: the computed angles g*i lie within
+    spacing(g n) / 2 of their exact values, so 1 - cos g d is lowered by
+    4 spacing(g n) + 1e-15; ell is raised by a relative 1e-6, against
+    coordinate, rotation and distance errors of order 1e-15 (ell >= 1e-9
+    is ample); each cap gets two more indices, against the rounding of z
+    and of h_d.  A pair the tree would return is therefore a candidate.
+    The tree keeps pairs at distance <= ell (1 - 1e-12); if a candidate
+    lies within a relative 1e-9 of that threshold, where the two
+    distance routines might round it apart, the shell goes to
+    _separated_filter instead.  Either way the kept set is the tree's.
+    """
+    n = len(pts)
+    thr = ell * (1 - 1e-12)
+    reach = ell * (1 + 1e-6)
+    d = np.arange(1, min(n - 1, int(reach * n / 2) + 1) + 1)
+    gap = reach * reach - (2.0 * d / n) ** 2
+    d, gap = d[gap > 0], gap[gap > 0]
+    bend = 1.0 - np.cos(GOLDEN_ANGLE * d) - (4 * np.spacing(GOLDEN_ANGLE * n)
+                                             + 1e-15)
+    with np.errstate(divide="ignore"):  # bend <= 0 gives q_d = inf
+        q = gap / (2 * np.maximum(bend, 0))
+    # 1 - s_d without cancellation; a cap with q_d >= 1 is the whole sphere
+    lift = np.where(q < 1, q / (1 + np.sqrt(np.maximum(1 - q, 0))), 2.0)
+    cap = np.ceil((n * lift - 1) / 2).astype(np.int64) + 2
+    # per offset, i runs over [0, north) and [south, n - d), or over all of
+    # [0, n - d) when the two ranges meet
+    stop = n - d
+    north = np.clip(cap, 0, stop)
+    south = np.maximum(stop - cap, north)
+    starts = np.concatenate([np.zeros_like(d), south])
+    stops = np.concatenate([north, stop])
+    lengths = stops - starts
+    offsets = np.repeat(np.concatenate([d, d]), lengths)
+    i = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) \
+        + np.arange(lengths.sum())
+    j = i + offsets
+    dist = np.sqrt(np.square(pts[j] - pts[i]).sum(axis=1))
+    if np.any(np.abs(dist - thr) <= 1e-9 * thr):
+        return _separated_filter(pts, ell)
+    close = dist <= thr
+    return _first_come_keep(pts, np.column_stack([i[close], j[close]]))
 
 
 def _sphere_shell(k, r, ell, rng, max_points):
@@ -402,7 +471,7 @@ def _sphere_shell(k, r, ell, rng, max_points):
         pts = fibonacci_sphere(want)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         pts = pts @ q.T
-        return _separated_filter(pts, ell / r) * r
+        return _lattice_filter(pts, ell / r) * r
     # generic dimension: greedy over an oversampled uniform stream
     want = int(np.ceil(2.0 * ratio**k))
     if want > max_points:

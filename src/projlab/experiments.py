@@ -34,7 +34,7 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             sparse_atoms, sphere_net, sphere_net_union,
                             verify_digit_lemma, word_entropy_dimension)
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
-                        local_dimension, min_nn_distance)
+                        local_dimension)
 from .embedding import (_sq_norms, check_holder_budget,
                         collision_probability, holder_ceiling,
                         image_sq_norms, inverse_continuity_modulus,
@@ -98,18 +98,24 @@ def check(name, passed, detail):
 
 
 class Artifacts:
-    """Collects tables/plots/summary under one run directory (or nowhere)."""
+    """Collects tables/plots/summary under one run directory (or nowhere).
+
+    The directory and its tables/ and plots/ are made at the first write,
+    so a run refused before it writes anything leaves no directory.
+    """
 
     def __init__(self, out_dir, export_points=False):
         self.out_dir = Path(out_dir) if out_dir else None
         self.export_points = bool(export_points)
-        if self.out_dir:
-            (self.out_dir / "tables").mkdir(parents=True, exist_ok=True)
-            (self.out_dir / "plots").mkdir(parents=True, exist_ok=True)
+
+    def _path(self, *parts):
+        for sub in ("tables", "plots"):
+            (self.out_dir / sub).mkdir(parents=True, exist_ok=True)
+        return self.out_dir.joinpath(*parts)
 
     def points(self, name, obj):
         if self.out_dir and self.export_points:
-            write_points_csv(self.out_dir / "tables" / (name + ".csv"), obj)
+            write_points_csv(self._path("tables", name + ".csv"), obj)
 
     def table(self, name, header, rows):
         if not self.out_dir:
@@ -118,19 +124,18 @@ class Artifacts:
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
                                   for v in row))
-        path = self.out_dir / "tables" / (name + ".csv")
-        path.write_text("\n".join(lines) + "\n")
+        self._path("tables", name + ".csv").write_text("\n".join(lines) + "\n")
 
     def plot(self, name, series, **kwargs):
         if not self.out_dir:
             return
-        loglog_plot(series, self.out_dir / "plots" / (name + ".svg"), **kwargs)
+        loglog_plot(series, self._path("plots", name + ".svg"), **kwargs)
 
     def summary(self, payload, runtime_seconds):
         if not self.out_dir:
             return
         text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
-        (self.out_dir / "summary.json").write_text(text + "\n")
+        self._path("summary.json").write_text(text + "\n")
         meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "runtime_seconds": round(runtime_seconds, 3)}
         (self.out_dir / "run_meta.json").write_text(
@@ -730,6 +735,22 @@ def _decode_sparse(cfg, art, threads):
 # --- slab slices of the lifted digit measure, every direction ---
 
 
+def _parabola_resolution(points):
+    """min_nn_distance of atoms (x, x^2) with distinct x >= 0, no tree.
+
+    The squared distance from (x, x^2) to (y, y^2) is
+    (x - y)^2 (1 + (x + y)^2).  For y >= x both factors grow with y.  For
+    y = x - u, 0 <= u <= x, it is u^2 (1 + (2x - u)^2), whose derivative in
+    u is 2u (1 + 2 (2x - u)(x - u)) > 0 for u > 0.  So on each side of x
+    the distance grows with |x - y|, every nearest neighbour is adjacent
+    in x order, and the least adjacent distance is the least
+    nearest-neighbour distance (inf below two atoms).
+    """
+    pts = points[np.argsort(points[:, 0])]
+    gaps = np.sqrt(np.square(pts[1:] - pts[:-1]).sum(axis=1))
+    return float(gaps[gaps > 0].min(initial=np.inf))
+
+
 @_register("all-directions", needs_seed=True, defaults={
     "p": 0.25, "n_blocks": 12, "n_directions": 64, "n_slabs": 40,
     "tau": 0.25, "width_factor": 2.0, "required_fraction": 0.95,
@@ -740,7 +761,7 @@ def _all_directions(cfg, art, threads):
         if cfg[key] < 1:
             raise ValueError("%s must be at least 1" % key)
     measure = parabola_lift_measure(cfg["p"], cfg["n_blocks"])
-    atom_res = min_nn_distance(measure.points)
+    atom_res = _parabola_resolution(measure.points)
     n = measure.points.shape[0]
     rng = np.random.default_rng(cfg["seed"])
     fractions = []
@@ -800,6 +821,8 @@ def _all_directions(cfg, art, threads):
     "tau": 0.25, "tol": 0.1, "half_width": None, "seed": None,
 })
 def _ifs_translate(cfg, art, threads):
+    if len(cfg["translate"]) < 2:  # the slices need a complement plane
+        raise ValueError("translate must have at least 2 entries")
     t = np.asarray(cfg["translate"], dtype=float)
     eye = np.eye(t.size)
     spec = IfsSpec(ratios=[cfg["ratio"], cfg["ratio"]],

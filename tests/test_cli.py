@@ -32,6 +32,22 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout.split() == ["False", "True"]
 
 
+def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
+    # collision-scaling thins its shells by lattice offsets and
+    # all-directions takes its atom resolution in x order: neither builds
+    # a tree
+    code = ("import sys; from projlab.experiments import run_experiment; "
+            "run_experiment('collision-scaling', config={'seed': 0, "
+            "'i_max': 4, 'n_maps': 50}); "
+            "run_experiment('all-directions', config={'seed': 0, "
+            "'n_blocks': 6, 'n_directions': 4, 'n_slabs': 5}); "
+            "print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_pass_run_exit_zero(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth_max": 4}))
@@ -79,6 +95,17 @@ def test_bad_config_exit_two(tmp_path):
     proc = run_cli("log-lip", "--config", str(bad_value), "--seed", "0")
     assert proc.returncode == 2
     assert "eta must exceed 1" in proc.stderr
+
+
+def test_refused_run_leaves_no_output_directory(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_grid": []}))
+    out = tmp_path / "run"
+    proc = run_cli("holder-ceiling", "--seed", "1", "--config", str(cfg),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "m_grid must not be empty" in proc.stderr
+    assert not out.exists()
 
 
 def test_threads_below_one_exit_two():

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from projlab import constructions
 from projlab.constructions import (PRECISION_FLOOR, BitWord, IfsSpec,
                                    SphereNetSpec, _corrupt_add,
-                                   _pair_problems, _sigma_word_int,
+                                   _lattice_filter, _pair_problems,
+                                   _separated_filter, _sigma_word_int,
                                    _violation_mask, block_constraints,
                                    dense_ball_atoms, exceptional_set_membership,
-                                   ifs_atoms, kernel_shell_witnesses,
+                                   fibonacci_sphere, ifs_atoms,
+                                   kernel_shell_witnesses,
                                    parabola_lift_measure, pi_encode,
                                    sparse_atoms, sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
@@ -326,6 +329,69 @@ def test_sphere_shell_separation_2d():
         d = np.linalg.norm(shell[:, None, :] - shell[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= spec.ell(i) * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lattice_filter_matches_the_tree(seed):
+    # the offset candidates keep exactly the tree's set on rotated
+    # lattices, sparse (nothing dropped) to dense (most points dropped)
+    rng = np.random.default_rng(seed)
+    dropped = 0
+    for ratio in (1, 2, 3, 7, 16, 28):
+        for density in (6, 12, 24, 60):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            pts = fibonacci_sphere(max(1, int(density * ratio**2))) @ q.T
+            kept = _separated_filter(pts, 1 / ratio)
+            assert np.array_equal(_lattice_filter(pts, 1 / ratio), kept)
+            dropped += len(pts) - len(kept)
+    assert dropped > 10_000
+
+
+def test_lattice_filter_matches_the_tree_at_the_largest_shell():
+    # ratio 256 at density 6: holder-ceiling's largest shell, 393,216 points
+    rng = np.random.default_rng(42)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    pts = fibonacci_sphere(6 * 256**2) @ q.T
+    assert np.array_equal(_lattice_filter(pts, 1 / 256),
+                          _separated_filter(pts, 1 / 256))
+
+
+def test_lattice_filter_falls_back_to_the_tree_in_the_band(monkeypatch):
+    # a candidate at the tree's threshold, where the two distance routines
+    # might round apart, sends the shell to the tree
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    pts = fibonacci_sphere(100) @ q.T
+    calls = []
+
+    def spy(points, ell):
+        calls.append(ell)
+        return _separated_filter(points, ell)
+
+    monkeypatch.setattr(constructions, "_separated_filter", spy)
+    gap = float(np.linalg.norm(pts[1] - pts[0]))
+    for ell in (0.5, gap * (1 + 1e-8)):  # the second just outside the band
+        kept = _lattice_filter(pts, ell)
+        assert np.array_equal(kept, _separated_filter(pts, ell))
+    assert calls == [] and len(kept) < len(pts)
+    ell = gap / (1 - 1e-12)
+    kept = _lattice_filter(pts, ell)
+    assert calls == [ell]
+    assert np.array_equal(kept, _separated_filter(pts, ell))
+
+
+def test_sphere_nets_match_the_tree_path(monkeypatch):
+    # the union (collision-scaling's) and the squared-law net with partial
+    # shells (holder-ceiling's leg B) come out bit-equal on the tree path
+    def build():
+        spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq", i_max=4)
+        return (sphere_net_union(3, 2, i_max=5, seed=7).points,
+                sphere_net(spec, 7, allow_partial=True).points)
+
+    fast = build()
+    monkeypatch.setattr(constructions, "_lattice_filter", _separated_filter)
+    for a, b in zip(fast, build()):
+        assert np.array_equal(a, b)
 
 
 def test_sphere_net_k3_matches_brute_force_greedy():

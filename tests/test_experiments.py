@@ -10,8 +10,10 @@ from scipy.spatial import ConvexHull
 
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
-                                   kernel_shell_witnesses, sparse_atoms,
+                                   kernel_shell_witnesses,
+                                   parabola_lift_measure, sparse_atoms,
                                    sphere_net, sphere_net_union)
+from projlab.dimension import min_nn_distance
 from projlab.embedding import (_sq_norms, image_sq_norms,
                                log_lipschitz_modulus, set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
@@ -132,6 +134,8 @@ def test_written_summary_matches_returned(tmp_path):
     returned = dict(summary)
     returned.pop("runtime_seconds")  # wall-clock facts stay out of the file
     assert on_disk == json.loads(json.dumps(to_jsonable(returned)))
+    # the first write makes both directories, also for a run without plots
+    assert list((out / "plots").iterdir()) == []
 
 
 # --- kernel-adjacent witnesses on the power-law leg of holder-ceiling ---
@@ -318,6 +322,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("digit-lemma", {"corrupt_seeds": []}, "corrupt_seeds must not be empty"),
     ("digit-lemma", {"depth_max": 0}, r"depth_max must lie in 1\.\.8"),
     ("digit-lemma", {"depth_max": 9}, r"depth_max must lie in 1\.\.8"),
+    ("ifs-translate", {"translate": []}, "translate must have at least 2"),
+    ("ifs-translate", {"translate": [0.5]}, "translate must have at least 2"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -435,3 +441,10 @@ def test_dense_ball_has_no_false_collision(tmp_path):
         far = np.linalg.norm(diff, axis=2) >= 0.5
         oracle = np.minimum(oracle, np.abs(diff[far] @ rows.T).min(axis=0))
     assert eps[maps] == pytest.approx(oracle, rel=1e-6)
+
+
+@pytest.mark.parametrize("n_blocks", [4, 8, 12])
+def test_parabola_resolution_is_the_tree_value(n_blocks):
+    # all-directions' atom resolution, bit for bit, against the KD-tree
+    pts = parabola_lift_measure(0.25, n_blocks).points
+    assert experiments._parabola_resolution(pts) == min_nn_distance(pts)

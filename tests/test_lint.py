@@ -70,6 +70,7 @@ TEST_ONLY = (
     ("exceptional_set_membership",
      "kept to probe the dyadic directions of all-directions (ROADMAP)"),
     ("read_points_csv", "reader of the CSVs that --export-points writes"),
+    ("min_nn_distance", "KD-tree oracle of all-directions' atom resolution"),
 )
 
 
