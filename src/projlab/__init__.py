@@ -24,13 +24,12 @@ from .geom import (AtomicMeasure, PointSet, normalized_measure,
                    read_points_csv, write_points_csv)
 from .linalg import sample_e_batch
 from .dimension import (ScalingFit, assouad_probe, box_dimension_fit,
-                        covering_number, fit_loglog, local_dimension,
-                        min_nn_distance)
-from .constructions import (BitWord, IfsSpec, SphereNetSpec, block_constraints,
+                        covering_number, fit_loglog, local_dimension)
+from .constructions import (IfsSpec, SphereNetSpec, block_constraints,
                             dense_ball_atoms, exceptional_set_membership,
                             ifs_atoms, kernel_shell_witnesses,
-                            parabola_lift_measure, pi_encode, sparse_atoms,
-                            sphere_net, sphere_net_union, verify_digit_lemma,
+                            parabola_lift_measure, sparse_atoms, sphere_net,
+                            sphere_net_union, verify_digit_lemma,
                             word_entropy_dimension)
 from .embedding import (collision_probability, holder_ceiling,
                         inverse_continuity_modulus, log_lipschitz_modulus,

@@ -34,67 +34,18 @@ SHELL_POINT_CAP = 700_000
 FIB_DENSITY = 6.0  # points per (r/ell)^2 on a 2-sphere shell
 
 
-# --- bit words and dyadic rationals ---
-
-
-@dataclass(frozen=True)
-class BitWord:
-    """0/1 word of even length, bits indexed from 1, grouped in pairs.
-
-    Block n consists of positions (2n-1, 2n); the word is admissible when
-    every odd (left) position is 0, so all information sits in the right
-    bits.
-    """
-
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) == 0 or len(self.bits) % 2 != 0:
-            raise ValueError("word length must be a positive even number")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @classmethod
-    def from_right_bits(cls, right_bits):
-        bits = []
-        for b in right_bits:
-            bits += [0, int(b)]
-        return cls(tuple(bits))
-
-    def to_string(self):
-        return " ".join(
-            "%d%d" % (self.bits[2 * n], self.bits[2 * n + 1])
-            for n in range(self.n_blocks)
-        )
-
-    @property
-    def n_blocks(self):
-        return len(self.bits) // 2
-
-    def right_bits(self):
-        return tuple(self.bits[2 * n + 1] for n in range(self.n_blocks))
-
-
-def pi_encode(word):
-    """Binary-expansion encoding: word -> sum of bit_j * 2^-j, exactly."""
-    num = 0
-    length = len(word.bits)
-    for j, b in enumerate(word.bits, start=1):
-        num += b << (length - j)
-    return Fraction(num, 1 << length)
-
-
 # --- digit arithmetic ---
 
 
-def _sigma_word_int(right_bits_int, n_blocks):
-    """Integer encoding (MSB = position 1) of the admissible word with the
-    given right-bit pattern (bit n-1 of right_bits_int = block n's bit)."""
-    total = 0
+def _sigma_words(n_blocks):
+    """Integer encodings (MSB = position 1) of all 2^n_blocks admissible
+    words, as int64, indexed by right-bit pattern r: bit n-1 of r is block
+    n's right bit, at position 2n."""
+    r = np.arange(1 << n_blocks, dtype=np.int64)
+    words = np.zeros_like(r)
     for n in range(1, n_blocks + 1):
-        bit = (right_bits_int >> (n - 1)) & 1
-        total |= bit << (2 * n_blocks - 2 * n)
-    return total
+        words |= ((r >> (n - 1)) & 1) << (2 * n_blocks - 2 * n)
+    return words
 
 
 def _corrupt_add(x, y, mode):
@@ -105,55 +56,42 @@ def _corrupt_add(x, y, mode):
     return x + y + 1  # off by one ulp
 
 
-def _pair_problems(x, y, z, depth):
-    """What one pair of words violates: x and y are the integer encodings
-    of two admissible depth-block words, z the adder's sum.  The sum
-    escaping [0, 1) ends the list; otherwise the first prefix carry and
-    every failing block check are named."""
+def _problem_masks(x, y, z, depth):
+    """What pairs of words violate, as (name, mask) pairs in report order.
+
+    x and y are int64 arrays of encodings of depth-block words, z the
+    adder's sums.  The first mask marks sums that escape [0, 1); every
+    other mask is false there.  Then, per position k, the pairs whose
+    first prefix carry is at k: both words hold a 0 at k, yet the top k-1
+    bits of z are not the sum of theirs.  Then, per block n, the pairs
+    whose block value 2 zl + zr differs from xr + yr, followed by the
+    forcing rule that z's block (zl, zr) names.  As zl, zr, xr and yr are
+    bits, that rule fails exactly when the value does: (1,1) always,
+    (0,0), (0,1) and (1,0) when xr + yr is not 0, 1 and 2 respectively.
+    """
     length = 2 * depth
-    if z >= (1 << length):
-        return ["sum escapes [0,1)"]
-    bad = []
+    fits = z < (1 << length)
+    masks = [("sum escapes [0,1)", ~fits)]
+    either = x | y
+    no_carry_yet = fits.copy()
     for k in range(1, length + 1):
         shift = length - k + 1
-        if (x >> (shift - 1)) & 1 or (y >> (shift - 1)) & 1:
-            continue
-        if z >> shift != (x >> shift) + (y >> shift):
-            bad.append("prefix carry at position %d" % k)
-            break
+        carry = no_carry_yet & (((either >> (shift - 1)) & 1) == 0) \
+            & (z >> shift != (x >> shift) + (y >> shift))
+        masks.append(("prefix carry at position %d" % k, carry))
+        no_carry_yet &= ~carry
     for n in range(1, depth + 1):
-        zl = (z >> (length - 2 * n + 1)) & 1
-        zr = (z >> (length - 2 * n)) & 1
-        xr = (x >> (length - 2 * n)) & 1
-        yr = (y >> (length - 2 * n)) & 1
-        if 2 * zl + zr != xr + yr:
-            bad.append("block value mismatch at block %d" % n)
-        if (zl, zr) == (1, 1):
-            bad.append("infeasible block (1,1) at block %d" % n)
-        elif (zl, zr) == (0, 0) and not (xr == 0 and yr == 0):
-            bad.append("(0,0) block fails to force zeros")
-        elif (zl, zr) == (1, 0) and not (xr == 1 and yr == 1):
-            bad.append("(1,0) block fails to force ones")
-        elif (zl, zr) == (0, 1) and xr + yr != 1:
-            bad.append("(0,1) block fails exactly-one")
-    return bad
-
-
-def _violation_mask(x, y, z, depth):
-    """bool(_pair_problems(x, y, z, depth)) over int64 arrays of pairs."""
-    length = 2 * depth
-    bad = z >= (1 << length)
-    for shift in range(length, 0, -1):  # position k = length - shift + 1
-        both_zero = (((x | y) >> (shift - 1)) & 1) == 0
-        bad |= both_zero & (z >> shift != (x >> shift) + (y >> shift))
-    for n in range(1, depth + 1):
-        # with zl, zr, xr, yr bits, 2 zl + zr = xr + yr rules out (1,1)
-        # and makes each forcing check hold: a block fails exactly when
-        # its value does
-        z_block = (z >> (length - 2 * n)) & 3
-        bad |= z_block != ((x >> (length - 2 * n)) & 1) \
-            + ((y >> (length - 2 * n)) & 1)
-    return bad
+        low = length - 2 * n
+        z_block = (z >> low) & 3
+        wrong = fits & (z_block != ((x >> low) & 1) + ((y >> low) & 1))
+        masks.append(("block value mismatch at block %d" % n, wrong))
+        rules = ("(0,0) block fails to force zeros",
+                 "(0,1) block fails exactly-one",
+                 "(1,0) block fails to force ones",
+                 "infeasible block (1,1) at block %d" % n)
+        masks += [(rule, wrong & (z_block == value))
+                  for value, rule in enumerate(rules)]
+    return masks
 
 
 def verify_digit_lemma(depth, corrupt_seed=None):
@@ -179,15 +117,14 @@ def verify_digit_lemma(depth, corrupt_seed=None):
         raise ValueError("exhaustive check supports depths 1..8")
     n_words = 1 << depth
     mode = None if corrupt_seed is None else corrupt_seed % 3
-    words = np.array([_sigma_word_int(r, depth) for r in range(n_words)],
-                     dtype=np.int64)
+    words = _sigma_words(depth)
     x = np.repeat(words, n_words)  # pair xi * n_words + yi
     y = np.tile(words, n_words)
     z = x + y if mode is None else _corrupt_add(x, y, mode)
-    bad = np.flatnonzero(_violation_mask(x, y, z, depth))
+    masks = _problem_masks(x, y, z, depth)
+    bad = np.flatnonzero(np.any([mask for _, mask in masks], axis=0))
     examples = [{"x": i // n_words, "y": i % n_words,
-                 "problems": _pair_problems(int(x[i]), int(y[i]), int(z[i]),
-                                            depth)}
+                 "problems": [name for name, mask in masks if mask[i]]}
                 for i in bad[:8].tolist()]
     return {
         "depth": depth,
@@ -228,12 +165,15 @@ def block_constraints(z, n_blocks):
     return tags
 
 
-def exceptional_set_membership(alpha, beta, word):
-    """Whether the word can collide under the weighting (alpha, beta).
+def exceptional_set_membership(alpha, beta, r, n_blocks):
+    """Whether the n_blocks-block word with right-bit pattern r can collide
+    under the weighting (alpha, beta).
 
-    The collision equation alpha*x + beta*y = 0 with encoded x, y reduces
-    to x + y = z for z = -alpha/beta.  Finite-depth surrogate for the
-    dichotomy that governs it:
+    Bit n-1 of r is block n's right bit, so r indexes the atoms of
+    parabola_lift_measure(p, n_blocks).  The collision equation
+    alpha*x + beta*y = 0 with encoded x, y reduces to x + y = z for
+    z = -alpha/beta.  Finite-depth surrogate for the dichotomy that
+    governs it:
 
     * z outside [0,1): sums of two encodings never reach z, not a member;
     * any block of z infeasible (1,1): no solutions, not a member;
@@ -245,19 +185,21 @@ def exceptional_set_membership(alpha, beta, word):
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
+    if not 0 <= r < 1 << n_blocks:
+        raise ValueError("r must index one of the 2^n_blocks words")
     z = -Fraction(alpha) / Fraction(beta)
     if not 0 <= z < 1:
         return False
-    tags = block_constraints(z, word.n_blocks)
+    tags = block_constraints(z, n_blocks)
     if BLOCK_INFEASIBLE in tags:
         return False
-    rb = word.right_bits()
+    rb = [(r >> n) & 1 for n in range(n_blocks)]
     forced = [(n, tag) for n, tag in enumerate(tags)
               if tag in (BLOCK_BOTH_ZERO, BLOCK_BOTH_ONE)]
     if forced:
         want = {BLOCK_BOTH_ZERO: 0, BLOCK_BOTH_ONE: 1}
         return all(rb[n] == want[tag] for n, tag in forced)
-    return sum(rb) * 2 >= word.n_blocks
+    return sum(rb) * 2 >= n_blocks
 
 
 # --- the encoded measure and its parabola lift ---
@@ -266,31 +208,31 @@ def exceptional_set_membership(alpha, beta, word):
 def parabola_lift_measure(p, n_blocks):
     """Exact lift of the blocked-digit measure to the parabola.
 
-    Enumerates all 2^n_blocks admissible words, encodes each as an exact
-    dyadic x, and places weight p^ones (1-p)^zeros at (x, x^2).  Weights
-    are computed as exact rationals before the float conversion.
+    Enumerates all 2^n_blocks admissible words, atom r being the word with
+    right-bit pattern r, encodes each as an exact dyadic x, and places
+    weight p^ones (1-p)^zeros at (x, x^2), labelled with the word's bits in
+    blocks.  The n_blocks + 1 weights, one per count of ones, are exact
+    rationals until the float conversion; they sum to (p + (1-p))^n = 1.
     """
+    if n_blocks < 1:
+        raise ValueError("n_blocks must be at least 1")
     if n_blocks > 20:
         raise ValueError("refusing to enumerate more than 2^20 atoms")
     p = Fraction(p)
     if not 0 < p < Fraction(1, 2):
         raise ValueError("p must lie in (0, 1/2)")
     length = 2 * n_blocks
-    scale = float(1 << length)  # dividing by a power of two is exact
-    pts = np.empty((1 << n_blocks, 2))
-    weights = []
-    labels = []
-    for r in range(1 << n_blocks):
-        ones = r.bit_count()
-        x = _sigma_word_int(r, n_blocks)
-        pts[r] = x / scale, x * x / (scale * scale)
-        weights.append(p**ones * (1 - p) ** (n_blocks - ones))
-        bits = format(x, "0%db" % length)  # the word, as BitWord.to_string
-        labels.append(" ".join(bits[j:j + 2] for j in range(0, length, 2)))
-    total = sum(weights)
-    w = np.array([float(wt / total) for wt in weights])
+    words = _sigma_words(n_blocks)
+    x = words / float(1 << length)  # exact: words < 2^40, a power-of-two scale
+    by_ones = np.array([float(p**k * (1 - p) ** (n_blocks - k))
+                        for k in range(n_blocks + 1)])
+    w = by_ones[np.bitwise_count(words)]
     w /= w.sum()
-    return AtomicMeasure(pts, w, labels=labels)
+    labels = []
+    for word in words.tolist():
+        bits = format(word, "0%db" % length)
+        labels.append(" ".join(bits[j:j + 2] for j in range(0, length, 2)))
+    return AtomicMeasure(np.column_stack([x, x * x]), w, labels=labels)
 
 
 def word_entropy_dimension(p):

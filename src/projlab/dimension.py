@@ -138,11 +138,6 @@ def _resolution(nn):
     return float(positive.min()) if len(positive) else 0.0
 
 
-def min_nn_distance(pts):
-    """Minimum positive nearest-neighbor distance (the resolution scale)."""
-    return _resolution(cover_index(pts)[1])
-
-
 def dyadic_scales(delta_max, delta_min):
     """Geometric grid with ratio 2 from delta_max down to delta_min."""
     if not 0 < delta_min < delta_max:

@@ -388,10 +388,12 @@ def log_lip_pass(pd, f_mod, images, m_const):
 
     pd and f_mod are the atoms' n x n distances and modulus values f(pd),
     images their (n, k) images.  With im the image distances and the
-    normalizer N = 2 max im, atom i gets alpha_i, holder_ceiling(pd_i / N,
-    im_i / N, M) over its row, and c_hat_i, the least im_ij / f_ij over its
-    partners (pd_ij > 0), inf without one: both bit for bit what the whole
-    n x n matrices give.  Returns (alpha, c_hat).
+    normalizer N = 2 max im, or N = 1 when every image coincides (any
+    positive N gives the same ceilings there), atom i gets alpha_i,
+    holder_ceiling(pd_i / N, im_i / N, M) over its row, and c_hat_i, the
+    least im_ij / f_ij over its partners (pd_ij > 0), inf without one:
+    both bit for bit what the whole n x n matrices give.  Returns
+    (alpha, c_hat).
 
     The pass walks blocks of TRI_BLOCK rows over the columns from the
     block's first row on, so that a block's arrays stay in cache.  pd and
@@ -442,7 +444,7 @@ def log_lip_pass(pd, f_mod, images, m_const):
         r, c = np.nonzero(part > lo * im)
         upper = c > r  # the block's own lower triangle repeats its pairs
         cand.append((r[upper] + s, c[upper] + s, im[r[upper], c[upper]]))
-    normalizer = 2.0 * top
+    normalizer = 2.0 * top if top > 0.0 else 1.0
     if not normalizer <= 2.0 ** 485:
         raise ValueError("image distances beyond 2^484 leave the range "
                          "where the candidate pairs are certified")

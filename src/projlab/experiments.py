@@ -736,7 +736,8 @@ def _decode_sparse(cfg, art, threads):
 
 
 def _parabola_resolution(points):
-    """min_nn_distance of atoms (x, x^2) with distinct x >= 0, no tree.
+    """Least nearest-neighbour distance of atoms (x, x^2) with distinct
+    x >= 0, found without a tree.
 
     The squared distance from (x, x^2) to (y, y^2) is
     (x - y)^2 (1 + (x + y)^2).  For y >= x both factors grow with y.  For

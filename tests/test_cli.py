@@ -108,6 +108,16 @@ def test_refused_run_leaves_no_output_directory(tmp_path):
     assert not out.exists()
 
 
+def test_n_blocks_below_one_exit_two(tmp_path):
+    for n_blocks in (0, -1):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_blocks": n_blocks}))
+        for name in ("all-directions", "local-dim"):
+            proc = run_cli(name, "--seed", "0", "--config", str(cfg))
+            assert proc.returncode == 2, (name, n_blocks)
+            assert "n_blocks must be at least 1" in proc.stderr
+
+
 def test_threads_below_one_exit_two():
     for threads in ("0", "-2"):
         proc = run_cli("digit-lemma", "--threads", threads)

@@ -10,17 +10,18 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from oracles import (BitWord, pair_problems, parabola_lift_oracle, pi_encode,
+                     word_ints)
 from projlab import constructions
-from projlab.constructions import (PRECISION_FLOOR, BitWord, IfsSpec,
-                                   SphereNetSpec, _corrupt_add,
-                                   _lattice_filter, _pair_problems,
-                                   _separated_filter, _sigma_word_int,
-                                   _violation_mask, block_constraints,
-                                   dense_ball_atoms, exceptional_set_membership,
+from projlab.constructions import (PRECISION_FLOOR, IfsSpec, SphereNetSpec,
+                                   _corrupt_add, _lattice_filter,
+                                   _problem_masks, _separated_filter,
+                                   block_constraints, dense_ball_atoms,
+                                   exceptional_set_membership,
                                    fibonacci_sphere, ifs_atoms,
                                    kernel_shell_witnesses,
-                                   parabola_lift_measure, pi_encode,
-                                   sparse_atoms, sphere_net, sphere_net_union,
+                                   parabola_lift_measure, sparse_atoms,
+                                   sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
 from projlab.linalg import sample_e_batch
 
@@ -51,8 +52,7 @@ def test_pi_encode_frozen_value():
 def test_pi_encode_injective_depth_5():
     seen = set()
     for r in range(2**5):
-        w = BitWord.from_right_bits([(r >> n) & 1 for n in range(5)])
-        seen.add(pi_encode(w))
+        seen.add(pi_encode(BitWord.from_pattern(r, 5)))
     assert len(seen) == 2**5
 
 
@@ -77,39 +77,13 @@ def test_digit_lemma_catches_every_corruption_mode():
 
 def _digit_lemma_loop(depth, corrupt_seed=None):
     """verify_digit_lemma pair by pair in Python integers, as an oracle."""
-    length = 2 * depth
     mode = None if corrupt_seed is None else corrupt_seed % 3
-    words = [_sigma_word_int(r, depth) for r in range(1 << depth)]
+    words = word_ints(depth)
     violations, examples = 0, []
     for xi, x in enumerate(words):
         for yi, y in enumerate(words):
             z = x + y if mode is None else _corrupt_add(x, y, mode)
-            bad = []
-            if z >= (1 << length):
-                bad.append("sum escapes [0,1)")
-            else:
-                for k in range(1, length + 1):
-                    shift = length - k + 1
-                    if (x >> (shift - 1)) & 1 or (y >> (shift - 1)) & 1:
-                        continue
-                    if z >> shift != (x >> shift) + (y >> shift):
-                        bad.append("prefix carry at position %d" % k)
-                        break
-                for n in range(1, depth + 1):
-                    zl = (z >> (length - 2 * n + 1)) & 1
-                    zr = (z >> (length - 2 * n)) & 1
-                    xr = (x >> (length - 2 * n)) & 1
-                    yr = (y >> (length - 2 * n)) & 1
-                    if 2 * zl + zr != xr + yr:
-                        bad.append("block value mismatch at block %d" % n)
-                    if (zl, zr) == (1, 1):
-                        bad.append("infeasible block (1,1) at block %d" % n)
-                    elif (zl, zr) == (0, 0) and not (xr == 0 and yr == 0):
-                        bad.append("(0,0) block fails to force zeros")
-                    elif (zl, zr) == (1, 0) and not (xr == 1 and yr == 1):
-                        bad.append("(1,0) block fails to force ones")
-                    elif (zl, zr) == (0, 1) and xr + yr != 1:
-                        bad.append("(0,1) block fails exactly-one")
+            bad = pair_problems(x, y, z, depth)
             if bad:
                 violations += 1
                 if len(examples) < 8:
@@ -119,18 +93,23 @@ def _digit_lemma_loop(depth, corrupt_seed=None):
             "examples": examples}
 
 
+def _mask_names(x, y, z, depth):
+    """The problems _problem_masks names for each pair, in report order."""
+    masks = _problem_masks(x, y, z, depth)
+    return [[name for name, mask in masks if mask[i]] for i in range(len(x))]
+
+
 @pytest.mark.parametrize("corrupt_seed", [None, 0, 1, 2])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_digit_lemma_matches_the_pair_loop(depth, corrupt_seed):
     assert verify_digit_lemma(depth, corrupt_seed) == \
         _digit_lemma_loop(depth, corrupt_seed)
     mode = None if corrupt_seed is None else corrupt_seed % 3
-    words = np.array([_sigma_word_int(r, depth) for r in range(1 << depth)])
+    words = np.array(word_ints(depth))
     x, y = (a.ravel() for a in np.meshgrid(words, words, indexing="ij"))
     z = x + y if mode is None else _corrupt_add(x, y, mode)
-    mask = _violation_mask(x, y, z, depth)
-    assert mask.tolist() == [
-        bool(_pair_problems(int(a), int(b), int(c), depth))
+    assert _mask_names(x, y, z, depth) == [
+        pair_problems(int(a), int(b), int(c), depth)
         for a, b, c in zip(x, y, z)]
 
 
@@ -142,9 +121,8 @@ def test_violation_mask_matches_the_pair_checks_on_any_bits(depth):
     x, y, z = np.random.default_rng(depth).integers(
         0, [[1 << length], [1 << length], [1 << (length + 1)]], (3, 4000))
     z[::2] = x[::2] + y[::2] + (z[::2] & 1)  # near sums: few block errors
-    mask = _violation_mask(x, y, z, depth)
-    assert mask.tolist() == [
-        bool(_pair_problems(int(a), int(b), int(c), depth))
+    assert _mask_names(x, y, z, depth) == [
+        pair_problems(int(a), int(b), int(c), depth)
         for a, b, c in zip(x, y, z)]
 
 
@@ -190,41 +168,43 @@ def test_block_constraints_frozen():
 
 def test_membership_forced_blocks():
     # alpha x + beta y = 0 with z = -alpha/beta = 1/2: block 1 forces both
-    # right bits to 1, all deeper blocks force 0
-    member = BitWord.from_right_bits([1, 0, 0])
-    outsider = BitWord.from_right_bits([0, 1, 0])
-    assert exceptional_set_membership(-1, 2, member)
-    assert not exceptional_set_membership(-1, 2, outsider)
+    # right bits to 1, all deeper blocks force 0; right bits (1, 0, 0) are
+    # pattern 1, (0, 1, 0) pattern 2
+    assert exceptional_set_membership(-1, 2, 1, 3)
+    assert not exceptional_set_membership(-1, 2, 2, 3)
 
 
 def test_membership_infeasible_and_out_of_range():
-    w = BitWord.from_right_bits([1, 1])
-    assert not exceptional_set_membership(-3, 4, w)  # z = 3/4 infeasible
-    assert not exceptional_set_membership(1, 2, w)  # z = -1/2 out of range
+    assert not exceptional_set_membership(-3, 4, 3, 2)  # z = 3/4 infeasible
+    assert not exceptional_set_membership(1, 2, 3, 2)  # z = -1/2 out of range
     with pytest.raises(ValueError):
-        exceptional_set_membership(1, 0, w)
+        exceptional_set_membership(1, 0, 3, 2)
+    for r in (-1, 4):
+        with pytest.raises(ValueError, match="r must index"):
+            exceptional_set_membership(-1, 2, r, 2)
 
 
 def test_membership_free_blocks_frequency():
     # z = 1/3 = 0.010101.. leaves every block free; membership then asks
-    # for right-bit frequency at least 1/2
-    heavy = BitWord.from_right_bits([1, 1, 0, 1])
-    light = BitWord.from_right_bits([0, 0, 0, 1])
-    assert exceptional_set_membership(-1, 3, heavy)
-    assert not exceptional_set_membership(-1, 3, light)
+    # for right-bit frequency at least 1/2: right bits (1, 1, 0, 1) are
+    # pattern 11, (0, 0, 0, 1) pattern 8
+    assert exceptional_set_membership(-1, 3, 11, 4)
+    assert not exceptional_set_membership(-1, 3, 8, 4)
 
 
 def test_membership_matches_exhaustive_solver():
     # depth-3 truth: the word is a member iff some pair of admissible
-    # words sums to z and one of them is the word itself
+    # words sums to z and one of them is the word itself; r indexes both
+    # the words and the atoms of the parabola lift
     depth = 3
     encs = brute_force_sums(depth)
+    assert parabola_lift_measure(0.25, depth).points[:, 0].tolist() == \
+        [float(x) for x in encs]
     for zi, z in enumerate([Fraction(1, 2), Fraction(5, 16), Fraction(0)]):
         solvable = {i for i, j in itertools.product(range(2**depth), repeat=2)
                     if encs[i] + encs[j] == z}
         for r in range(2**depth):
-            w = BitWord.from_right_bits([(r >> n) & 1 for n in range(depth)])
-            got = exceptional_set_membership(-z, 1, w)
+            got = exceptional_set_membership(-z, 1, r, depth)
             assert got == (r in solvable), (zi, r)
 
 
@@ -246,12 +226,14 @@ def test_parabola_lift_is_on_the_parabola():
 
 
 def test_parabola_lift_matches_the_word_encoding():
-    m = parabola_lift_measure(0.25, 6)
-    for r in range(2**6):
-        w = BitWord.from_right_bits([(r >> n) & 1 for n in range(6)])
-        x = pi_encode(w)
-        assert m.labels[r] == w.to_string()
-        assert m.points[r].tolist() == [float(x), float(x * x)]
+    # bit for bit against the word-by-word lift in exact rationals
+    for p in (0.1, 0.25, 1 / 3, 0.4, 0.49):
+        for n_blocks in range(1, 15):
+            m = parabola_lift_measure(p, n_blocks)
+            points, weights, labels = parabola_lift_oracle(p, n_blocks)
+            assert np.array_equal(m.points, points), (p, n_blocks)
+            assert np.array_equal(m.weights, weights), (p, n_blocks)
+            assert m.labels == labels, (p, n_blocks)
 
 
 def test_word_entropy_dimension_frozen():

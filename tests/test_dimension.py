@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from oracles import min_nn_distance
 from projlab.constructions import IfsSpec, ifs_atoms
 from projlab.dimension import (ScalingFit, assouad_probe, box_dimension_fit,
                                covering_number, cover_index, dyadic_scales,
-                               fit_loglog, local_dimension, min_nn_distance)
+                               fit_loglog, local_dimension)
 from projlab.geom import AtomicMeasure, PointSet
 
 

@@ -196,7 +196,8 @@ def _full_matrix_pass(pd, f_mod, images, m_const):
     """(alpha, c_hat) from the whole n x n matrices, as log-lip first took
     them map by map."""
     im = np.sqrt(_sq_norms(images[:, None, :], images[None, :, :]))
-    normalizer = 2.0 * float(im.max())
+    top = float(im.max())
+    normalizer = 2.0 * top if top > 0.0 else 1.0  # every image coincides
     alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_hat = np.min(im / f_mod, axis=1, initial=np.inf, where=pd > 0)
@@ -233,6 +234,21 @@ def test_log_lip_pass_blocks_and_permutation(seed, n, k, m_const):
                          images[perm], m_const)
     assert np.array_equal(moved[0], alpha[perm])
     assert np.array_equal(moved[1], c_hat[perm])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_lip_pass_total_collapse_is_an_exact_collision():
+    # two atoms at distance 1 with one image: each pair collides exactly,
+    # so both ceilings are 0, as holder_ceiling defines them
+    pd = np.array([[0.0, 1.0], [1.0, 0.0]])
+    f_mod = log_lipschitz_modulus(pd, 1.0, 2.0, 1.0)
+    images = np.zeros((2, 1))
+    for m_const in (1.0, 16.0):
+        alpha, c_hat = log_lip_pass(pd, f_mod, images, m_const)
+        assert alpha.tolist() == [0.0, 0.0]
+        assert c_hat.tolist() == [0.0, 0.0]
+        oracle = _full_matrix_pass(pd, f_mod, images, m_const)
+        assert [a.tolist() for a in oracle] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_log_lip_pass_refuses_images_beyond_the_certified_range():

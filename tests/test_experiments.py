@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from oracles import min_nn_distance
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses,
                                    parabola_lift_measure, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.dimension import min_nn_distance
 from projlab.embedding import (_sq_norms, image_sq_norms,
                                log_lipschitz_modulus, set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,

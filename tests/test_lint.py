@@ -65,12 +65,9 @@ def test_every_top_level_definition_is_used():
 
 # public definitions that only tests reach, each with its reason
 TEST_ONLY = (
-    ("BitWord", "oracle of the parabola-lift test"),
-    ("pi_encode", "oracle of the parabola-lift test"),
     ("exceptional_set_membership",
      "kept to probe the dyadic directions of all-directions (ROADMAP)"),
     ("read_points_csv", "reader of the CSVs that --export-points writes"),
-    ("min_nn_distance", "KD-tree oracle of all-directions' atom resolution"),
 )
 
 
