@@ -4,14 +4,14 @@ inverse-regularity experiments on finite point models.
 Submodules:
 
 * geom: point sets, atomic measures, CSV round-trip.
-* linalg: random maps with unit-ball rows, Gram-Schmidt on rows.
+* linalg: random map stacks with unit-ball rows.
 * dimension: covering numbers, box-counting and local-dimension fits,
   localized homogeneity probes.
 * constructions: sphere nets, blocked dyadic words and their parabola
   lift, exact digit arithmetic, IFS/sparse/dense atom clouds.
-* embedding: collision probabilities, transversality Monte Carlo,
-  the inverse continuity modulus, pointwise Holder ceilings, the
-  log-Lipschitz modulus.
+* embedding: per-map kernels on a given map stack: collision
+  probabilities, transversality fractions, the inverse continuity
+  modulus, pointwise Holder ceilings, the log-Lipschitz modulus.
 * slicing: slab conditionals on projected coordinates, Dirac scores,
   translate pairs.
 * experiments / cli: named, config-driven experiment runs with

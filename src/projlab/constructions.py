@@ -210,9 +210,9 @@ def parabola_lift_measure(p, n_blocks):
 
     Enumerates all 2^n_blocks admissible words, atom r being the word with
     right-bit pattern r, encodes each as an exact dyadic x, and places
-    weight p^ones (1-p)^zeros at (x, x^2), labelled with the word's bits in
-    blocks.  The n_blocks + 1 weights, one per count of ones, are exact
-    rationals until the float conversion; they sum to (p + (1-p))^n = 1.
+    weight p^ones (1-p)^zeros at (x, x^2).  The n_blocks + 1 weights, one
+    per count of ones, are exact rationals until the float conversion; they
+    sum to (p + (1-p))^n = 1.
     """
     if n_blocks < 1:
         raise ValueError("n_blocks must be at least 1")
@@ -228,11 +228,7 @@ def parabola_lift_measure(p, n_blocks):
                         for k in range(n_blocks + 1)])
     w = by_ones[np.bitwise_count(words)]
     w /= w.sum()
-    labels = []
-    for word in words.tolist():
-        bits = format(word, "0%db" % length)
-        labels.append(" ".join(bits[j:j + 2] for j in range(0, length, 2)))
-    return AtomicMeasure(np.column_stack([x, x * x]), w, labels=labels)
+    return AtomicMeasure(np.column_stack([x, x * x]), w)
 
 
 def word_entropy_dimension(p):

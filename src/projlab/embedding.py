@@ -7,10 +7,11 @@ Everything here asks one of two questions about a map image:
   invert the map on the set (inverse continuity modulus, pointwise
   Holder ceilings, the log-Lipschitz modulus)?
 * transversality: how likely is a random map to send a fixed vector
-  eps-close to a fixed target?
+  eps-close to the origin?
 
-All estimators are deterministic given their seed and report enough of
-their configuration to reproduce the run.
+No estimator draws maps: each takes the maps, or the images under them,
+that its caller drew, so every one is a deterministic function of its
+arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import numpy as np
 
 from .dimension import fit_loglog
-from .linalg import sample_e_batch
 
 PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
@@ -53,26 +53,33 @@ def points_provenance(points):
     return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
 
 
-def _frequency_fit(table, n_maps):
-    """log2-log2 fit of event frequency against eps over the (eps, count)
-    rows with events; None with fewer than three such rows."""
-    positive = [(e, c / n_maps) for e, c in table if c > 0]
+def _tail_table(stat, eps_grid):
+    """How many entries of stat are at most eps, for each eps of the grid.
+
+    Returns the (eps, count) rows in decreasing eps and the log2-log2 fit
+    of the frequency count / len(stat) against eps over the rows with
+    events, as {slope, intercept, r_squared}; the fit is None with fewer
+    than three such rows.
+    """
+    eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
+    table = [(float(e), int(np.count_nonzero(stat <= e))) for e in eps_grid]
+    positive = [(e, c / len(stat)) for e, c in table if c > 0]
     if len(positive) < 3:
-        return None
+        return table, None
     slope, intercept, r2 = fit_loglog(*map(np.array, zip(*positive)))
     # fit_loglog regresses against log2(1/eps); event frequency grows
     # with eps, so flip to report d log2(freq) / d log2(eps)
-    return {"slope": -slope, "intercept": intercept, "r_squared": r2}
+    return table, {"slope": -slope, "intercept": intercept, "r_squared": r2}
 
 
-def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
-    """Chance over random maps that some far point lands eps-close to the
-    base point's image.
+def collision_probability(points, base_index, delta, eps_grid, rows):
+    """Chance over a stack of maps that some far point lands eps-close to
+    the base point's image.
 
-    For each sampled map the statistic is the minimum image distance from
-    the base to the points at distance >= delta; the per-eps count is how
-    many maps push that minimum below eps.  Returns the counts and a
-    log2-log2 fit of frequency against eps.
+    rows is an (m, k, N) stack of maps.  For each map the statistic is the
+    minimum image distance from the base to the points at distance
+    >= delta; the per-eps count is how many maps push that minimum below
+    eps.  Returns the counts and a log2-log2 fit of frequency against eps.
 
     The maps are taken in blocks of MAP_BLOCK: one product gives the
     images of every far difference under every map of the block, and the
@@ -82,73 +89,52 @@ def collision_probability(points, base_index, delta, eps_grid, k, n_maps, seed):
     may differ in the last bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
-    if eps_grid.size < 2:
+    if len(eps_grid) < 2:
         raise ValueError("need at least two tolerance levels")
-    if np.any(2 * eps_grid > delta):
+    if 2 * max(eps_grid) > delta:
         raise ValueError("grid leaves the regime 2*eps <= delta")
-    warnings = []
-    if n_maps < 100:
-        warnings.append("fewer than 100 maps: low statistical power")
     base = points[base_index]
     far = points[np.linalg.norm(points - base, axis=1) >= delta]
     if len(far) == 0:
         raise ValueError("no points at distance >= delta from the base")
-    rows = sample_e_batch(points.shape[1], k, n_maps, seed)
     diffs = far - base
     diffs_t = np.ascontiguousarray(diffs.T)
-    min2 = np.empty(n_maps)
-    for s in range(0, n_maps, MAP_BLOCK):
+    min2 = np.empty(len(rows))
+    for s in range(0, len(rows), MAP_BLOCK):
         block = rows[s:s + MAP_BLOCK]
-        if k == 1:  # a one-row map gives matrix-vector products, which
-            # BLAS sums in another order than a matrix product: keep them
+        if rows.shape[1] == 1:  # a one-row map gives matrix-vector products,
+            # which BLAS sums in another order than a matrix product: keep them
             images = diffs @ np.swapaxes(block, 1, 2)
         else:
             images = np.swapaxes(block @ diffs_t, 1, 2)
         min2[s:s + MAP_BLOCK] = _sq_norms(images).min(axis=1)
     mins = np.sqrt(min2)
-    counts = [(float(e), int(np.count_nonzero(mins <= e))) for e in eps_grid]
+    table, fit = _tail_table(mins, eps_grid)
     return {
-        "delta": float(delta),
-        "k": k,
-        "n_maps": n_maps,
+        "n_maps": len(rows),
         "n_far": int(len(far)),
-        "seed": seed,
-        "sampler": "unit-ball-rows",
         "points_hash": points_provenance(points),
-        "warnings": warnings,
-        "table": counts,
+        "table": table,
         "min_distances": mins,
-        "fit": _frequency_fit(counts, n_maps),
+        "fit": fit,
     }
 
 
-def transversality_fraction(x, z, eps_grid, k, n_maps, seed):
-    """Empirical P(|Lx + z| <= eps) over the random map family.
+def transversality_fraction(x, eps_grid, rows):
+    """Empirical P(|Lx| <= eps) over an (m, k, N) stack of maps.
 
     Returns per-eps counts, the log2-log2 slope of the frequency, and the
     calibrated constant C = max over the grid of freq * |x|^k / eps^k.
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
-    rows = sample_e_batch(x.size, k, n_maps, seed)
-    vals = np.linalg.norm(rows @ x + z, axis=1)
+    n_maps, k = rows.shape[:2]
+    table, fit = _tail_table(np.linalg.norm(rows @ x, axis=1), eps_grid)
     xnorm = float(np.linalg.norm(x))
-    table = []
-    c_values = []
-    for e in eps_grid:
-        c = int(np.count_nonzero(vals <= e))
-        table.append((float(e), c))
-        c_values.append((c / n_maps) * xnorm**k / e**k)
+    c_values = [(c / n_maps) * xnorm**k / e**k for e, c in table]
     return {
-        "k": k,
-        "n_maps": n_maps,
-        "seed": seed,
-        "sampler": "unit-ball-rows",
         "x_norm": xnorm,
         "table": table,
-        "fit": _frequency_fit(table, n_maps),
+        "fit": fit,
         "c_hat": float(max(c_values)),
         "c_by_eps": [float(c) for c in c_values],
     }

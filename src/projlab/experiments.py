@@ -269,6 +269,8 @@ def _digit_lemma(cfg, art, threads):
     "r2_min": 0.98, "seed": None,
 })
 def _box_dim(cfg, art, threads):
+    if cfg["l_law"] != "pow2t":  # pow2sq's upper box dimension is k
+        raise ValueError("the target k(t-1)/t holds only for l_law 'pow2t'")
     floor = cfg["sep_floor"]
     if floor == "auto":
         floor = cfg["delta_min"] / 4.0
@@ -278,10 +280,7 @@ def _box_dim(cfg, art, threads):
                              sep_floor=floor)
     fit = box_dimension_fit(union, cfg["delta_max"], cfg["delta_min"],
                             n_scales=cfg["n_scales"])
-    if cfg["l_law"] == "pow2t":
-        target = cfg["k"] * (cfg["t"] - 1.0) / cfg["t"]
-    else:
-        target = 0.0
+    target = cfg["k"] * (cfg["t"] - 1.0) / cfg["t"]
     shell_counts = {}
     for lab in union.labels:
         shell_counts[str(lab)] = shell_counts.get(str(lab), 0) + 1
@@ -401,10 +400,10 @@ def _local_dim(cfg, art, threads):
 def _transversality(cfg, art, threads):
     x = np.zeros(cfg["ambient_dim"])
     x[0] = 1.0
-    z = np.zeros(cfg["k"])
     grid = dyadic_scales(cfg["eps_max"], cfg["eps_min"])
-    res = transversality_fraction(x, z, grid, cfg["k"], cfg["n_maps"],
-                                  cfg["seed"])
+    rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
+                          cfg["seed"])
+    res = transversality_fraction(x, grid, rows)
     art.table("transversality", ["eps", "count", "fraction", "c_at_eps"],
               [(e, c, c / cfg["n_maps"], cv)
                for (e, c), cv in zip(res["table"], res["c_by_eps"])])
@@ -450,8 +449,9 @@ def _collision_scaling(cfg, art, threads):
     # ~0.2: union saturation flattens the top of the curve and eats the
     # envelope's margin (theta is only 0.1)
     grid = dyadic_scales(cfg["eps_max"], cfg["eps_min"])
-    res = collision_probability(union.points, base, cfg["delta"], grid,
-                                cfg["k"], cfg["n_maps"], cfg["seed"])
+    rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
+                          cfg["seed"])
+    res = collision_probability(union.points, base, cfg["delta"], grid, rows)
     fracs = [(e, c / cfg["n_maps"]) for e, c in res["table"]]
     # calibrate the envelope at the largest tolerance
     exp = cfg["k"] - 1.0 - cfg["theta"]

@@ -18,7 +18,6 @@ import numpy as np
 
 from .embedding import _sq_norms
 from .geom import AtomicMeasure
-from .linalg import orthonormalize_rows
 
 
 def slab_conditional(measure, coords, center, half_width):
@@ -94,20 +93,11 @@ def dirac_score(measure, tau):
 
 
 def _complement_plane(t):
-    """Orthonormal basis of the hyperplane orthogonal to t."""
-    t = np.asarray(t, dtype=float)
-    n = t.size
-    unit = t / np.linalg.norm(t)
-    seedlings = np.eye(n)
-    rows = [unit]
-    for e in seedlings:
-        try:
-            rows.append(orthonormalize_rows(np.vstack(rows + [e]))[-1])
-        except ValueError:
-            continue
-        if len(rows) == n:
-            break
-    return np.vstack(rows[1:])
+    """Orthonormal basis of the hyperplane orthogonal to t, as rows: the
+    last n - 1 columns of Q in a QR factorization of [t, I]."""
+    n = len(t)
+    q, _ = np.linalg.qr(np.column_stack([t, np.eye(n)]))
+    return q[:, 1:n].T
 
 
 def nn_spacing_at(coords, center):

@@ -112,7 +112,7 @@ def pair_problems(x, y, z, depth):
 
 
 def parabola_lift_oracle(p, n_blocks):
-    """(points, weights, labels) of the parabola lift, word by word: atom r
+    """(points, weights) of the parabola lift, word by word: atom r
     is the word with right-bit pattern r at (x, x^2), x = pi_encode, with
     weight p^ones (1-p)^zeros / total in exact rationals, then renormalized
     in floats."""
@@ -125,7 +125,7 @@ def parabola_lift_oracle(p, n_blocks):
     w = np.array([float(wt / total) for wt in weights])
     w /= w.sum()
     points = np.array([[float(x), float(x * x)] for x in xs])
-    return points, w, [word.to_string() for word in words]
+    return points, w
 
 
 def min_nn_distance(pts):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from projlab import embedding
-from projlab.embedding import (_sq_norms, collision_probability,
+from projlab.embedding import (_sq_norms, _tail_table, collision_probability,
                                holder_ceiling, inverse_continuity_modulus,
                                log_lip_pass, log_lipschitz_modulus,
                                origin_ceiling_scorer, set_diameter,
@@ -20,28 +20,41 @@ from projlab.linalg import sample_e_batch
 def test_collision_probability_fields_and_monotonicity():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, (150, 3))
+    rows = sample_e_batch(3, 2, 400, seed=7)
     out = collision_probability(pts, base_index=0, delta=0.25,
                                 eps_grid=[2.0**-3, 2.0**-4, 2.0**-5],
-                                k=2, n_maps=400, seed=7)
+                                rows=rows)
     counts = [c for _, c in out["table"]]
     eps = [e for e, _ in out["table"]]
     assert eps == sorted(eps, reverse=True)
     assert counts == sorted(counts, reverse=True)  # events shrink with eps
-    assert out["n_maps"] == 400 and out["k"] == 2
-    assert out["sampler"] == "unit-ball-rows"
+    assert out["n_maps"] == 400
     again = collision_probability(pts, base_index=0, delta=0.25,
                                   eps_grid=[2.0**-3, 2.0**-4, 2.0**-5],
-                                  k=2, n_maps=400, seed=7)
+                                  rows=rows)
     assert again["table"] == out["table"]
 
 
-def _collision_loop(points, base_index, delta, eps_grid, k, n_maps, seed):
+def test_tail_table_inclusive_and_descending():
+    # a statistic equal to some eps counts there; the grid may come in any
+    # order and the rows come back in decreasing eps; the fit needs three
+    # rows with events
+    stat = np.array([0.125, 0.25, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    table, fit = _tail_table(stat, [0.25, 0.5, 1.0, 2.0])
+    assert table == [(2.0, 6), (1.0, 5), (0.5, 4), (0.25, 3)]
+    assert all(type(e) is float and type(c) is int for e, c in table)
+    assert fit["slope"] > 0 and 0 < fit["r_squared"] <= 1
+    assert _tail_table(stat, [2.0, 0.25, 1.0, 0.5]) == (table, fit)
+    assert _tail_table(stat, [0.01, 0.1, 0.125, 0.25]) == (
+        [(0.25, 3), (0.125, 1), (0.1, 0), (0.01, 0)], None)
+
+
+def _collision_loop(points, base_index, delta, eps_grid, rows):
     """Per-map minima and table, one map at a time, as a direct oracle."""
     base = points[base_index]
     far = points[np.linalg.norm(points - base, axis=1) >= delta]
-    rows = sample_e_batch(points.shape[1], k, n_maps, seed)
-    mins = np.array([np.linalg.norm((far - base) @ rows[m].T, axis=1).min()
-                     for m in range(n_maps)])
+    mins = np.array([np.linalg.norm((far - base) @ op.T, axis=1).min()
+                     for op in rows])
     table = [(float(e), int(np.count_nonzero(mins <= e)))
              for e in sorted(eps_grid, reverse=True)]
     return mins, table
@@ -55,8 +68,9 @@ def test_collision_blocks_match_the_per_map_loop(n_maps, k):
     rng = np.random.default_rng(n_maps + k)
     pts = rng.uniform(-1, 1, (300, 4)) * 10.0 ** rng.uniform(-3, 0, (300, 1))
     grid = [2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9]
-    out = collision_probability(pts, 0, 0.25, grid, k, n_maps, seed=k)
-    mins, table = _collision_loop(pts, 0, 0.25, grid, k, n_maps, seed=k)
+    rows = sample_e_batch(4, k, n_maps, seed=k)
+    out = collision_probability(pts, 0, 0.25, grid, rows)
+    mins, table = _collision_loop(pts, 0, 0.25, grid, rows)
     assert out["min_distances"].tobytes() == mins.tobytes()
     assert out["table"] == table
 
@@ -70,34 +84,32 @@ def test_collision_table_permutation_invariant(seed, n, k):
     pts[-1] = pts[0] + 1.0  # at least one point at distance >= delta
     perm = rng.permutation(n)
     grid = [2.0**-2, 2.0**-4, 2.0**-6]
-    n_maps = 2 * embedding.MAP_BLOCK + 5
-    out = collision_probability(pts, 0, 0.5, grid, k, n_maps, seed)
+    rows = sample_e_batch(3, k, 2 * embedding.MAP_BLOCK + 5, seed)
+    out = collision_probability(pts, 0, 0.5, grid, rows)
     moved = collision_probability(pts[perm], int(np.argmax(perm == 0)), 0.5,
-                                  grid, k, n_maps, seed)
+                                  grid, rows)
     assert moved["table"] == out["table"]
 
 
 def test_transversality_event_scaling():
     # event |L e1| <= eps over ball-row maps: fraction scales like eps^k
-    out = transversality_fraction([1.0, 0.0, 0.0], [0.0, 0.0],
+    n_maps = 40_000
+    out = transversality_fraction([1.0, 0.0, 0.0],
                                   eps_grid=[2.0**-2, 2.0**-3, 2.0**-4],
-                                  k=2, n_maps=40_000, seed=3)
+                                  rows=sample_e_batch(3, 2, n_maps, seed=3))
     assert abs(out["fit"]["slope"] - 2.0) < 0.3
     assert math.isfinite(out["c_hat"]) and out["c_hat"] > 0
-    fracs = [c / out["n_maps"] for _, c in out["table"]]
+    fracs = [c / n_maps for _, c in out["table"]]
     assert fracs == sorted(fracs, reverse=True)
 
 
 def test_transversality_scale_equivariance():
-    # doubling |x| halves the eps needed for the same event count
-    big = transversality_fraction([2.0, 0.0, 0.0], [0.0, 0.0],
-                                  eps_grid=[2.0**-2], k=2, n_maps=20_000, seed=5)
-    small = transversality_fraction([1.0, 0.0, 0.0], [0.0, 0.0],
-                                    eps_grid=[2.0**-3], k=2, n_maps=20_000,
-                                    seed=5)
-    big_frac = big["table"][0][1] / big["n_maps"]
-    small_frac = small["table"][0][1] / small["n_maps"]
-    assert big_frac == pytest.approx(small_frac, rel=0.15)
+    # doubling |x| doubles the eps needed for the same event count, exactly
+    # on one stack: doubling is exact in binary floating point
+    rows = sample_e_batch(3, 2, 20_000, seed=5)
+    big = transversality_fraction([2.0, 0.0, 0.0], [2.0**-2], rows)
+    small = transversality_fraction([1.0, 0.0, 0.0], [2.0**-3], rows)
+    assert big["table"][0][1] == small["table"][0][1] > 0
 
 
 def test_modulus_identity_map():

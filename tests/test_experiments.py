@@ -324,6 +324,9 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("digit-lemma", {"depth_max": 9}, r"depth_max must lie in 1\.\.8"),
     ("ifs-translate", {"translate": []}, "translate must have at least 2"),
     ("ifs-translate", {"translate": [0.5]}, "translate must have at least 2"),
+    ("decode-sparse", {"k_good": 0}, "a map needs at least one row"),
+    ("transversality", {"k": 0}, "a map needs at least one row"),
+    ("box-dim", {"l_law": "pow2sq"}, "holds only for l_law 'pow2t'"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):

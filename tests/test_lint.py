@@ -93,3 +93,17 @@ def test_block_sizes_are_known_only_to_embedding():
     assert ["%s %s" % (path.name, name)
             for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
             for name in names.findall(path.read_text())] == []
+
+
+def test_only_the_experiments_draw_maps():
+    # kernels take the map stack that their experiment drew, so
+    # sample_e_batch is named in code only where it is defined, drawn and
+    # exported; docstrings may still speak of it
+    naming = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (getattr(node, "id", None) == "sample_e_batch"
+                    or getattr(node, "name", None) == "sample_e_batch"
+                    or getattr(node, "attr", None) == "sample_e_batch"):
+                naming.add(path.name)
+    assert naming == {"linalg.py", "experiments.py", "__init__.py"}

@@ -186,11 +186,15 @@ def test_dirac_score_nonincreasing_in_tau(measure, taus):
 
 
 def test_complement_plane():
-    t = np.array([0.0, 0.5, 0.0])
-    basis = _complement_plane(t)
-    assert basis.shape == (2, 3)
-    assert np.abs(basis @ t).max() < 1e-12
-    assert np.abs(basis @ basis.T - np.eye(2)).max() < 1e-12
+    # t along each axis, either way round, and generic t, in 2-4 dimensions
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        axes = list(0.5 * np.eye(n))
+        for t in axes + [-axes[-1]] + list(rng.standard_normal((5, n))):
+            basis = _complement_plane(t)
+            assert basis.shape == (n - 1, n)
+            assert np.abs(basis @ t).max() < 1e-12
+            assert np.abs(basis @ basis.T - np.eye(n - 1)).max() < 1e-12
 
 
 def test_nn_spacing_at():
