@@ -459,6 +459,8 @@ def sphere_net(spec, seed, allow_partial=False, sep_floor=None):
 def sphere_net_union(ambient_dim, k, l_law="pow2t", t=2.0, i_max=8, seed=0,
                      allow_partial=False, sep_floor=None):
     """Union of sphere_net over every (k+1)-subset J of the coordinates."""
+    if k + 1 > ambient_dim:
+        raise ValueError("k + 1 must not exceed ambient_dim")
     pts = []
     labels = []
     for J in itertools.combinations(range(ambient_dim), k + 1):

@@ -16,6 +16,8 @@ arguments.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -29,14 +31,17 @@ CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
 IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
 TRI_BLOCK = 64  # rows per block in log_lip_pass
 CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
+HULL_TOL = 1e-9  # hull_vertices' plane tolerance, relative to the top norm
+HULL_SCAN_MAX = 48  # candidates per facet scan in hull_vertices
 
 
 def __getattr__(name):
     """ConvexHull, from scipy.spatial on first use.  Nothing here builds a
-    hull; the name resolves only because perfbench/traced.py reads it and
-    puts its counting wrapper in its place.  Resolving it lazily keeps the
-    import of scipy.spatial, which costs more than the rest of the package,
-    out of every untraced run."""
+    hull through this name (hull_vertices imports Qhull itself, only where
+    its certificate cannot decide); the name resolves only because
+    perfbench/traced.py reads it and puts its counting wrapper in its
+    place.  Resolving it lazily keeps the import of scipy.spatial, which
+    costs more than the rest of the package, out of every untraced run."""
     if name == "ConvexHull":
         from scipy import spatial
 
@@ -337,13 +342,113 @@ def image_sq_norms(op, points_t, keep):
     return sq_im, kept
 
 
+def _facet_scan(pts, top):
+    """Vertices, outward unit normals and offsets of the facets of
+    conv(pts) for a (c, 3) array of norms at most top, from a scan over
+    every triple; None when the scan cannot decide.
+
+    With tol = HULL_TOL top, a triple spans a facet when every other point
+    lies below its plane by more than tol.  The scan cannot decide when c
+    is below 4 or above HULL_SCAN_MAX, when a triple is nearly collinear
+    (twice its area at most sqrt(HULL_TOL) top^2, where the rounding of
+    its normal could outgrow tol), or when a plane with no point above it
+    holds a fourth point within tol.  Otherwise no four points of a facet
+    are coplanar, so every facet is a triangle of three points, all
+    vertices, and every vertex lies on a facet.
+    """
+    c = len(pts)
+    if not 4 <= c <= HULL_SCAN_MAX:
+        return None
+    tol = HULL_TOL * top
+    tri = np.array(list(itertools.combinations(range(c), 3)))
+    a, b, d = pts[tri].swapaxes(0, 1)
+    normal = np.cross(b - a, d - a)
+    length = np.sqrt(_sq_norms(normal))
+    if length.min() <= math.sqrt(HULL_TOL) * top * top:
+        return None
+    normal /= length[:, None]
+    offset = np.einsum("ij,ij->i", normal, a)
+    dist = normal @ pts.T - offset[:, None]
+    dist[np.arange(len(tri))[:, None], tri] = 0.0  # a triple's own points
+    above = (dist > tol).any(axis=1)
+    below = (dist < -tol).any(axis=1)
+    facet = ~above | ~below
+    if np.any(np.count_nonzero(np.abs(dist[facet]) <= tol, axis=1) > 3):
+        return None
+    flip = above[facet]
+    normal, offset = normal[facet], offset[facet]
+    normal[flip] *= -1.0
+    offset[flip] *= -1.0
+    return np.unique(tri[facet]), normal, offset
+
+
+def hull_vertices(points, norms):
+    """Indices of the convex-hull vertices of an (n, d) point array, in
+    ascending order, given the points' Euclidean norms.
+
+    The fast path takes sets that span three coordinates, such as the
+    sphere nets, whose points sit on shells about the origin.  Let top be
+    the largest norm and tol = HULL_TOL top.  The candidate set C starts
+    as the outermost shell, the points of norm at least top - tol (points
+    of largest norm are vertices: the ball is strictly convex).  Each
+    round:
+
+    * _facet_scan gives the vertices of conv(C) and its facet planes
+      n.x <= h; C keeps only those vertices, since a point of C inside
+      conv(C) is not extreme.  Let rho be the least offset h.
+    * A point q with |q| < rho - tol has n.q <= |q| < h - tol on every
+      facet, so it lies inside conv(C).  Only the points not yet settled
+      with |q| >= rho - tol are tested against the facets.
+    * A point below every facet by more than tol lies inside conv(C) and
+      is settled; C only grows, so it stays inside.  A point above some
+      facet by more than tol joins C.  If none joins, every point lies in
+      conv(C), so conv(points) = conv(C) and the vertices of C are the
+      answer.
+
+    Qhull, imported here, takes the set in its own coordinates when they
+    are not three, and every set where the certificate cannot decide: a
+    scan _facet_scan refuses, or a tested point within tol of a facet
+    plane.
+    """
+    points = np.asarray(points, dtype=float)
+    cols = np.arange(points.shape[1])
+    if len(cols) != 3:  # a net inside a coordinate subspace
+        cols = np.flatnonzero(points.any(axis=0))
+    top = float(norms.max())
+    tol = HULL_TOL * top
+    if len(cols) == 3:
+        cand = settled = np.flatnonzero(norms >= top - tol)
+        while True:
+            scan = _facet_scan(points[np.ix_(cand, cols)], top)
+            if scan is None:
+                break
+            verts, normal, offset = scan
+            cand = cand[verts]
+            near = np.setdiff1d(np.flatnonzero(norms >= offset.min() - tol),
+                                settled, assume_unique=True)
+            q = points[np.ix_(near, cols)]  # one facet at a time: O(len(q))
+            worst = functools.reduce(np.maximum, (
+                q @ n - h for n, h in zip(normal, offset)))
+            if np.any(np.abs(worst) <= tol):
+                break
+            if not np.any(worst > tol):
+                return np.sort(cand)
+            settled = np.union1d(settled, near)
+            cand = np.concatenate([cand, near[worst > tol]])
+    if points.shape[1] == 3:  # a flat set goes to Qhull in its own plane
+        cols = np.flatnonzero(points.any(axis=0))
+    from scipy.spatial import ConvexHull
+
+    return np.sort(ConvexHull(points[:, cols]).vertices)
+
+
 def set_diameter(points):
     """Exact diameter of a point array, by a direct scan over blocks of
     PAIR_BLOCK rows.
 
     The scan costs a pass over all pairs.  The diameter is attained on
     convex-hull vertices, so a caller with a large set reduces it to its
-    hull vertices first, as holder-ceiling's _holder_leg does once per net.
+    hull_vertices first, as holder-ceiling's _holder_leg does once per net.
     On a line the scan's largest distance is fl(sqrt(fl(x^2))) = |x| at the
     extreme pair, that is fl(max - min), outside overflow and underflow.
     """

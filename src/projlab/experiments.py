@@ -37,7 +37,8 @@ from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension)
 from .embedding import (_sq_norms, check_holder_budget,
                         collision_probability, holder_ceiling,
-                        image_sq_norms, inverse_continuity_modulus,
+                        hull_vertices, image_sq_norms,
+                        inverse_continuity_modulus,
                         log_lip_pass, log_lipschitz_modulus,
                         origin_ceiling_scorer, set_diameter,
                         transversality_fraction)
@@ -504,12 +505,11 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
     normalizer is twice the image diameter, taken over the images of the
     net's hull vertices (conv(LX) = L conv(X)) and of the witnesses.
     """
-    from scipy.spatial import ConvexHull
-
     n_maps = len(rows)
-    score = origin_ceiling_scorer(np.sqrt(_sq_norms(net.points)))
+    norms = np.sqrt(_sq_norms(net.points))
+    score = origin_ceiling_scorer(norms)
     points_t = np.ascontiguousarray(net.points.T)
-    hull_idx = ConvexHull(net.points).vertices
+    hull_idx = hull_vertices(net.points, norms)
     wit_seeds = _sub_seeds(seed, len(specs) * n_maps)
 
     def one_map(midx):
@@ -557,6 +557,8 @@ def _holder_ceiling(cfg, art, threads):
                                i_max=cfg["i_max"])
                  for J in itertools.combinations(range(cfg["ambient_dim"]),
                                                  cfg["k"] + 1)]
+    if not wit_specs:
+        raise ValueError("k + 1 must not exceed ambient_dim")
     depth = cfg["witness_depth"]
     if depth is None:
         depth = wit_specs[0].precision_depth()

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from projlab.experiments import experiment_names
 from projlab.geom import read_points_csv
 
@@ -35,17 +37,37 @@ def test_import_leaves_scipy_spatial_unloaded():
 def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
     # collision-scaling thins its shells by lattice offsets and
     # all-directions takes its atom resolution in x order: neither builds
-    # a tree
+    # a tree; holder-ceiling takes its nets' hull vertices from the shells
     code = ("import sys; from projlab.experiments import run_experiment; "
             "run_experiment('collision-scaling', config={'seed': 0, "
             "'i_max': 4, 'n_maps': 50}); "
             "run_experiment('all-directions', config={'seed': 0, "
             "'n_blocks': 6, 'n_directions': 4, 'n_slabs': 5}); "
+            "run_experiment('holder-ceiling', config={'seed': 0, "
+            "'i_max': 3, 'sq_i_max': 3, 'n_maps': 2}); "
             "print('scipy.spatial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("config", [
+    # leg B's net spans three of the four coordinates, leg A's union all four
+    {"ambient_dim": 4, "k": 2, "i_max": 4, "sq_i_max": 3, "n_maps": 4},
+    # leg B's circle net is flat in R^3
+    {"k": 1, "i_max": 4, "sq_i_max": 3, "n_maps": 4},
+])
+def test_holder_ceiling_off_the_default_dimensions_exits_by_its_checks(
+        tmp_path, config):
+    # both hulls are taken, and the exit status is the checks' verdict
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    proc = run_cli("holder-ceiling", "--config", str(cfg), "--seed", "0",
+                   "--out", str(tmp_path / "run"))
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert proc.returncode == (0 if summary["all_passed"] else 1)
 
 
 def test_pass_run_exit_zero(tmp_path):

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from projlab import embedding
+from projlab.constructions import SphereNetSpec, sphere_net, sphere_net_union
 from projlab.embedding import (_sq_norms, _tail_table, collision_probability,
-                               holder_ceiling, inverse_continuity_modulus,
+                               holder_ceiling, hull_vertices,
+                               inverse_continuity_modulus,
                                log_lip_pass, log_lipschitz_modulus,
                                origin_ceiling_scorer, set_diameter,
                                transversality_fraction)
+from projlab.experiments import _sub_seeds
 from projlab.linalg import sample_e_batch
 
 
@@ -179,6 +182,106 @@ def test_set_diameter_is_the_pair_maximum(seed, n, dim, block, power):
         assert diam == _pair_max(pts)
         assert set_diameter(pts[rng.permutation(n)]) == diam
         assert set_diameter(2.0**power * pts) == 2.0**power * diam
+
+
+def _hull_calls(monkeypatch):
+    """A list that grows by one for each Qhull call hull_vertices makes."""
+    import scipy.spatial
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ConvexHull(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    return calls
+
+
+def _qhull_vertices(pts):
+    return np.sort(ConvexHull(pts).vertices)
+
+
+@pytest.mark.parametrize("seed", [42, 0, 1, 7])
+def test_hull_vertices_of_the_holder_nets_match_qhull(seed, monkeypatch):
+    # both default holder-ceiling nets: the certificate decides (no Qhull
+    # call), leg A on its outermost shell, leg B after peeling shell 2
+    seeds = _sub_seeds(seed, 3)
+    leg_a = sphere_net_union(3, 2, t=2.0, i_max=8, seed=seeds[0]).points
+    leg_b = sphere_net(SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq",
+                                     i_max=6), seeds[0],
+                       allow_partial=True).points
+    calls = _hull_calls(monkeypatch)
+    got = [hull_vertices(p, np.sqrt(_sq_norms(p))) for p in (leg_a, leg_b)]
+    assert not calls
+    shell_1 = np.flatnonzero(np.isclose(np.linalg.norm(leg_a, axis=1), 0.5))
+    assert np.array_equal(got[0], shell_1) and len(shell_1) == 24
+    for pts, verts in zip((leg_a, leg_b), got):
+        assert np.array_equal(verts, _qhull_vertices(pts))
+
+
+def _shell_set(seed, counts, dim=3):
+    """Random points on shells of radius 2^-i, counts[i-1] on shell i."""
+    rng = np.random.default_rng(seed)
+    shells = []
+    for i, count in enumerate(counts, start=1):
+        u = rng.normal(size=(count, dim))
+        shells.append(2.0**-i * u / np.linalg.norm(u, axis=1, keepdims=True))
+    return np.vstack(shells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       counts=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       scale=st.floats(1e-3, 1e3))
+def test_hull_vertices_permute_and_scale(seed, counts, scale):
+    # against Qhull; a permutation of the points permutes the vertex set,
+    # and a positive scaling leaves it as it is
+    pts = _shell_set(seed, [max(counts[0], 4)] + counts[1:])
+    verts = hull_vertices(pts, np.sqrt(_sq_norms(pts)))
+    assert np.array_equal(verts, _qhull_vertices(pts))
+    perm = np.random.default_rng(seed).permutation(len(pts))
+    moved = pts[perm]
+    assert np.array_equal(hull_vertices(moved, np.sqrt(_sq_norms(moved))),
+                          np.flatnonzero(np.isin(perm, verts)))
+    scaled = scale * pts
+    assert np.array_equal(hull_vertices(scaled, np.sqrt(_sq_norms(scaled))),
+                          verts)
+
+
+def test_hull_vertices_fall_back_where_the_certificate_cannot_decide(
+        monkeypatch):
+    calls = _hull_calls(monkeypatch)
+    inner = _shell_set(3, [0, 30])
+    cases = [
+        # an outer shell of 4 coplanar points
+        np.vstack([[[0.5, 0, 0], [0, 0.5, 0], [-0.5, 0, 0], [0, -0.5, 0]],
+                   inner]),
+        # a cube: each facet plane holds a fourth corner
+        np.vstack([0.25 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 3))
+                   .reshape(3, -1).T, inner]),
+        # more candidates than one scan takes
+        _shell_set(4, [embedding.HULL_SCAN_MAX + 1, 20]),
+    ]
+    for pts in cases:
+        before = len(calls)
+        assert np.array_equal(hull_vertices(pts, np.sqrt(_sq_norms(pts))),
+                              _qhull_vertices(pts))
+        assert len(calls) == before + 1
+    # sets in fewer coordinates than the ambient space go to Qhull in
+    # their own coordinates: a flat set in R^3, a 2-sphere net in R^4
+    # takes the certificate on its three coordinates, a union in R^4 Qhull
+    flat = np.zeros((len(inner), 3))
+    flat[:, :2] = inner[:, :2]
+    net4 = np.zeros((len(inner), 4))
+    net4[:, :3] = inner
+    full4 = _shell_set(5, [10, 30], dim=4)
+    for pts, cols, qhull in ((flat, [0, 1], 1), (net4, [0, 1, 2], 0),
+                             (full4, [0, 1, 2, 3], 1)):
+        before = len(calls)
+        assert np.array_equal(hull_vertices(pts, np.sqrt(_sq_norms(pts))),
+                              _qhull_vertices(pts[:, cols]))
+        assert len(calls) == before + qhull
 
 
 def test_log_lipschitz_identity_floor():

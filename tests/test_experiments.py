@@ -327,6 +327,9 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("decode-sparse", {"k_good": 0}, "a map needs at least one row"),
     ("transversality", {"k": 0}, "a map needs at least one row"),
     ("box-dim", {"l_law": "pow2sq"}, "holds only for l_law 'pow2t'"),
+    ("holder-ceiling", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
+    ("box-dim", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
+    ("collision-scaling", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
