@@ -27,6 +27,7 @@ from .dimension import fit_loglog
 PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
+TRANS_BLOCK = 1 << 14  # maps per block in transversality_fraction
 CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
 IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
 TRI_BLOCK = 64  # rows per block in log_lip_pass
@@ -130,10 +131,20 @@ def transversality_fraction(x, eps_grid, rows):
 
     Returns per-eps counts, the log2-log2 slope of the frequency, and the
     calibrated constant C = max over the grid of freq * |x|^k / eps^k.
+
+    The statistic |Lx| is taken TRANS_BLOCK maps at a time into one (m,)
+    array, so beyond it only one block's images, their squares and two
+    vectors of block length are held.  Each map's image and norm are
+    reduced within that map, so every entry is bit-equal to
+    np.linalg.norm(rows @ x, axis=1) over the whole stack, for every k.
     """
     x = np.asarray(x, dtype=float)
     n_maps, k = rows.shape[:2]
-    table, fit = _tail_table(np.linalg.norm(rows @ x, axis=1), eps_grid)
+    stat = np.empty(n_maps)
+    for s in range(0, n_maps, TRANS_BLOCK):
+        e = s + TRANS_BLOCK
+        stat[s:e] = np.linalg.norm(rows[s:e] @ x, axis=1)
+    table, fit = _tail_table(stat, eps_grid)
     xnorm = float(np.linalg.norm(x))
     c_values = [(c / n_maps) * xnorm**k / e**k for e, c in table]
     return {

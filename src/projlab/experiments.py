@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -137,8 +138,11 @@ class Artifacts:
             return
         text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
         self._path("summary.json").write_text(text + "\n")
+        # ru_maxrss is in KiB on Linux
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         meta = {"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "runtime_seconds": round(runtime_seconds, 3)}
+                "runtime_seconds": round(runtime_seconds, 3),
+                "peak_rss_mb": round(peak_kib / 1024, 1)}
         (self.out_dir / "run_meta.json").write_text(
             json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
@@ -414,7 +418,10 @@ def _transversality(cfg, art, threads):
          "label": "P(|Lx| <= eps)"},
     ], title="transversality scaling", xlabel="eps", ylabel="frequency")
     c_vals = np.array(res["c_by_eps"])
-    c_rel = np.abs(c_vals / c_vals.mean() - 1.0).max() if c_vals.size else np.inf
+    # the constants are >= 0: with none positive (no grid, or no map
+    # below any eps) there is no mean to compare with
+    c_rel = (np.abs(c_vals / c_vals.mean() - 1.0).max() if c_vals.any()
+             else np.inf)
     slope = res["fit"]["slope"] if res["fit"] else float("nan")
     results = {"table": res["table"], "fit": res["fit"], "c_hat": res["c_hat"],
                "c_by_eps": res["c_by_eps"], "x_norm": res["x_norm"],
@@ -678,34 +685,52 @@ def _log_lip(cfg, art, threads):
 # --- nearest-image decoding of sparse clouds ---
 
 
+def _decode_recoveries(points, weights, rows, noise, noise_rng):
+    """Weighted share of atoms that nearest-image decoding recovers, for
+    each map of an (m, k, N) stack, in stack order.
+
+    Under each map every image is moved by noise times a uniform unit
+    vector drawn from noise_rng, and decoded to the atom with the nearest
+    clean image.  The maps share the stream, so they are taken in order.  An image that beats atom i's own lies
+    closer to y_i than the own distance |y_i - L p_i|, so the query is
+    cut strictly above the largest own distance.  That bound is taken
+    from the computed points, not from |noise|: y_i holds rounding of the
+    order of |L p_i| * 2^-52, which a tiny noise does not dominate.  The
+    cut returns the unbounded query's atoms, ties apart; an all-zero own
+    distance (noise 0) leaves the query unbounded, since scipy's bound is
+    strict and would miss every atom.
+    """
+    from scipy.spatial import cKDTree
+
+    recoveries = []
+    for ops in rows:
+        imgs = points @ ops.T
+        g = noise_rng.standard_normal(imgs.shape)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        y = imgs + noise * g
+        own = np.linalg.norm(y - imgs, axis=1).max()
+        reach = own * (1.0 + 1e-9) if own > 0 else np.inf
+        tree = cKDTree(imgs, balanced_tree=False, compact_nodes=False)
+        _, idx = tree.query(y, k=1, distance_upper_bound=reach)
+        recoveries.append(float(weights[idx == np.arange(len(points))].sum()))
+    return recoveries
+
+
 @_register("decode-sparse", needs_seed=True, defaults={
     "ambient_dim": 10, "s": 2, "k_good": 4, "k_bad": 2, "n_atoms": 1000,
     "n_maps": 100, "noise": 0.007, "recovery_floor": 0.99,
     "degraded_ceiling": 0.9, "seed": None,
 })
 def _decode_sparse(cfg, art, threads):
-    from scipy.spatial import cKDTree
-
     seeds = _sub_seeds(cfg["seed"], 4)
     measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
                            seeds[0])
-    pts = measure.points
-    w = measure.weights
 
     def recovery_for(k, map_seed, noise_seed):
         rows = sample_e_batch(cfg["ambient_dim"], k, cfg["n_maps"], map_seed)
-        noise_rng = np.random.default_rng(noise_seed)
-
-        def one_map(midx):
-            imgs = pts @ rows[midx].T
-            g = noise_rng.standard_normal(imgs.shape)
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            y = imgs + cfg["noise"] * g
-            _, idx = cKDTree(imgs).query(y, k=1)
-            return float(w[idx == np.arange(len(pts))].sum())
-
-        # the shared noise stream is order dependent: keep it sequential
-        return [one_map(m) for m in range(cfg["n_maps"])]
+        return _decode_recoveries(measure.points, measure.weights, rows,
+                                  cfg["noise"],
+                                  np.random.default_rng(noise_seed))
 
     good = recovery_for(cfg["k_good"], seeds[1], seeds[2])
     bad = recovery_for(cfg["k_bad"], seeds[1], seeds[3])

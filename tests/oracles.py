@@ -8,6 +8,11 @@
   word by word.
 * min_nn_distance: the least positive nearest-neighbour distance, by
   KD-tree.
+* ball_rows_oracle: unit-ball rows normalized and scaled in one shot.
+* transversality_oracle: the tail table of |Lx| from the norm of the
+  whole stack's images.
+* decode_recoveries_oracle: nearest-image decoding by an unbounded
+  KD-tree query.
 """
 
 from dataclasses import dataclass
@@ -131,3 +136,40 @@ def parabola_lift_oracle(p, n_blocks):
 def min_nn_distance(pts):
     """Minimum positive nearest-neighbor distance (the resolution scale)."""
     return _resolution(cover_index(pts)[1])
+
+
+def ball_rows_oracle(n_rows, dim, rng):
+    """n_rows uniform draws from the closed unit ball of R^dim, every
+    gaussian, norm and radius taken in one whole-array operation."""
+    g = rng.standard_normal((n_rows, dim))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    r = rng.uniform(0.0, 1.0, size=n_rows) ** (1.0 / dim)
+    return g * r[:, None]
+
+
+def transversality_oracle(x, eps_grid, rows):
+    """(eps, count) rows of |Lx| <= eps in decreasing eps, and the
+    constants freq * |x|^k / eps^k, over an (m, k, N) stack of maps."""
+    x = np.asarray(x, dtype=float)
+    n_maps, k = rows.shape[:2]
+    stat = np.linalg.norm(rows @ x, axis=1)
+    xnorm = float(np.linalg.norm(x))
+    table = [(float(e), int(np.count_nonzero(stat <= e)))
+             for e in sorted(eps_grid, reverse=True)]
+    return table, [(c / n_maps) * xnorm**k / e**k for e, c in table]
+
+
+def decode_recoveries_oracle(points, weights, rows, noise, noise_rng):
+    """Per-map weighted share of atoms whose noisy image (noise times a
+    unit gaussian direction, map after map) has its own clean image
+    nearest, by an unbounded KD-tree query."""
+    from scipy.spatial import cKDTree
+
+    recoveries = []
+    for ops in rows:
+        imgs = points @ ops.T
+        g = noise_rng.standard_normal(imgs.shape)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        _, idx = cKDTree(imgs).query(imgs + noise * g, k=1)
+        recoveries.append(float(weights[idx == np.arange(len(points))].sum()))
+    return recoveries

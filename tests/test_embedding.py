@@ -1,6 +1,7 @@
 """Collision probabilities, transversality and inverse moduli."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from oracles import transversality_oracle
 from projlab import embedding
 from projlab.constructions import SphereNetSpec, sphere_net, sphere_net_union
 from projlab.embedding import (_sq_norms, _tail_table, collision_probability,
@@ -113,6 +115,39 @@ def test_transversality_scale_equivariance():
     big = transversality_fraction([2.0, 0.0, 0.0], [2.0**-2], rows)
     small = transversality_fraction([1.0, 0.0, 0.0], [2.0**-3], rows)
     assert big["table"][0][1] == small["table"][0][1] > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9])
+@pytest.mark.parametrize("generic", [False, True])
+def test_transversality_blocks_match_the_whole_stack_norm(k, generic):
+    # from 8 rows on np.linalg.norm sums pairwise; the eps are statistics
+    # of maps at block edges, so a raised last bit there drops a count
+    m = 2 * embedding.TRANS_BLOCK + 1
+    rows = sample_e_batch(k + 1, k, m, seed=k)
+    x = (np.random.default_rng(k).standard_normal(k + 1) if generic
+         else np.eye(k + 1)[0])
+    stat = np.linalg.norm(rows @ x, axis=1)
+    grid = stat[[0, embedding.TRANS_BLOCK - 1, embedding.TRANS_BLOCK, m - 1]]
+    out = transversality_fraction(x, grid, rows)
+    table, c_by_eps = transversality_oracle(x, grid, rows)
+    assert out["table"] == table
+    assert out["c_by_eps"] == c_by_eps
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_transversality_peak_is_the_statistic_plus_one_block(k):
+    # a block holds its images, their squares and two vectors of its length
+    rows = sample_e_batch(3, k, 200_000, seed=k)
+    grid = [2.0**-2, 2.0**-4, 2.0**-6]
+    transversality_fraction([1.0, 0.0, 0.0], grid, rows[:2])
+    tracemalloc.start()
+    try:
+        transversality_fraction([1.0, 0.0, 0.0], grid, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 2 * (k + 1) * embedding.TRANS_BLOCK * 8
+    assert peak <= len(rows) * 8 + block + (1 << 16)
 
 
 def test_modulus_identity_map():

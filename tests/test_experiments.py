@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import min_nn_distance
+from oracles import decode_recoveries_oracle, min_nn_distance
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses,
@@ -73,8 +74,42 @@ def test_summary_json_is_byte_identical(tmp_path):
         out = tmp_path / ("run%d" % rep)
         run_experiment("transversality", config=cfg, out_dir=out)
         blobs.append((out / "summary.json").read_bytes())
-        assert (out / "run_meta.json").exists()
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert isinstance(meta["peak_rss_mb"], float)
+        assert meta["peak_rss_mb"] > 0
     assert blobs[0] == blobs[1]
+    assert b"peak_rss_mb" not in blobs[0]
+
+
+def test_transversality_without_events_fails_without_warnings():
+    # no map falls below any eps: every constant is 0, so the spread has
+    # no mean to compare with and is inf, as for an empty grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_experiment("transversality", config={
+            "seed": 1, "n_maps": 3, "eps_max": 2.0**-4, "eps_min": 2.0**-7})
+    assert summary["results"]["c_by_eps"] == [0.0] * 4
+    assert summary["results"]["c_relative_spread"] == "inf"
+    assert not summary["all_passed"]
+
+
+@pytest.mark.parametrize("noise", [0.007, 0.0, -0.007, 1e-13])
+def test_decode_bounded_query_matches_the_unbounded_tree(noise):
+    # at noise 1e-13 the rounding of y ~ 1e-16 |L p| shifts the own
+    # distances off |noise| by far more than a relative 1e-9
+    for seed in range(4):
+        measure = sparse_atoms(10, 2, 1000, seed)
+        for k in (4, 2):
+            rows = sample_e_batch(10, k, 20, seed)
+            got = experiments._decode_recoveries(
+                measure.points, measure.weights, rows, noise,
+                np.random.default_rng(seed))
+            want = decode_recoveries_oracle(
+                measure.points, measure.weights, rows, noise,
+                np.random.default_rng(seed))
+            assert got == want
+            if noise == 0:
+                assert got == [float(measure.weights.sum())] * 20
 
 
 def test_threads_do_not_change_results(tmp_path):

@@ -1,9 +1,12 @@
 """The random map sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from projlab.linalg import sample_e_batch
+from oracles import ball_rows_oracle
+from projlab.linalg import ROW_BLOCK, ball_rows, sample_e_batch
 
 
 def test_row_radius_distribution():
@@ -39,3 +42,26 @@ def test_sampler_determinism():
         sample_e_batch(5, 3, 0, seed=11)
     with pytest.raises(ValueError, match="at least one row"):
         sample_e_batch(5, 0, 4, seed=11)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+@pytest.mark.parametrize("n_rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                    3 * ROW_BLOCK + 5])
+def test_ball_rows_match_the_one_shot_draw(n_rows, dim):
+    got = ball_rows(n_rows, dim, np.random.default_rng(n_rows + dim))
+    want = ball_rows_oracle(n_rows, dim, np.random.default_rng(n_rows + dim))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim, k, count", [(3, 2, 200_000), (10, 4, 50_000)])
+def test_sampler_peak_is_its_stack_plus_two_blocks(dim, k, count):
+    # a block's temporaries are its squares and two vectors of its length,
+    # (dim + 2) / dim blocks; the warm-up keeps one-time imports out
+    sample_e_batch(dim, k, 1, seed=0)
+    tracemalloc.start()
+    try:
+        stack = sample_e_batch(dim, k, count, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack.nbytes + 2 * ROW_BLOCK * dim * 8
