@@ -684,35 +684,132 @@ def _log_lip(cfg, art, threads):
 
 # --- nearest-image decoding of sparse clouds ---
 
+DECODE_BLOCK = 1 << 14  # atom images per block of maps in _decode_recoveries
+DECODE_PAIRS = 1 << 15  # candidate pairs scored at a time there
+DECODE_MARGIN = 1e-6  # relative margin of the cell side over twice the reach
+
+
+def _grid_ranges(lead, reach):
+    """Candidate ranges of one block of maps for nearest-image decoding.
+
+    lead holds two (m, n) arrays, the first two coordinates of the clean
+    images of m maps (the second all 0 for one-row maps), and reach the
+    (m,) largest own distances.  Each map's images go into square cells
+    of side h > 2 reach, and the block is sorted by cell with the map index
+    in the key.  Returns that order and ranges (first, begin, count): the
+    atom at sorted position first meets the count atoms from position
+    begin on.  An atom meets the atoms after it in its own cell and the
+    next one of its row, and those of the three adjacent cells in the next
+    row, so each pair in the same or adjacent cells is met once.
+
+    h is at least 2 reach (1 + DECODE_MARGIN), so that rounding in
+    floor(x / h) cannot move two images less than 2 reach apart two cells
+    apart; at least span / (4 sqrt n), so that a map has at most
+    (4 sqrt n + 3)^2 cells however small its noise; and positive when
+    every image coincides.
+    """
+    m, n = lead[0].shape
+    lo = [x.min(axis=1, keepdims=True) for x in lead]
+    span = np.maximum(*(x.max(axis=1, keepdims=True) - l
+                        for x, l in zip(lead, lo)))
+    side = np.maximum(np.maximum(reach[:, None] * (2 * (1 + DECODE_MARGIN)),
+                                 span / (4 * math.sqrt(n))),
+                      np.finfo(float).tiny)
+    row, col = (((x - l) / side).astype(np.int64) for x, l in zip(lead, lo))
+    # one spare column on each side of a row, one spare row at the end
+    width = col.max(axis=1, keepdims=True) + 3
+    size = (row.max(axis=1, keepdims=True) + 2) * width
+    key = row * width
+    key += col + 1
+    key += np.cumsum(size).reshape(m, 1) - size
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    start = np.zeros(size.sum() + 1, np.int64)
+    np.cumsum(np.bincount(key, minlength=size.sum()), out=start[1:])
+    pos = np.arange(m * n)
+    below = (key.reshape(m, n) + width).ravel()
+    first, begin, count = [], [], []
+    for lo_pos, hi_pos in ((pos + 1, start[key + 2]),
+                           (start[below - 1], start[below + 2])):
+        hit = np.flatnonzero(hi_pos > lo_pos)
+        first.append(hit)
+        begin.append(lo_pos[hit])
+        count.append(hi_pos[hit] - lo_pos[hit])
+    return order, *(np.concatenate(r) for r in (first, begin, count))
+
 
 def _decode_recoveries(points, weights, rows, noise, noise_rng):
     """Weighted share of atoms that nearest-image decoding recovers, for
     each map of an (m, k, N) stack, in stack order.
 
-    Under each map every image is moved by noise times a uniform unit
-    vector drawn from noise_rng, and decoded to the atom with the nearest
-    clean image.  The maps share the stream, so they are taken in order.  An image that beats atom i's own lies
-    closer to y_i than the own distance |y_i - L p_i|, so the query is
-    cut strictly above the largest own distance.  That bound is taken
-    from the computed points, not from |noise|: y_i holds rounding of the
-    order of |L p_i| * 2^-52, which a tiny noise does not dominate.  The
-    cut returns the unbounded query's atoms, ties apart; an all-zero own
-    distance (noise 0) leaves the query unbounded, since scipy's bound is
-    strict and would miss every atom.
-    """
-    from scipy.spatial import cKDTree
+    Under each map every image L p_i is moved by noise times a uniform unit
+    vector drawn from noise_rng, to y_i.  Atom i is recovered only if its
+    own clean image is strictly the nearest to y_i: it fails when some
+    j != i has |y_i - L p_j|^2 <= |y_i - L p_i|^2, squares summed
+    coordinate by coordinate as _sq_norms sums them.  So an exact tie, as
+    between coincident atoms, is a failure.  The maps share the stream, so
+    they are taken in order.
 
+    No tree is built.  Atom j can beat atom i only if
+    |L p_j - L p_i| <= 2 |y_i - L p_i| <= 2 reach, with reach the map's
+    largest own distance, taken from the computed points (y_i holds
+    rounding of the order of |L p_i| 2^-52, which a tiny noise does not
+    dominate).  So only pairs whose clean images share or touch a cell of
+    side above 2 reach on the first two coordinates are scored
+    (_grid_ranges), in both directions.  The squares of a pair are summed
+    one coordinate at a time and the pair is dropped once the partial sum
+    exceeds the own distance: a sum of squares never falls as terms are
+    added, so the verdict is that of the whole sum.
+
+    The maps are taken DECODE_BLOCK images at a time and the pairs
+    DECODE_PAIRS at a time.  A block's images are the products
+    points @ L.T of its maps one by one, and its noise is one draw of the
+    stream normalized row by row, so every bit is that of one map alone.
+    """
+    n, k = len(points), rows.shape[1]
+    per = max(1, DECODE_BLOCK // n)
     recoveries = []
-    for ops in rows:
-        imgs = points @ ops.T
-        g = noise_rng.standard_normal(imgs.shape)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        y = imgs + noise * g
-        own = np.linalg.norm(y - imgs, axis=1).max()
-        reach = own * (1.0 + 1e-9) if own > 0 else np.inf
-        tree = cKDTree(imgs, balanced_tree=False, compact_nodes=False)
-        _, idx = tree.query(y, k=1, distance_upper_bound=reach)
-        recoveries.append(float(weights[idx == np.arange(len(points))].sum()))
+    for s in range(0, len(rows), per):
+        ops = rows[s:s + per]
+        imgs = np.empty((len(ops), n, k))
+        for b, op in enumerate(ops):
+            np.matmul(points, op.T, out=imgs[b])
+        y = noise_rng.standard_normal(imgs.shape)
+        y /= np.linalg.norm(y, axis=2, keepdims=True)
+        y *= noise
+        y += imgs
+        own = _sq_norms(y, imgs)
+        lead = [imgs[..., 0], imgs[..., 1] if k > 1 else np.zeros(own.shape)]
+        order, first, begin, count = _grid_ranges(
+            lead, np.sqrt(own.max(axis=1)))
+        own = own.ravel()[order]
+        cols = [(y[..., c].ravel()[order], imgs[..., c].ravel()[order])
+                for c in range(k)]
+        lost = np.zeros(len(order), bool)
+        stop = np.cumsum(count)
+        r = 0
+        while r < len(count):
+            base = stop[r] - count[r]
+            t = max(r + 1, int(np.searchsorted(stop, base + DECODE_PAIRS,
+                                               side="right")))
+            reps = count[r:t]
+            i = np.repeat(first[r:t], reps)
+            j = np.repeat(begin[r:t] - (stop[r:t] - reps), reps)
+            j += np.arange(base, stop[t - 1])
+            for a, b in ((i, j), (j, i)):
+                bound, d2 = own[a], np.zeros(len(a))
+                for yc, cc in cols:
+                    d = yc[a]
+                    d -= cc[b]
+                    d *= d
+                    d2 += d
+                    near = np.flatnonzero(d2 <= bound)
+                    a, b, d2, bound = a[near], b[near], d2[near], bound[near]
+                lost[order[a]] = True
+            r = t
+        for row in lost.reshape(len(ops), n):
+            recoveries.append(float(weights[~row].sum()))
     return recoveries
 
 
@@ -722,6 +819,8 @@ def _decode_recoveries(points, weights, rows, noise, noise_rng):
     "degraded_ceiling": 0.9, "seed": None,
 })
 def _decode_sparse(cfg, art, threads):
+    if not math.isfinite(cfg["noise"]):
+        raise ValueError("noise must be finite")
     seeds = _sub_seeds(cfg["seed"], 4)
     measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
                            seeds[0])

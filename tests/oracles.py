@@ -13,6 +13,8 @@
   whole stack's images.
 * decode_recoveries_oracle: nearest-image decoding by an unbounded
   KD-tree query.
+* decode_brute_force_oracle: nearest-image decoding over all N^2 image
+  distances, an exact tie a failure.
 """
 
 from dataclasses import dataclass
@@ -172,4 +174,26 @@ def decode_recoveries_oracle(points, weights, rows, noise, noise_rng):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         _, idx = cKDTree(imgs).query(imgs + noise * g, k=1)
         recoveries.append(float(weights[idx == np.arange(len(points))].sum()))
+    return recoveries
+
+
+def decode_brute_force_oracle(points, weights, rows, noise, noise_rng):
+    """Per-map weighted share of atoms whose noisy image (noise times a
+    unit gaussian direction, map after map) is strictly nearer to the
+    atom's own clean image than to any other atom's, every one of the N^2
+    squared distances summed coordinate by coordinate.  An exact tie, as
+    between coincident atoms, is a failure."""
+    recoveries = []
+    for ops in rows:
+        imgs = points @ ops.T
+        g = noise_rng.standard_normal(imgs.shape)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        y = imgs + noise * g
+        d2 = np.zeros((len(points), len(points)))
+        for c in range(imgs.shape[1]):
+            d2 += np.square(y[:, None, c] - imgs[None, :, c])
+        own = d2.diagonal().copy()
+        np.fill_diagonal(d2, np.inf)
+        recovered = (d2 > own[:, None]).all(axis=1)
+        recoveries.append(float(weights[recovered].sum()))
     return recoveries

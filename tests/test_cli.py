@@ -37,7 +37,8 @@ def test_import_leaves_scipy_spatial_unloaded():
 def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
     # collision-scaling thins its shells by lattice offsets and
     # all-directions takes its atom resolution in x order: neither builds
-    # a tree; holder-ceiling takes its nets' hull vertices from the shells
+    # a tree; holder-ceiling takes its nets' hull vertices from the shells,
+    # and decode-sparse finds its nearest images on a grid
     code = ("import sys; from projlab.experiments import run_experiment; "
             "run_experiment('collision-scaling', config={'seed': 0, "
             "'i_max': 4, 'n_maps': 50}); "
@@ -45,6 +46,8 @@ def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
             "'n_blocks': 6, 'n_directions': 4, 'n_slabs': 5}); "
             "run_experiment('holder-ceiling', config={'seed': 0, "
             "'i_max': 3, 'sq_i_max': 3, 'n_maps': 2}); "
+            "run_experiment('decode-sparse', config={'seed': 0, "
+            "'n_atoms': 200, 'n_maps': 5}); "
             "print('scipy.spatial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)

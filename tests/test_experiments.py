@@ -3,13 +3,15 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import decode_recoveries_oracle, min_nn_distance
+from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
+                     min_nn_distance)
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses,
@@ -95,11 +97,13 @@ def test_transversality_without_events_fails_without_warnings():
 
 @pytest.mark.parametrize("noise", [0.007, 0.0, -0.007, 1e-13])
 def test_decode_bounded_query_matches_the_unbounded_tree(noise):
-    # at noise 1e-13 the rounding of y ~ 1e-16 |L p| shifts the own
-    # distances off |noise| by far more than a relative 1e-9
+    # the grid meets only images within twice the largest own distance;
+    # at noise 1e-13 that distance is set by the rounding of y, and the
+    # cell side by the span.  One row puts every image on a line, and from
+    # three rows on some coordinates are not bucketed.
     for seed in range(4):
         measure = sparse_atoms(10, 2, 1000, seed)
-        for k in (4, 2):
+        for k in (1, 2, 3, 4, 6):
             rows = sample_e_batch(10, k, 20, seed)
             got = experiments._decode_recoveries(
                 measure.points, measure.weights, rows, noise,
@@ -110,6 +114,64 @@ def test_decode_bounded_query_matches_the_unbounded_tree(noise):
             assert got == want
             if noise == 0:
                 assert got == [float(measure.weights.sum())] * 20
+
+
+@pytest.mark.parametrize("block, pairs", [(None, None), (480, 100)])
+def test_decode_ties_fail_as_in_the_brute_force_oracle(monkeypatch, block,
+                                                       pairs):
+    # coincident atoms (every atom at s = 0, ten repeated ones otherwise)
+    # tie and fail, where a tree recovers one of them.  Blocks of 480
+    # images (three maps) end on a ragged one, and chunks of 100 pairs
+    # split the range of a cell that holds all 160 atoms.
+    n_maps = 6
+    if block is not None:
+        monkeypatch.setattr(experiments, "DECODE_BLOCK", block)
+        monkeypatch.setattr(experiments, "DECODE_PAIRS", pairs)
+        n_maps = 4
+    for s in (0, 1, 2):
+        measure = sparse_atoms(10, s, 150, s)
+        points = np.vstack([measure.points, measure.points[:10]])
+        weights = np.full(len(points), 1 / len(points))
+        for k in (1, 2, 3, 4, 6):
+            rows = sample_e_batch(10, k, n_maps, k)
+            for noise in (0.007, 0.0, 0.3):
+                got = experiments._decode_recoveries(
+                    points, weights, rows, noise, np.random.default_rng(s))
+                want = decode_brute_force_oracle(
+                    points, weights, rows, noise, np.random.default_rng(s))
+                assert got == want
+                assert max(got) <= 140 / 160 + 1e-12
+                if s == 0:
+                    assert got == [0.0] * n_maps
+
+
+@pytest.mark.parametrize("s, noise, n_maps", [(2, 0.007, 500),
+                                              (2, 1e-13, 500), (0, 0.007, 17)])
+def test_decode_peak_is_one_block(s, noise, n_maps):
+    # a block holds its images and noisy images and their columns in cell
+    # order, the keys and ranges of its atoms, a cell table and its counts
+    # (at most (4 sqrt n + 3)^2 cells a map) and one chunk of pairs.  The
+    # stack's images at 500 maps would not fit; at s = 0 every atom shares
+    # one cell and the pairs come in many chunks.
+    n, k = 1000, 4
+    per = experiments.DECODE_BLOCK // n
+    measure = sparse_atoms(10, s, n, 0)
+    rows = sample_e_batch(10, k, n_maps, 0)
+    experiments._decode_recoveries(measure.points, measure.weights, rows[:1],
+                                   noise, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        experiments._decode_recoveries(measure.points, measure.weights, rows,
+                                       noise, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = per * (4 * math.sqrt(n) + 3) ** 2
+    words = (4 * k + 16) * per * n + 2 * cells + 12 * (
+        experiments.DECODE_PAIRS + n)
+    assert peak <= 8 * words
+    if n_maps == 500:
+        assert 8 * words < n_maps * n * k * 8
 
 
 def test_threads_do_not_change_results(tmp_path):
@@ -365,6 +427,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("holder-ceiling", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
     ("box-dim", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
     ("collision-scaling", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
+    ("decode-sparse", {"noise": math.nan}, "noise must be finite"),
+    ("decode-sparse", {"noise": math.inf}, "noise must be finite"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
