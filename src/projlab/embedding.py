@@ -19,19 +19,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .dimension import fit_loglog
 
-PAIR_BLOCK = 2048
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
 TRANS_BLOCK = 1 << 14  # maps per block in transversality_fraction
-CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
-IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
 TRI_BLOCK = 64  # rows per block in log_lip_pass
 CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
+CELL_SIDE = 1.0 / 8  # side of the direction cubes of origin_cells
+CELL_SLACK = 1e-9  # a cell bound's rounding room, per ||L||_F (|c| + rho)
 HULL_TOL = 1e-9  # hull_vertices' plane tolerance, relative to the top norm
 HULL_SCAN_MAX = 48  # candidates per facet scan in hull_vertices
 
@@ -174,52 +174,89 @@ def _sq_norms(a, b=None, out=None):
     return out
 
 
+def check_deltas(delta_grid):
+    """Refuse a delta grid that is empty or holds a delta that is not
+    finite and positive."""
+    deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.size == 0:
+        raise ValueError("the delta grid must not be empty")
+    if not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise ValueError("every delta must be finite and positive")
+
+
 def inverse_continuity_modulus(points, ops, delta_grid):
     """eps(delta) = smallest image distance among pairs at least delta apart.
 
     ops is a stack of maps, an (m, k, N) array such as sample_e_batch
     returns; the result is a list of m tables of (delta, eps) rows, in
-    stack order.  Deltas that no pair reaches are cut from every table
-    alike.
+    stack order.  Deltas that no pair reaches, those above the set's
+    diameter, are cut from every table alike; the grid must hold at least
+    one delta, each finite and positive.
 
-    The pass runs over blocks of base points.  Point distances and the
-    far-pair masks of a block are found once for the whole stack; image
-    distances are direct differences of the images, so a small minimum is
-    never the cancellation residue of a Gram identity.  A block takes as
-    many base points as keep its map x pair entries within STACK_BLOCK,
-    and at least one.
+    Image distances are direct differences of the images, squared and
+    summed coordinate by coordinate by _sq_norms, so a small minimum is
+    never the cancellation residue of a Gram identity.  Only a certified
+    candidate set of pairs is scored.  Each map's images are sorted by
+    their first coordinate, and the pairs (i, i + o) of that order are
+    walked for o = 1, 2, ..., every position i at first, in blocks whose
+    gathered point and image coordinates stay within STACK_BLOCK entries.
+    Let g be a pair's gap in the first coordinate and b the map's least
+    squared image distance found so far over pairs at least the largest
+    delta apart.  The pair's squared image distance is at
+    least fl(g^2), the first term of its sum (adding squares never rounds
+    below a term), so once fl(g^2) > b, neither the pair nor any later
+    pair of position i (its gaps only grow with o, and b only falls) can
+    reach a delta's minimum, which is at most b as the far sets shrink
+    with delta; the position is dropped.  Every pair that is not dropped
+    is scored, its point distance summed as by set_diameter.  So each
+    minimum is taken over a superset of its arg-min: the same float as
+    over all pairs, with no slack.  When no far pair lies near in the
+    order, b stays infinite and the walk runs on toward all pairs.
 
     Nondecreasing in delta by construction (shrinking the pair set can only
     raise the minimum).
     """
+    check_deltas(delta_grid)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ops = np.asarray(ops, dtype=float)
     if ops.ndim != 3:
         raise ValueError("ops must be an (m, k, N) stack of maps")
     images = np.ascontiguousarray(points @ np.swapaxes(ops, 1, 2))
     delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
-    m, n = images.shape[:2]
-    min2 = np.full((len(delta_grid), m), np.inf)
-    count = np.zeros(len(delta_grid), dtype=np.int64)
-    rows = max(1, STACK_BLOCK // (m * n))
-    buf = np.empty(m * rows * n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        # partners j > i only, so the block's columns begin at its first row
-        pd = np.sqrt(_sq_norms(points[start:stop, None], points[None, start:]))
-        near = np.arange(start, n) <= np.arange(start, stop)[:, None]
-        im2 = _sq_norms(images[:, start:stop, None], images[:, None, start:],
-                        out=buf[:m * pd.size].reshape((m,) + pd.shape))
-        for j, d in enumerate(delta_grid):
-            near |= pd < d  # deltas ascend, so the far sets shrink
-            count[j] += near.size - np.count_nonzero(near)
-            im2[:, near] = np.inf
-            np.minimum(min2[j], im2.reshape(m, -1).min(axis=1), out=min2[j])
-    if count[0] == 0:
+    reached = delta_grid[delta_grid <= set_diameter(points,
+                                                    stop=delta_grid[-1])]
+    if len(reached) == 0:
         raise ValueError("no pairs at the smallest delta")
-    reached = delta_grid[count > 0]  # counts fall with delta: a prefix
+    m, n = images.shape[:2]
+    flat = images.reshape(m * n, -1)
+    order = np.argsort(images[..., 0], axis=1)
+    first = np.take_along_axis(images[..., 0], order, axis=1).ravel()
+    order += n * np.arange(m)[:, None]
+    at = order.ravel()  # rows of flat
+    del order
+    min2 = np.full((len(reached), m), np.inf)
+    block = max(1, STACK_BLOCK // (2 * (points.shape[1] + flat.shape[1])))
+    live = (n * np.arange(m)[:, None] + np.arange(n - 1)).ravel()
+    o = 1
+    while live.size:
+        kept = []
+        for s in range(0, live.size, block):
+            pos = live[s:s + block]
+            gap2 = np.square(first[pos + o] - first[pos])
+            live_now = gap2 <= min2[-1, pos // n]
+            pos, gap2 = pos[live_now], gap2[live_now]
+            a, b = at[pos], at[pos + o]
+            im2 = _sq_norms(flat[a], flat[b])
+            pd = np.sqrt(_sq_norms(points[a % n], points[b % n]))
+            for d, row in zip(reached, min2):
+                far = ~(pd < d)
+                np.minimum.at(row, pos[far] // n, im2[far])
+            kept.append(pos[gap2 <= min2[-1, pos // n]])  # the new bound
+        o += 1
+        live = np.concatenate(kept)
+        live = live[live % n < n - o]
     return [[(float(d), math.sqrt(float(e))) for d, e in zip(reached, col)]
-            for col in min2[:len(reached)].T]
+            for col in min2.T]
 
 
 def check_holder_budget(m_const):
@@ -255,102 +292,208 @@ def holder_ceiling(pd, im, m_const):
     return np.where(alpha > 0.0, alpha, 0.0)
 
 
-def _chunk_argmins(values, chunk):
-    """Index of the first least entry of each chunk-long chunk of a 1-D
-    array, the last chunk ragged."""
-    whole = len(values) - len(values) % chunk
-    idx = values[:whole].reshape(-1, chunk).argmin(axis=1) \
-        + np.arange(0, whole, chunk)
-    if whole < len(values):
-        idx = np.append(idx, whole + values[whole:].argmin())
-    return idx
+class OriginCells(NamedTuple):
+    """A net cut into cells about the origin, as origin_cells builds it.
+
+    points_t is the (d, n) net in cell order, norms its points' norms;
+    cell c holds the columns starts[c]:starts[c + 1].  For each cell:
+    centres, the midpoint of its bounding box; radii, half the box's
+    diagonal, so that every point of the cell lies within it of the
+    centre; reach, |centre| + radius; and tops, its largest norm."""
+
+    points_t: np.ndarray
+    norms: np.ndarray
+    starts: np.ndarray
+    centres: np.ndarray
+    radii: np.ndarray
+    reach: np.ndarray
+    tops: np.ndarray
 
 
-def origin_ceiling_scorer(pd):
-    """A function score(sq_im, normalizer, m_grid) that returns
-    holder_ceiling(pd / normalizer, sqrt(sq_im) / normalizer, M) as a
-    float for each M of m_grid, bit for bit, with exact ceilings taken only
-    on a candidate set that holds every arg-min.
+def _cell_keys(points, side):
+    """origin_cells' cell keys of the rows of an (n, d) point array: the
+    shell and the shifted cube indices of each, in mixed radix."""
+    span = 2 * math.ceil(1.0 / side) + 3  # shifted cube indices stay below
+    norms = np.sqrt(_sq_norms(points))
+    # the exponent of sqrt(2) |x| is round(log2 |x|) + 1, from -1073 up
+    key = np.where(norms > 0.0, np.frexp(math.sqrt(2.0) * norms)[1] + 1100,
+                   0).astype(np.int64)
+    scale = np.divide(1.0 / side, norms, out=np.zeros_like(norms),
+                      where=norms > 0.0)
+    cubes = np.floor(points * scale[:, None] + 0.5).astype(np.int64)
+    for cube in cubes.T:
+        key *= span
+        key += cube + span // 2
+    return key
 
-    pd holds the distances of a set's points from a base point and sq_im,
-    one map's squared image distances of the same points.  The set is cut
-    into chunks of CEIL_CHUNK points, whose largest distances are taken
-    once here.  Let P be a chunk's largest normalized pd.  The bound: in a
-    chunk with P <= M/2 a point binds only if im < pd/M <= 1/2, and then
-    its ceiling log2(pd/M) / log2(im) is positive and grows with im; as
-    log2(pd/M) <= log2(P/M) < 0, every binding point with
-    im >= tau = (P/M)^(1/c) has a ceiling of at least c.
 
-    c* is the exact ceiling over each chunk's point of least image
-    distance, an upper bound on the answer; c* = 0 is the answer.
-    Otherwise tau takes c* raised by CEIL_SLACK, and only the points with
-    im < tau are scored exactly, so a chunk whose least im is not below
-    tau is skipped.  c* = inf (none of them binds) gives tau = 1, above
-    every binding im.  A chunk with P > M/2 is kept whole: the bound needs
-    P < M, and P <= M/2 keeps log2(P/M) a bit away from 0, so that the
-    slack outweighs the rounding of the logs, the division and the power.
-    tau is floored at the least normal float, where it would lose that
-    precision; a binding point of a chunk with P/M below it has a smaller
-    im anyway, and the floor keeps every exact collision.  The answer is
-    the smaller of c* and the candidates' ceiling: a minimum over a
-    superset of the arg-min is the same float.
+def origin_cells(points, side=CELL_SIDE):
+    """Cut an (n, d) point array into cells by shell and by direction.
+
+    A point x != 0 falls in the cell of its shell, round(log2 |x|), and of
+    the cube of the given side, centred on a multiple of it, that holds
+    its direction x / |x|; points at the origin form one cell.  Any
+    partition would do, since a cell's centre and radius come from its
+    points, so a cell key that wraps around in many dimensions costs only
+    tightness.  The keys and the copy are taken in blocks of rows that
+    keep each within STACK_BLOCK entries, so that beyond the cell-ordered
+    copy and its norms only full-net index arrays are held.
     """
-    chunk = CEIL_CHUNK
-    pd_max = np.maximum.reduceat(pd, np.arange(0, len(pd), chunk))
-
-    def score(sq_im, normalizer, m_grid):
-        idx = _chunk_argmins(sq_im, chunk)
-        pd_c = pd[idx] / normalizer
-        im_c = np.sqrt(sq_im[idx]) / normalizer  # each chunk's least im
-        top = pd_max / normalizer  # division is monotone: the chunks' P
-        alphas = []
-        for m in m_grid:
-            c_star = float(holder_ceiling(pd_c, im_c, m))
-            if c_star == 0.0:  # also keeps 1 / c* finite below
-                alphas.append(c_star)
-                continue
-            with np.errstate(over="ignore"):  # only where 2 P > M, set below
-                tau = (top / m) ** (1.0 / (c_star * (1.0 + CEIL_SLACK)))
-            tau = np.maximum(tau, np.finfo(float).tiny)
-            tau[2.0 * top > m] = np.inf
-            parts = []
-            for c in np.flatnonzero(im_c < tau):
-                s = c * chunk
-                near = np.sqrt(sq_im[s:s + chunk]) / normalizer < tau[c]
-                parts.append(s + np.flatnonzero(near))
-            if parts:
-                keep = np.concatenate(parts)
-                c_star = min(c_star, float(holder_ceiling(
-                    pd[keep] / normalizer, np.sqrt(sq_im[keep]) / normalizer,
-                    m)))
-            alphas.append(c_star)
-        return alphas
-
-    return score
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    rows = max(1, STACK_BLOCK // dim)
+    key = np.concatenate([_cell_keys(points[s:s + rows], side)
+                          for s in range(0, n, rows)])
+    order = np.argsort(key)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1],
+                                            [True]]))
+    del key
+    points_t = np.empty((dim, n))
+    for s in range(0, n, rows):
+        block = points.take(order[s:s + rows], axis=0)
+        for c in range(dim):
+            points_t[c, s:s + rows] = block[:, c]
+    del order
+    lo = np.minimum.reduceat(points_t, starts[:-1], axis=1)
+    hi = np.maximum.reduceat(points_t, starts[:-1], axis=1)
+    centres = np.ascontiguousarray((0.5 * (lo + hi)).T)
+    radii = 0.5 * np.sqrt(_sq_norms((hi - lo).T))  # half the box diagonal
+    norms = np.sqrt(_sq_norms(points_t.T))
+    return OriginCells(points_t, norms, starts, centres, radii,
+                       np.sqrt(_sq_norms(centres)) + radii,
+                       np.maximum.reduceat(norms, starts[:-1]))
 
 
-def image_sq_norms(op, points_t, keep):
-    """Squared norms of the images op @ points_t of a (d, n) point array,
-    and the (len(keep), k) images of its columns keep, in ascending order
-    of keep.
+def net_images(op, points_t, idx):
+    """The (k, len(idx)) images op @ points_t[:, idx] of the columns idx of
+    a (d, n) point array.
 
-    The product is taken IMAGE_CHUNK columns at a time, so that each
-    chunk's images are squared and summed while they are in cache; a
-    test pins every value, bit for bit, to that of the whole product on
-    holder-ceiling's nets.
+    A map of one row, or a gather of one column, goes to BLAS twice over:
+    a matrix-vector product rounds by the layout and alignment of its
+    operands, a matrix product does not.  A test pins the gathers, bit for
+    bit, to the whole product on holder-ceiling's nets.
     """
-    n = points_t.shape[1]
-    keep = np.sort(keep)
-    starts = range(0, n, IMAGE_CHUNK)
-    cuts = np.searchsorted(keep, [*starts, n])
-    sq_im = np.empty(n)
-    kept = np.empty((len(keep), len(op)))
-    for s, a, b in zip(starts, cuts, cuts[1:]):
-        imgs = op @ points_t[:, s:s + IMAGE_CHUNK]
-        _sq_norms(imgs.T, out=sq_im[s:s + IMAGE_CHUNK])
-        if a < b:
-            kept[a:b] = imgs[:, keep[a:b] - s].T
-    return sq_im, kept
+    k, c = len(op), len(idx)
+    wide = op if k > 1 else np.repeat(op, 2, axis=0)
+    return (wide @ points_t[:, idx if c != 1 else np.repeat(idx, 2)])[:k, :c]
+
+
+def _cell_members(starts, cells):
+    """The columns of the given cells, cell after cell, and how many each
+    cell holds."""
+    counts = starts[cells + 1] - starts[cells]
+    first = np.repeat(starts[cells] - np.cumsum(counts) + counts, counts)
+    return first + np.arange(counts.sum()), counts
+
+
+def _cell_bounds(cells, op):
+    """origin_ceilings' lower bounds, one per cell, on the computed norms of
+    the images of the cell's points under op."""
+    lip = math.sqrt(float(np.abs(op @ op.T).sum(axis=1).max()))
+    bound = np.sqrt(_sq_norms(cells.centres @ op.T))
+    bound -= lip * cells.radii
+    bound -= CELL_SLACK * float(np.linalg.norm(op)) * cells.reach
+    return bound
+
+
+def _thresholds(top, m_const, power):
+    """origin_ceilings' thresholds for cells of largest normalized pd
+    P = top, at the budgets m_const and the powers 1 / c*, both columns:
+    min(tau, cap) with tau = (P / M)^power floored at the least normal
+    float, infinite where 2 P > M, and cap = (P / M)(1 + CELL_SLACK)
+    floored at twice that float."""
+    ratio = top / m_const
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore"):  # only where 2 P > M, set below
+        tau = np.maximum(ratio ** power, tiny)
+    tau[2.0 * top > m_const] = np.inf
+    return np.minimum(tau, np.maximum(ratio * (1.0 + CELL_SLACK), 2 * tiny))
+
+
+def origin_ceilings(cells, op, normalizer, m_grid):
+    """holder_ceiling(pd / normalizer, im / normalizer, M) over a net with
+    its base at the origin, as a float for each M of m_grid, bit for bit,
+    with images formed and ceilings taken only on a certified candidate
+    set of its points.
+
+    cells is the net cut by origin_cells; pd holds the points' norms and
+    im the norms of their images under op, each image net_images' column.
+    Below, pd, im and a cell's largest pd, P, are normalized.
+
+    The bound: for every x of a cell with centre c and radius rho,
+    |L x| >= |L c| - ||L||_2 rho, and ||L||_2^2 is at most the largest
+    row sum of |L L^T|.  Each computed image norm lies within a few units
+    of rounding times ||L||_F |x| of its exact value, as do |L c|, that
+    norm bound and rho, and |x| <= |c| + rho; so lowering the bound by
+    CELL_SLACK ||L||_F (|c| + rho) makes it a lower bound on the computed
+    norms, with room to spare for the division by the normalizer.
+
+    The seed is the set of cells of least bound, but for a cell at the
+    origin, which never binds: those at most 0, or the least one if none
+    is.  Its points are imaged, and c* is the exact ceiling over each seed
+    cell's points of least im, an upper bound on the answer; c* = 0 is the
+    answer.  Otherwise no point with im at least its cell's threshold
+    (_thresholds) can set a smaller ceiling:
+
+    * above the cap no point binds.  A point binds only if
+      fl(M im) < pd <= P, and im >= (P / M)(1 + CELL_SLACK) rules that
+      out against rounding; where P / M is below the least normal float,
+      2 M times that float is above P;
+    * in a cell with 2 P <= M, a binding point has im < pd / M <= 1/2,
+      and its ceiling log2(pd / M) / log2(im) is positive and grows with
+      im; as log2(pd / M) <= log2(P / M) < 0, a binding point with
+      im >= tau = (P / M)^(1 / c*) has a ceiling of at least c*.  tau
+      takes c* raised by CEIL_SLACK, so that the slack outweighs the
+      rounding of the logs, the division and the power; P <= M / 2 keeps
+      log2(P / M) away from 0 for that, and tau is infinite elsewhere.
+      It is floored at the least normal float, where it would lose that
+      precision; a binding point below it has a smaller im anyway, and
+      the floor keeps every exact collision.
+
+    A cell whose bound is at least its threshold at every M is ruled out
+    before any image is formed.  The other cells are imaged once, and
+    each M scores the points of the seed and of those cells below their
+    threshold.  The answer is the smaller of c* and their ceiling: a
+    minimum over a superset of the arg-min is the same float.
+    """
+    bound = _cell_bounds(cells, op)
+    far = cells.tops > 0.0  # a cell at the origin never binds
+    seed = np.flatnonzero(far & (bound <= max(float(np.min(
+        bound, where=far, initial=np.inf)), 0.0)))
+    idx, counts = _cell_members(cells.starts, seed)
+    im = np.sqrt(_sq_norms(net_images(op, cells.points_t, idx).T))
+    im /= normalizer
+    least = im == np.repeat(
+        np.minimum.reduceat(im, np.cumsum(counts) - counts), counts)
+    pd_least, im_least = cells.norms[idx[least]] / normalizer, im[least]
+    c_stars = [float(holder_ceiling(pd_least, im_least, m)) for m in m_grid]
+    # c* = 0 is the answer, which also keeps 1 / c* finite below
+    scored = [j for j, c_star in enumerate(c_stars) if c_star]
+    m_col = np.array([m_grid[j] for j in scored])[:, None]
+    powers = 1.0 / (np.array([c_stars[j] for j in scored])[:, None]
+                    * (1.0 + CEIL_SLACK))
+    bound /= normalizer
+    top = cells.tops / normalizer  # division is monotone: the cells' P
+    kept = (bound < _thresholds(top, m_col, powers)).any(axis=0)
+    kept[seed] = False
+    more = np.flatnonzero(kept)
+    if len(more):
+        more_idx, more_counts = _cell_members(cells.starts, more)
+        im_more = np.sqrt(_sq_norms(net_images(op, cells.points_t,
+                                               more_idx).T))
+        im = np.concatenate([im, im_more / normalizer])
+        idx = np.concatenate([idx, more_idx])
+        seed = np.concatenate([seed, more])
+        counts = np.concatenate([counts, more_counts])
+    pd = cells.norms[idx] / normalizer
+    below = im < np.repeat(_thresholds(top[seed], m_col, powers), counts,
+                           axis=1)
+    alphas = list(c_stars)
+    for j, near in zip(scored, below):
+        alphas[j] = min(alphas[j], float(holder_ceiling(pd[near], im[near],
+                                                        m_grid[j])))
+    return alphas
 
 
 def _facet_scan(pts, top):
@@ -453,20 +596,31 @@ def hull_vertices(points, norms):
     return np.sort(ConvexHull(points[:, cols]).vertices)
 
 
-def set_diameter(points):
-    """Exact diameter of a point array, by a direct scan over blocks of
-    PAIR_BLOCK rows.
+def set_diameter(points, stop=math.inf):
+    """Exact diameter of a point array, by a direct scan over the pairs in
+    blocks of rows that keep a block within STACK_BLOCK pairs.
 
     The scan costs a pass over all pairs.  The diameter is attained on
     convex-hull vertices, so a caller with a large set reduces it to its
     hull_vertices first, as holder-ceiling's _holder_leg does once per net.
-    On a line the scan's largest distance is fl(sqrt(fl(x^2))) = |x| at the
-    extreme pair, that is fl(max - min), outside overflow and underflow.
+    The scan ends early at the first block whose largest distance reaches
+    stop, and returns that distance: at least stop, at most the diameter.
+
+    The root is taken once, of the largest square: rounded roots are
+    monotone, so it is the largest rounded distance.  On a line that is
+    fl(sqrt(fl(x^2))) = |x| at the extreme pair, that is fl(max - min),
+    outside overflow and underflow.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return max((float(np.sqrt(_sq_norms(points[s:s + PAIR_BLOCK, None],
-                                        points[None]).max()))
-                for s in range(0, len(points), PAIR_BLOCK)), default=0.0)
+    rows = max(1, STACK_BLOCK // max(len(points), 1))
+    top = 0.0
+    # partners from the block's first row on: the earlier ones came before
+    for s in range(0, len(points), rows):
+        top = max(top, math.sqrt(float(_sq_norms(points[s:s + rows, None],
+                                                 points[None, s:]).max())))
+        if top >= stop:
+            break
+    return top
 
 
 def log_lipschitz_modulus(u, big_r, eta, theta):

@@ -36,12 +36,11 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             verify_digit_lemma, word_entropy_dimension)
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension)
-from .embedding import (_sq_norms, check_holder_budget,
+from .embedding import (_sq_norms, check_deltas, check_holder_budget,
                         collision_probability, holder_ceiling,
-                        hull_vertices, image_sq_norms,
-                        inverse_continuity_modulus,
-                        log_lip_pass, log_lipschitz_modulus,
-                        origin_ceiling_scorer, set_diameter,
+                        hull_vertices, inverse_continuity_modulus,
+                        log_lip_pass, log_lipschitz_modulus, net_images,
+                        origin_ceilings, origin_cells, set_diameter,
                         transversality_fraction)
 from .geom import write_points_csv
 from .linalg import sample_e_batch
@@ -503,8 +502,8 @@ def _collision_scaling(cfg, art, threads):
 
 
 def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
-    """alpha_hat for each M, one dict per map, on a net with the origin
-    at index 0.
+    """alpha_hat for each M, one dict per map, on a net about the origin,
+    cut into origin_cells once.
 
     Each map sees the net's images and the two kernel-adjacent witnesses
     of every spec on shells; spec j of map midx draws its witnesses from
@@ -513,10 +512,8 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
     net's hull vertices (conv(LX) = L conv(X)) and of the witnesses.
     """
     n_maps = len(rows)
-    norms = np.sqrt(_sq_norms(net.points))
-    score = origin_ceiling_scorer(norms)
-    points_t = np.ascontiguousarray(net.points.T)
-    hull_idx = hull_vertices(net.points, norms)
+    cells = origin_cells(net.points)
+    hull_idx = hull_vertices(cells.points_t.T, cells.norms)
     wit_seeds = _sub_seeds(seed, len(specs) * n_maps)
 
     def one_map(midx):
@@ -525,12 +522,12 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
             kernel_shell_witnesses(s, op, wit_seeds[j * n_maps + midx],
                                    shells).points
             for j, s in enumerate(specs)])
-        sq_im, hull_imgs = image_sq_norms(op, points_t, hull_idx)
+        hull_imgs = net_images(op, cells.points_t, hull_idx).T
         wit_imgs = wit @ op.T
         normalizer = 2.0 * set_diameter(np.vstack([hull_imgs, wit_imgs]))
         # the base, at the origin, never binds, and the ceiling is a
         # minimum over points, so it splits over the net and the witnesses
-        alphas = score(sq_im, normalizer, m_grid)
+        alphas = origin_ceilings(cells, op, normalizer, m_grid)
         pd_wit = np.sqrt(_sq_norms(wit)) / normalizer
         im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
         return {m: min(a, float(holder_ceiling(pd_wit, im_wit, m)))
@@ -989,6 +986,7 @@ def _ifs_translate(cfg, art, threads):
     "seed": None,
 })
 def _dense_ball(cfg, art, threads):
+    check_deltas([cfg["delta"]])  # before the atoms and the maps are drawn
     seeds = _sub_seeds(cfg["seed"], 2)
     measure = dense_ball_atoms(cfg["ambient_dim"], cfg["n_atoms"], seeds[0],
                                decay=cfg["decay"])

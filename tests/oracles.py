@@ -15,14 +15,25 @@
   KD-tree query.
 * decode_brute_force_oracle: nearest-image decoding over all N^2 image
   distances, an exact tie a failure.
+* modulus_oracle: the inverse continuity modulus over every pair, in
+  blocks of base points.
+* image_sq_norms and origin_ceiling_scorer: squared image norms of a
+  whole net, chunk by chunk, and the Holder ceilings at its origin from
+  them.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from projlab.dimension import _resolution, cover_index
+from projlab.embedding import CEIL_SLACK, _sq_norms, holder_ceiling
+
+MODULUS_BLOCK = 1 << 18  # map x pair entries per block of modulus_oracle
+CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
+IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
 
 
 @dataclass(frozen=True)
@@ -197,3 +208,149 @@ def decode_brute_force_oracle(points, weights, rows, noise, noise_rng):
         recovered = (d2 > own[:, None]).all(axis=1)
         recoveries.append(float(weights[recovered].sum()))
     return recoveries
+
+
+def modulus_oracle(points, ops, delta_grid):
+    """eps(delta) = smallest image distance among pairs at least delta apart.
+
+    ops is a stack of maps, an (m, k, N) array such as sample_e_batch
+    returns; the result is a list of m tables of (delta, eps) rows, in
+    stack order.  Deltas that no pair reaches are cut from every table
+    alike.
+
+    The pass runs over blocks of base points.  Point distances and the
+    far-pair masks of a block are found once for the whole stack; image
+    distances are direct differences of the images, so a small minimum is
+    never the cancellation residue of a Gram identity.  A block takes as
+    many base points as keep its map x pair entries within MODULUS_BLOCK,
+    and at least one.
+
+    Nondecreasing in delta by construction (shrinking the pair set can only
+    raise the minimum).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    ops = np.asarray(ops, dtype=float)
+    if ops.ndim != 3:
+        raise ValueError("ops must be an (m, k, N) stack of maps")
+    images = np.ascontiguousarray(points @ np.swapaxes(ops, 1, 2))
+    delta_grid = np.sort(np.asarray(delta_grid, dtype=float))
+    m, n = images.shape[:2]
+    min2 = np.full((len(delta_grid), m), np.inf)
+    count = np.zeros(len(delta_grid), dtype=np.int64)
+    rows = max(1, MODULUS_BLOCK // (m * n))
+    buf = np.empty(m * rows * n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # partners j > i only, so the block's columns begin at its first row
+        pd = np.sqrt(_sq_norms(points[start:stop, None], points[None, start:]))
+        near = np.arange(start, n) <= np.arange(start, stop)[:, None]
+        im2 = _sq_norms(images[:, start:stop, None], images[:, None, start:],
+                        out=buf[:m * pd.size].reshape((m,) + pd.shape))
+        for j, d in enumerate(delta_grid):
+            near |= pd < d  # deltas ascend, so the far sets shrink
+            count[j] += near.size - np.count_nonzero(near)
+            im2[:, near] = np.inf
+            np.minimum(min2[j], im2.reshape(m, -1).min(axis=1), out=min2[j])
+    if count[0] == 0:
+        raise ValueError("no pairs at the smallest delta")
+    reached = delta_grid[count > 0]  # counts fall with delta: a prefix
+    return [[(float(d), math.sqrt(float(e))) for d, e in zip(reached, col)]
+            for col in min2[:len(reached)].T]
+
+
+def _chunk_argmins(values, chunk):
+    """Index of the first least entry of each chunk-long chunk of a 1-D
+    array, the last chunk ragged."""
+    whole = len(values) - len(values) % chunk
+    idx = values[:whole].reshape(-1, chunk).argmin(axis=1) \
+        + np.arange(0, whole, chunk)
+    if whole < len(values):
+        idx = np.append(idx, whole + values[whole:].argmin())
+    return idx
+
+
+def origin_ceiling_scorer(pd):
+    """A function score(sq_im, normalizer, m_grid) that returns
+    holder_ceiling(pd / normalizer, sqrt(sq_im) / normalizer, M) as a
+    float for each M of m_grid, bit for bit, with exact ceilings taken only
+    on a candidate set that holds every arg-min.
+
+    pd holds the distances of a set's points from a base point and sq_im,
+    one map's squared image distances of the same points.  The set is cut
+    into chunks of CEIL_CHUNK points, whose largest distances are taken
+    once here.  Let P be a chunk's largest normalized pd.  The bound: in a
+    chunk with P <= M/2 a point binds only if im < pd/M <= 1/2, and then
+    its ceiling log2(pd/M) / log2(im) is positive and grows with im; as
+    log2(pd/M) <= log2(P/M) < 0, every binding point with
+    im >= tau = (P/M)^(1/c) has a ceiling of at least c.
+
+    c* is the exact ceiling over each chunk's point of least image
+    distance, an upper bound on the answer; c* = 0 is the answer.
+    Otherwise tau takes c* raised by CEIL_SLACK, and only the points with
+    im < tau are scored exactly, so a chunk whose least im is not below
+    tau is skipped.  c* = inf (none of them binds) gives tau = 1, above
+    every binding im.  A chunk with P > M/2 is kept whole: the bound needs
+    P < M, and P <= M/2 keeps log2(P/M) a bit away from 0, so that the
+    slack outweighs the rounding of the logs, the division and the power.
+    tau is floored at the least normal float, where it would lose that
+    precision; a binding point of a chunk with P/M below it has a smaller
+    im anyway, and the floor keeps every exact collision.  The answer is
+    the smaller of c* and the candidates' ceiling: a minimum over a
+    superset of the arg-min is the same float.
+    """
+    chunk = CEIL_CHUNK
+    pd_max = np.maximum.reduceat(pd, np.arange(0, len(pd), chunk))
+
+    def score(sq_im, normalizer, m_grid):
+        idx = _chunk_argmins(sq_im, chunk)
+        pd_c = pd[idx] / normalizer
+        im_c = np.sqrt(sq_im[idx]) / normalizer  # each chunk's least im
+        top = pd_max / normalizer  # division is monotone: the chunks' P
+        alphas = []
+        for m in m_grid:
+            c_star = float(holder_ceiling(pd_c, im_c, m))
+            if c_star == 0.0:  # also keeps 1 / c* finite below
+                alphas.append(c_star)
+                continue
+            with np.errstate(over="ignore"):  # only where 2 P > M, set below
+                tau = (top / m) ** (1.0 / (c_star * (1.0 + CEIL_SLACK)))
+            tau = np.maximum(tau, np.finfo(float).tiny)
+            tau[2.0 * top > m] = np.inf
+            parts = []
+            for c in np.flatnonzero(im_c < tau):
+                s = c * chunk
+                near = np.sqrt(sq_im[s:s + chunk]) / normalizer < tau[c]
+                parts.append(s + np.flatnonzero(near))
+            if parts:
+                keep = np.concatenate(parts)
+                c_star = min(c_star, float(holder_ceiling(
+                    pd[keep] / normalizer, np.sqrt(sq_im[keep]) / normalizer,
+                    m)))
+            alphas.append(c_star)
+        return alphas
+
+    return score
+
+
+def image_sq_norms(op, points_t, keep):
+    """Squared norms of the images op @ points_t of a (d, n) point array,
+    and the (len(keep), k) images of its columns keep, in ascending order
+    of keep.
+
+    The product is taken IMAGE_CHUNK columns at a time, so that each
+    chunk's images are squared and summed while they are in cache; a
+    test pins every value, bit for bit, to that of the whole product on
+    holder-ceiling's nets.
+    """
+    n = points_t.shape[1]
+    keep = np.sort(keep)
+    starts = range(0, n, IMAGE_CHUNK)
+    cuts = np.searchsorted(keep, [*starts, n])
+    sq_im = np.empty(n)
+    kept = np.empty((len(keep), len(op)))
+    for s, a, b in zip(starts, cuts, cuts[1:]):
+        imgs = op @ points_t[:, s:s + IMAGE_CHUNK]
+        _sq_norms(imgs.T, out=sq_im[s:s + IMAGE_CHUNK])
+        if a < b:
+            kept[a:b] = imgs[:, keep[a:b] - s].T
+    return sq_im, kept

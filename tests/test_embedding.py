@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from oracles import transversality_oracle
+from oracles import (image_sq_norms, modulus_oracle, origin_ceiling_scorer,
+                     transversality_oracle)
 from projlab import embedding
 from projlab.constructions import SphereNetSpec, sphere_net, sphere_net_union
 from projlab.embedding import (_sq_norms, _tail_table, collision_probability,
                                holder_ceiling, hull_vertices,
                                inverse_continuity_modulus,
                                log_lip_pass, log_lipschitz_modulus,
-                               origin_ceiling_scorer, set_diameter,
-                               transversality_fraction)
+                               net_images, origin_ceilings, origin_cells,
+                               set_diameter, transversality_fraction)
 from projlab.experiments import _sub_seeds
 from projlab.linalg import sample_e_batch
 
@@ -177,6 +178,14 @@ def test_modulus_no_pairs_raises():
         inverse_continuity_modulus(pts, np.eye(1)[None], [5.0])
 
 
+@pytest.mark.parametrize("deltas", [[], [float("nan")], [-1.0], [0.0],
+                                    [0.5, math.inf], [0.5, -0.5]])
+def test_modulus_refuses_a_bad_delta_grid(deltas):
+    pts = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="delta"):
+        inverse_continuity_modulus(pts, np.eye(1)[None], deltas)
+
+
 def test_modulus_truncates_unreachable_scales():
     pts = np.array([[0.0], [1.0], [2.0]])
     table, = inverse_continuity_modulus(pts, np.eye(1)[None],
@@ -203,20 +212,26 @@ def _pair_max(pts):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
-       dim=st.integers(1, 3), block=st.sampled_from([1, 7, 64, 2048]),
+       dim=st.integers(1, 3), block=st.sampled_from([1, 7, 64, 2048, 1 << 18]),
        power=st.integers(-30, 30))
 def test_set_diameter_is_the_pair_maximum(seed, n, dim, block, power):
     # bit for bit against every pair, under any block size, for any row
-    # order, and scaled exactly by powers of two
+    # order, and scaled exactly by powers of two; an early stop returns a
+    # pair distance of at least the stop
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, dim)) * 2.0 ** rng.integers(-4, 5, (n, 1))
     pts[rng.random(n) < 0.1] = pts[0]  # some repeated points
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "PAIR_BLOCK", block)
+        patch.setattr(embedding, "STACK_BLOCK", block)
         diam = set_diameter(pts)
         assert diam == _pair_max(pts)
         assert set_diameter(pts[rng.permutation(n)]) == diam
         assert set_diameter(2.0**power * pts) == 2.0**power * diam
+        stop = float(rng.uniform(0.0, 1.5)) * diam
+        early = set_diameter(pts, stop=stop)
+        assert min(stop, diam) <= early <= diam
+        dists = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        assert early in dists
 
 
 def _hull_calls(monkeypatch):
@@ -478,6 +493,39 @@ def test_modulus_stack_matches_direct_oracle(k):
                                                      rel=1e-12)
 
 
+def _modulus_cases():
+    """(points, maps, deltas) on which the walk meets each of its paths."""
+    rng = np.random.default_rng(31)
+    cloud = rng.uniform(-1, 1, (60, 3))
+    line = np.outer(0.1 * np.arange(40), [1.0, 0.0, 0.0]) \
+        + 1e-3 * rng.normal(size=(40, 3))
+    yield from ((cloud, sample_e_batch(3, k, 4, seed=k), [0.3, 0.8, 1.4])
+                for k in (1, 2, 3))
+    # deltas above the diameter, which no pair reaches
+    yield cloud, sample_e_batch(3, 2, 3, seed=4), [0.5, 3.0, 4.0, 9.0]
+    # along a line seen end on, image neighbours are domain neighbours:
+    # no pair near in the image order is 2 apart
+    yield line, np.array([[[1.0, 0.0, 0.0]], [[0.9, 0.1, 0.0]]]), [0.05, 2.0]
+    # every image coincides: eps is 0
+    yield cloud, np.zeros((2, 2, 3)), [0.5]
+    yield cloud[:1].repeat(5, axis=0), sample_e_batch(3, 1, 2, seed=5), [0.5]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_modulus_matches_the_all_pairs_oracle(case, monkeypatch):
+    # bit for bit, under any block size, against the pass over every pair
+    pts, rows, deltas = list(_modulus_cases())[case]
+    try:
+        expected = modulus_oracle(pts, rows, deltas)
+    except ValueError:  # every point coincides: no pair is far
+        with pytest.raises(ValueError, match="no pairs"):
+            inverse_continuity_modulus(pts, rows, deltas)
+        return
+    for block in (1, 40, 1 << 18):
+        monkeypatch.setattr(embedding, "STACK_BLOCK", block)
+        assert inverse_continuity_modulus(pts, rows, deltas) == expected
+
+
 def test_modulus_blocks_smaller_than_the_stack(monkeypatch):
     # from one base point per block to the whole stack in one block: the
     # block size must not change the table
@@ -503,7 +551,9 @@ def test_modulus_permutation_invariant(seed, n, k):
     pts, rows = _cloud_and_maps(seed, n, k)
     perm = np.random.default_rng(seed + 1).permutation(n)
     deltas = [0.25, 0.5, 1.0]
-    for a, b in zip(inverse_continuity_modulus(pts, rows, deltas),
+    tables = inverse_continuity_modulus(pts, rows, deltas)
+    assert tables == modulus_oracle(pts, rows, deltas)
+    for a, b in zip(tables,
                     inverse_continuity_modulus(pts[perm], rows, deltas)):
         assert [d for d, _ in a] == [d for d, _ in b]
         assert [e for _, e in a] == pytest.approx([e for _, e in b],
@@ -638,21 +688,32 @@ def test_holder_ceiling_collision_and_empty_rules():
 M_GRID = [1.0, 1.5, 2.0, 4.0, 16.0, 1000.0]
 
 
-def _full_pass(pd, sq_im, normalizer, m_grid=M_GRID):
-    """holder_ceiling over every point: the oracle."""
-    im = np.sqrt(sq_im) / normalizer
-    return [float(holder_ceiling(pd / normalizer, im, m)) for m in m_grid]
+def _full_pass(pts, op, normalizer, m_grid=M_GRID):
+    """holder_ceiling over every point, each image from the product with
+    the whole net: the oracle.  For k >= 2 that product is the chunked
+    one of the scorer the cells replaced, and that scorer agrees."""
+    pts_t = np.ascontiguousarray(pts.T)
+    sq_im = _sq_norms(net_images(op, pts_t, np.arange(len(pts))).T)
+    pd = np.sqrt(_sq_norms(pts))
+    full = [float(holder_ceiling(pd / normalizer, np.sqrt(sq_im) / normalizer,
+                                 m)) for m in m_grid]
+    if len(op) > 1:
+        chunked, _ = image_sq_norms(op, pts_t, np.zeros(0, dtype=int))
+        assert np.array_equal(chunked, sq_im)
+        assert origin_ceiling_scorer(pd)(sq_im, normalizer, m_grid) == full
+    return full
 
 
-def _candidate_pass(pd, sq_im, normalizer, m_grid=M_GRID):
-    return origin_ceiling_scorer(pd)(sq_im, normalizer, m_grid)
+def _candidate_pass(pts, op, normalizer, m_grid=M_GRID,
+                    side=embedding.CELL_SIDE):
+    return origin_ceilings(origin_cells(pts, side), op, normalizer, m_grid)
 
 
 def _shell_net(n, seed, shuffle):
-    """Distances and squared image norms of a net with the origin first and
-    its other points on shells of radius 2^-i, in shell order as a sphere
-    net lays them out (or shuffled), under one random map; and the
-    normalizer, twice the image diameter."""
+    """A net with the origin first and its other points on shells of
+    radius 2^-i, in shell order as a sphere net lays them out (or
+    shuffled); a random map; and the normalizer, twice the image
+    diameter."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
     radii = 2.0 ** -np.sort(rng.integers(0, 12, n))
@@ -660,15 +721,13 @@ def _shell_net(n, seed, shuffle):
     pts[0] = 0.0
     if shuffle:
         pts[1:] = rng.permutation(pts[1:])
-    imgs = pts @ sample_e_batch(3, 2, 1, seed)[0].T
-    return np.sqrt(_sq_norms(pts)), _sq_norms(imgs), \
-        2.0 * set_diameter(imgs[ConvexHull(imgs).vertices])
+    op = sample_e_batch(3, 2, 1, seed)[0]
+    imgs = pts @ op.T
+    return pts, op, 2.0 * set_diameter(imgs[ConvexHull(imgs).vertices])
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
-@pytest.mark.parametrize("n", [embedding.CEIL_CHUNK - 1, embedding.CEIL_CHUNK,
-                               embedding.CEIL_CHUNK + 1,
-                               3 * embedding.CEIL_CHUNK + 17])
+@pytest.mark.parametrize("n", [2**12 - 1, 2**12, 2**12 + 1, 3 * 2**12 + 17])
 def test_origin_ceilings_match_the_full_pass(n, shuffle, monkeypatch):
     scored = []
 
@@ -676,74 +735,78 @@ def test_origin_ceilings_match_the_full_pass(n, shuffle, monkeypatch):
         scored.append(len(pd))
         return holder_ceiling(pd, im, m_const)
 
-    monkeypatch.setattr(embedding, "holder_ceiling", spy)
     for seed in range(3):
-        pd, sq_im, normalizer = _shell_net(n, seed, shuffle)
-        assert _candidate_pass(pd, sq_im, normalizer) == \
-            _full_pass(pd, sq_im, normalizer)
-    # one chunk holds the origin, its least image, so c* = inf, tau = 1
-    # and every point is scored; past one chunk some M scores a proper
-    # subset
-    n_chunks = -(-n // embedding.CEIL_CHUNK)
-    assert (n_chunks > 1) == any(n_chunks < size < n for size in scored)
+        pts, op, normalizer = _shell_net(n, seed, shuffle)
+        full = _full_pass(pts, op, normalizer)
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "holder_ceiling", spy)
+            assert _candidate_pass(pts, op, normalizer) == full
+    # no M scores the whole net
+    assert 0 < max(scored) < n
 
 
-def _chunks(*rows):
-    """pd and sq_im from rows of (pd, im) pairs, one row per chunk, with
-    normalizer 1."""
-    pairs = np.array([pair for row in rows for pair in row], dtype=float)
-    return pairs[:, 0], pairs[:, 1] ** 2
+def _point(pd, im, angle):
+    """A point whose norm is pd and whose image under _MAP has norm im,
+    up to rounding, at the given angle about the map's kernel."""
+    return np.array([0.5 * im * math.cos(angle), 0.5 * im * math.sin(angle),
+                     math.sqrt(max(pd * pd - 0.25 * im * im, 0.0))])
+
+
+_MAP = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])  # kernel: the z axis
+
+
+def _net(*groups):
+    """The origin and a point for each (pd, im) pair, the pairs of group g
+    at angle 2 g about the kernel, so that groups fall in other cells."""
+    return np.array([np.zeros(3)] + [_point(pd, im, 2.0 * g)
+                                     for g, pairs in enumerate(groups)
+                                     for pd, im in pairs])
 
 
 @pytest.mark.parametrize("case, expected", [
-    # an exact collision behind the origin's tie at im = 0, in a chunk
+    # an exact collision on the kernel, in a cell whose bound is 0 and
     # whose largest distance is tiny
     (([(0.2, 0.01), (0.3, 0.1), (0.3, 0.2), (0.4, 0.3)],
-      [(0.0, 0.0), (1e-300, 0.0), (1e-300, 0.4), (0.0, 0.1)]), 0.0),
-    # the chunk minima bind nowhere, nor does anything else
-    (([(0.0, 0.0), (0.1, 0.1), (0.2, 0.3), (0.1, 0.4)],
-      [(0.0, 0.01), (0.01, 0.2), (0.2, 0.2)]), math.inf),
-    # tied minima: chunk 1 sets c*, and chunk 0's least im is a tie
-    # whose first member does not bind while the second sets the answer
-    (([(0.0, 0.05), (0.3, 0.05), (0.2, 0.3), (0.1, 0.4)],
-      [(0.2, 0.1), (0.1, 0.2), (0.3, 0.25)]),
+      [(1e-150, 0.0), (1e-140, 1e-141)]), 0.0),
+    # every image is at least as far out as its point: nothing binds
+    (([(0.1, 0.1), (0.2, 0.3), (0.1, 0.2)], [(0.01, 0.02), (0.2, 0.2)]),
+     math.inf),
+    # the seed cell's least image sets c*; a point behind it, in the same
+    # cell, sets the answer
+    (([(0.3, 0.05), (0.25, 0.04)], [(0.2, 0.3), (0.1, 0.2), (0.3, 0.25)]),
      math.log2(0.3) / math.log2(0.05)),
-    # the chunk minima do not bind, a later point does (c* = inf)
-    (([(0.0, 0.0), (0.4, 0.3), (0.2, 0.3), (0.1, 0.4)],
-      [(0.01, 0.1), (0.4, 0.11)]), None),
+    # the seed, of least bound, binds nowhere, a later point does
+    # (c* = inf)
+    (([(0.01, 0.02), (0.4, 0.3)], [(0.1, 0.2)]), None),
     # P >= M: a point at distance 2 binds at M = 1 with a negative ceiling
     (([(0.1, 0.001), (0.2, 0.3), (0.3, 0.3), (0.4, 0.3)],
-      [(0.0, 0.01), (2.0, 0.4), (0.1, 0.4)]), None),
+      [(0.1, 0.2), (2.0, 0.4), (0.1, 0.4)]), None),
 ])
-def test_origin_ceilings_special_cases(case, expected, monkeypatch):
-    monkeypatch.setattr(embedding, "CEIL_CHUNK", 4)
-    rows = [row + [(0.0, 0.5)] * (4 - len(row)) for row in case[:-1]] \
-        + [case[-1]]
-    pd, sq_im = _chunks(*rows)
-    alphas = _candidate_pass(pd, sq_im, 1.0)
-    assert alphas == _full_pass(pd, sq_im, 1.0)
-    if expected is not None:
-        assert alphas[0] == expected  # at M = 1
+def test_origin_ceilings_special_cases(case, expected):
+    pts = _net(*case)
+    alphas = _candidate_pass(pts, _MAP, 1.0)
+    assert alphas == _full_pass(pts, _MAP, 1.0)
+    if expected is not None:  # at M = 1
+        assert alphas[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_origin_ceilings_p_at_least_m_beyond_im_one(monkeypatch):
-    # c* = log2 5 / log2 1.5 comes from chunk 0; chunk 1 has P = 3 M, and
-    # its point at im = 2 binds with a smaller ceiling, log2 3 / log2 2,
-    # beyond the chunk's tau
-    monkeypatch.setattr(embedding, "CEIL_CHUNK", 2)
-    pd, sq_im = _chunks([(5.0, 1.5), (0.0, 1.6)], [(0.0, 0.01), (3.0, 2.0)])
-    alpha, = _candidate_pass(pd, sq_im, 1.0, [1.0])
-    assert alpha == math.log2(3.0) / math.log2(2.0) < \
-        math.log2(5.0) / math.log2(1.5)
+def test_origin_ceilings_p_at_least_m_beyond_im_one():
+    # c* = log2 5 / log2 1.5 comes from the seed, the cell of least bound;
+    # the other cell has P = 3 M, and its point at im = 2 binds with a
+    # smaller ceiling, log2 3 / log2 2, beyond the cell's tau.  The points
+    # carry rounding, so only the full pass gives the ceiling exactly
+    pts = _net([(5.0, 1.5)], [(3.0, 2.0)])
+    alpha, = _candidate_pass(pts, _MAP, 1.0, [1.0])
+    assert alpha == _full_pass(pts, _MAP, 1.0, [1.0])[0]
+    assert alpha == pytest.approx(math.log2(3.0) / math.log2(2.0), rel=1e-12)
+    assert alpha < math.log2(5.0) / math.log2(1.5)
 
 
 @pytest.mark.parametrize("near_m", [False, True])
-def test_origin_ceilings_keep_points_at_the_rounded_threshold(near_m,
-                                                              monkeypatch):
-    # chunk 0 sets c*; in chunk 1 a point sits at tau = (P/M)^(1/c*)
+def test_origin_ceilings_keep_points_at_the_rounded_threshold(near_m):
+    # the seed sets c*; in another cell a point sits at tau = (P/M)^(1/c*)
     # itself, where rounding can put its ceiling a bit under c*.  With P
     # near M, log2(P/M) is near 0 and that error outgrows any slack.
-    monkeypatch.setattr(embedding, "CEIL_CHUNK", 2)
     rng = np.random.default_rng(12)
     below = 0
     for _ in range(300):
@@ -753,37 +816,99 @@ def test_origin_ceilings_keep_points_at_the_rounded_threshold(near_m,
         c_star = float(holder_ceiling(np.array([pd_a]), np.array([im_a]), m))
         p = m * (1.0 - 10.0 ** -rng.uniform(5, 13) if near_m
                  else rng.uniform(0.001, 0.5))
-        tau = (p / m) ** (1.0 / c_star)
-        pd, sq_im = _chunks([(pd_a, im_a), (0.0, 1.0)], [(0.0, 0.0),
-                                                         (p, tau)])
-        full = _full_pass(pd, sq_im, 1.0, [m])
+        pts = _net([(pd_a, im_a)], [(p, (p / m) ** (1.0 / c_star))])
+        full = _full_pass(pts, _MAP, 1.0, [m])
         below += full[0] < c_star
-        assert _candidate_pass(pd, sq_im, 1.0, [m]) == full
+        assert _candidate_pass(pts, _MAP, 1.0, [m]) == full
     assert below > 0  # the rounding case did occur
 
 
-def _random_rows(seed, n):
-    """pd, sq_im and normalizer with collisions, ties at the origin and
-    image distances up to 1.5 times the point distance."""
+def test_cell_bounds_hold_on_tight_cells():
+    # two points of a cell straddle its centre along the map's first row,
+    # where |L x| = |L c| - ||L|| rho holds exactly: the rounding of every
+    # term must not lift the bound above a computed image norm
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        a, r = rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.05)
+        pts = np.array([[a - r, 0.0, 1.0], [a + r, 0.0, 1.0]]) \
+            * rng.uniform(0.5, 2.0)
+        op = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) \
+            * rng.uniform(0.5, 2.0)
+        cells = origin_cells(pts, math.inf)
+        im = np.sqrt(_sq_norms(net_images(op, cells.points_t,
+                                          np.arange(2)).T))
+        assert embedding._cell_bounds(cells, op)[0] <= im.min()
+
+
+def test_thresholds_cap_every_binding_image():
+    # a point binds when fl(M im) < pd; at im = pd / M give or take a few
+    # units of rounding that can hold with im >= fl(pd / M), so the cap
+    # above which nothing binds must sit above both
+    rng = np.random.default_rng(22)
+    edge = 0
+    for _ in range(3000):
+        pd = rng.uniform(0.01, 0.5)
+        m = float(rng.choice([1.5, 3.0, 5.0, 7.0, 11.0]))
+        im = pd / m * (1.0 + 2.0**-52 * rng.integers(-4, 5))
+        if pd > m * im:  # binds
+            edge += im >= pd / m
+            assert im < embedding._thresholds(np.array([pd]), m, 0.0)[0]
+    assert edge > 0  # the rounding case did occur
+
+
+def _random_net(seed, n, k=2):
+    """Points in shells from 2^-30 to 2, some in the kernel of the map
+    (exact collisions) and some repeated, and a map of k rows in the unit
+    ball; the normalizer, twice the image diameter (1 when every image is
+    0)."""
     rng = np.random.default_rng(seed)
-    pd = rng.uniform(0.0, 1.0, n) * 2.0 ** rng.integers(-30, 2, n)
-    im = pd * rng.uniform(0.0, 1.5, n) ** rng.integers(1, 4, n)
-    im[rng.random(n) < 0.05] = 0.0
-    pd[0] = im[0] = 0.0
-    normalizer = float(rng.uniform(0.5, 2.0))
-    return pd * normalizer, (im * normalizer) ** 2, normalizer
+    pts = rng.normal(size=(n, 3))
+    pts *= (2.0 ** rng.integers(-30, 2, n) / np.linalg.norm(pts, axis=1)
+            )[:, None]
+    op = sample_e_batch(3, k, 1, seed)[0]
+    kernel = np.linalg.svd(op)[2][k:]
+    on_kernel = rng.random(n) < 0.05
+    pts[on_kernel] = rng.uniform(-1, 1, (on_kernel.sum(), 3 - k)) @ kernel
+    pts[rng.random(n) < 0.05] = pts[0]
+    pts[0] = 0.0
+    return pts, op, 2.0 * set_diameter(pts @ op.T) or 1.0
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
-def test_origin_ceilings_permutation_within_chunks_and_monotone_in_m(seed, n):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(embedding, "CEIL_CHUNK", 8)
-        pd, sq_im, normalizer = _random_rows(seed, n)
-        alphas = _candidate_pass(pd, sq_im, normalizer)
-        assert alphas == _full_pass(pd, sq_im, normalizer)
-        assert alphas == sorted(alphas)  # M_GRID is increasing
-        rng = np.random.default_rng(seed)
-        perm = np.concatenate([s + rng.permutation(len(pd[s:s + 8]))
-                               for s in range(0, n, 8)])
-        assert _candidate_pass(pd[perm], sq_im[perm], normalizer) == alphas
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       k=st.integers(1, 3),
+       side=st.sampled_from([2.0**-30, 1.0 / 8, 0.5, math.inf]))
+def test_origin_ceilings_permutation_within_chunks_and_monotone_in_m(seed, n,
+                                                                     k, side):
+    # any map, any cell side, from a cell for each point to one cell for
+    # each shell, and any order of the net give the full pass
+    pts, op, normalizer = _random_net(seed, n, k)
+    alphas = _candidate_pass(pts, op, normalizer, side=side)
+    assert alphas == _full_pass(pts, op, normalizer)
+    assert alphas == sorted(alphas)  # M_GRID is increasing
+    perm = np.random.default_rng(seed).permutation(n)
+    assert _candidate_pass(pts[perm], op, normalizer, side=side) == alphas
+
+
+def test_origin_cells_partition_the_net():
+    # the cells hold every point once, inside their radius; infinite cubes
+    # leave a cell for each shell
+    pts, _, _ = _random_net(3, 300)
+    for side in (2.0**-30, 1.0 / 8, math.inf):
+        cells = origin_cells(pts, side)
+        counts = np.diff(cells.starts)
+        assert counts.sum() == len(pts) and np.all(counts > 0)
+        assert sorted(map(tuple, cells.points_t.T)) == \
+            sorted(map(tuple, pts))
+        cell = np.repeat(np.arange(len(counts)), counts)
+        gap = np.linalg.norm(cells.points_t.T - cells.centres[cell], axis=1)
+        assert np.all(gap <= cells.radii[cell] * (1 + 1e-12))
+        assert np.array_equal(cells.norms, np.linalg.norm(cells.points_t.T,
+                                                          axis=1))
+    shells = {round(math.log2(r)) if r > 0 else None for r in cells.norms}
+    assert len(counts) == len(shells)
+    # on one sphere: a cell for each point, or one cell for all
+    sphere = np.random.default_rng(4).normal(size=(300, 3))
+    sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+    assert len(origin_cells(sphere, 2.0**-30).starts) == len(sphere) + 1
+    assert origin_cells(sphere, math.inf).starts.tolist() == [0, len(sphere)]

@@ -11,14 +11,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
-                     min_nn_distance)
+                     image_sq_norms, min_nn_distance)
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses,
                                    parabola_lift_measure, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.embedding import (_sq_norms, image_sq_norms,
-                               log_lipschitz_modulus, set_diameter)
+from projlab.embedding import (_sq_norms, hull_vertices, log_lipschitz_modulus,
+                               net_images, origin_cells, set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
@@ -344,25 +344,46 @@ def test_holder_witnesses_never_set_the_power_law_diameter(tmp_path):
 
 
 def test_holder_images_by_the_transposed_view_keep_their_bits():
-    # _holder_leg takes (k, n) images chunk by chunk from a (3, n) copy of
-    # the net; BLAS builds do not promise that these products equal
-    # net.points @ op.T or the whole product, so pin the squared norms and
-    # the hull-vertex images on both default nets and maps at seed 42
+    # _holder_leg gathers (k, c) images from a (3, n) cell-ordered copy of
+    # the net, column subsets of every size: the hull vertices, candidate
+    # cells, one point.  BLAS builds do not promise that these products
+    # equal net.points @ op.T or the whole product, so pin the gathers and
+    # their squared norms to the whole product chunk by chunk, on both
+    # default nets and maps at seed 42; and one-row maps, which net_images
+    # doubles, to the whole product of the doubled map
     seeds = _sub_seeds(42, 3)
     union = sphere_net_union(3, 2, l_law="pow2t", t=2.0, i_max=8,
                              seed=seeds[0]).points
     net = sphere_net(SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2sq",
                                    i_max=6), seeds[0],
                      allow_partial=True).points
+    rng = np.random.default_rng(9)
     for pts, seed in ((union, seeds[1]), (net, seeds[2])):
-        pts_t = np.ascontiguousarray(pts.T)
-        hull = ConvexHull(pts).vertices
-        for op in sample_e_batch(3, 2, 200, seed):
-            imgs = op @ pts.T
-            assert np.array_equal(imgs, (pts @ op.T).T)
-            sq_im, hull_imgs = image_sq_norms(op, pts_t, hull)
-            assert np.array_equal(sq_im, _sq_norms(imgs.T))
-            assert np.array_equal(hull_imgs, imgs[:, np.sort(hull)].T)
+        cells = origin_cells(pts)
+        pts_t = cells.points_t
+        hull = hull_vertices(pts_t.T, cells.norms)
+        counts = np.diff(cells.starts)
+        maps = list(sample_e_batch(3, 2, 200, seed)) \
+            + list(sample_e_batch(3, 1, 20, seed))
+        for op in maps:
+            imgs = op @ pts_t
+            if len(op) == 1:
+                imgs = (np.repeat(op, 2, axis=0) @ pts_t)[:1]
+            else:
+                assert np.array_equal(imgs, (pts_t.T @ op.T).T)
+                sq_im, hull_imgs = image_sq_norms(op, pts_t, hull)
+                assert np.array_equal(sq_im, _sq_norms(imgs.T))
+                assert np.array_equal(hull_imgs, imgs[:, hull].T)
+            assert np.array_equal(net_images(op, pts_t, hull), imgs[:, hull])
+            picked = rng.choice(len(counts), 40, replace=False)
+            for some in (picked[:1], picked):
+                idx = np.concatenate([np.arange(cells.starts[c],
+                                                cells.starts[c + 1])
+                                      for c in np.sort(some)])
+                assert np.array_equal(net_images(op, pts_t, idx),
+                                      imgs[:, idx])
+            one = rng.integers(len(pts), size=1)
+            assert np.array_equal(net_images(op, pts_t, one), imgs[:, one])
 
 
 THREAD_CONFIGS = {
@@ -525,6 +546,23 @@ def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
                 float(w[alpha >= cfg["alpha_floor"]].sum())
             assert float(row["defect_positive_fraction"]) == \
                 float(np.mean(c_hat > 0))
+
+
+@pytest.mark.parametrize("delta", [-1.0, float("nan"), 0.0, math.inf])
+def test_dense_ball_refuses_a_delta_before_any_work(tmp_path, monkeypatch,
+                                                    delta):
+    # a negative delta once passed with negative ratios, a NaN wrote "nan"
+    # into summary.json; neither may build the atoms or draw the maps
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began")
+
+    monkeypatch.setattr(experiments, "dense_ball_atoms", refuse)
+    monkeypatch.setattr(experiments, "sample_e_batch", refuse)
+    with pytest.raises(ValueError, match="delta"):
+        run_experiment("dense-ball-discontinuity",
+                       config={"seed": 42, "delta": delta},
+                       out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_dense_ball_has_no_false_collision(tmp_path):

@@ -86,10 +86,11 @@ def test_every_public_definition_is_reached_from_the_package():
 
 
 def test_block_sizes_are_known_only_to_embedding():
-    # the kernels' block and chunk sizes are embedding's own decision, so
-    # no other module names them, not even in prose; tests may patch them
-    names = re.compile(r"\b(PAIR_BLOCK|STACK_BLOCK|MAP_BLOCK|CEIL_CHUNK"
-                       r"|IMAGE_CHUNK|TRI_BLOCK)\b")
+    # the kernels' block sizes, cell side and cell slack are embedding's
+    # own decision, so no other module names them, not even in prose;
+    # tests may patch them
+    names = re.compile(r"\b(STACK_BLOCK|MAP_BLOCK|TRANS_BLOCK|TRI_BLOCK"
+                       r"|CELL_SIDE|CELL_SLACK)\b")
     assert ["%s %s" % (path.name, name)
             for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
             for name in names.findall(path.read_text())] == []
