@@ -11,7 +11,8 @@ Submodules:
   lift, exact digit arithmetic, IFS/sparse/dense atom clouds.
 * embedding: per-map kernels on a given map stack: collision
   probabilities, transversality fractions, the inverse continuity
-  modulus, pointwise Holder ceilings, the log-Lipschitz modulus.
+  modulus, pointwise Holder ceilings, the log-Lipschitz modulus,
+  nearest-image decoding.
 * slicing: slab conditionals on projected coordinates, Dirac scores,
   translate pairs.
 * experiments / cli: named, config-driven experiment runs with

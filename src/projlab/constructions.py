@@ -231,6 +231,23 @@ def parabola_lift_measure(p, n_blocks):
     return AtomicMeasure(np.column_stack([x, x * x]), w)
 
 
+def parabola_resolution(points):
+    """Least nearest-neighbour distance of atoms (x, x^2) with distinct
+    x >= 0, found without a tree.
+
+    The squared distance from (x, x^2) to (y, y^2) is
+    (x - y)^2 (1 + (x + y)^2).  For y >= x both factors grow with y.  For
+    y = x - u, 0 <= u <= x, it is u^2 (1 + (2x - u)^2), whose derivative in
+    u is 2u (1 + 2 (2x - u)(x - u)) > 0 for u > 0.  So on each side of x
+    the distance grows with |x - y|, every nearest neighbour is adjacent
+    in x order, and the least adjacent distance is the least
+    nearest-neighbour distance (inf below two atoms).
+    """
+    pts = points[np.argsort(points[:, 0])]
+    gaps = np.sqrt(np.square(pts[1:] - pts[:-1]).sum(axis=1))
+    return float(gaps[gaps > 0].min(initial=np.inf))
+
+
 def word_entropy_dimension(p):
     """Expected local dimension of the blocked-word measures.
 

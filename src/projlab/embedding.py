@@ -1,6 +1,6 @@
 """Quantitative behavior of linear images of point sets.
 
-Everything here asks one of two questions about a map image:
+Everything here asks one of three questions about a map image:
 
 * collisions: which well-separated pairs land close together, how does
   the chance of that scale in the tolerance, and what does it cost to
@@ -8,6 +8,7 @@ Everything here asks one of two questions about a map image:
   Holder ceilings, the log-Lipschitz modulus)?
 * transversality: how likely is a random map to send a fixed vector
   eps-close to the origin?
+* decoding: which atoms does the nearest image recover from a noisy one?
 
 No estimator draws maps: each takes the maps, or the images under them,
 that its caller drew, so every one is a deterministic function of its
@@ -34,6 +35,9 @@ CELL_SIDE = 1.0 / 8  # side of the direction cubes of origin_cells
 CELL_SLACK = 1e-9  # a cell bound's rounding room, per ||L||_F (|c| + rho)
 HULL_TOL = 1e-9  # hull_vertices' plane tolerance, relative to the top norm
 HULL_SCAN_MAX = 48  # candidates per facet scan in hull_vertices
+DECODE_BLOCK = 1 << 14  # atom images per block of maps in decode_recoveries
+DECODE_PAIRS = 1 << 15  # candidate pairs scored at a time there
+DECODE_MARGIN = 1e-6  # relative margin of the cell side over twice the reach
 
 
 def __getattr__(name):
@@ -365,7 +369,7 @@ def origin_cells(points, side=CELL_SIDE):
                        np.maximum.reduceat(norms, starts[:-1]))
 
 
-def net_images(op, points_t, idx):
+def _net_images(op, points_t, idx):
     """The (k, len(idx)) images op @ points_t[:, idx] of the columns idx of
     a (d, n) point array.
 
@@ -388,7 +392,7 @@ def _cell_members(starts, cells):
 
 
 def _cell_bounds(cells, op):
-    """origin_ceilings' lower bounds, one per cell, on the computed norms of
+    """_origin_ceilings' lower bounds, one per cell, on the computed norms of
     the images of the cell's points under op."""
     lip = math.sqrt(float(np.abs(op @ op.T).sum(axis=1).max()))
     bound = np.sqrt(_sq_norms(cells.centres @ op.T))
@@ -398,7 +402,7 @@ def _cell_bounds(cells, op):
 
 
 def _thresholds(top, m_const, power):
-    """origin_ceilings' thresholds for cells of largest normalized pd
+    """_origin_ceilings' thresholds for cells of largest normalized pd
     P = top, at the budgets m_const and the powers 1 / c*, both columns:
     min(tau, cap) with tau = (P / M)^power floored at the least normal
     float, infinite where 2 P > M, and cap = (P / M)(1 + CELL_SLACK)
@@ -411,14 +415,14 @@ def _thresholds(top, m_const, power):
     return np.minimum(tau, np.maximum(ratio * (1.0 + CELL_SLACK), 2 * tiny))
 
 
-def origin_ceilings(cells, op, normalizer, m_grid):
+def _origin_ceilings(cells, op, normalizer, m_grid):
     """holder_ceiling(pd / normalizer, im / normalizer, M) over a net with
     its base at the origin, as a float for each M of m_grid, bit for bit,
     with images formed and ceilings taken only on a certified candidate
     set of its points.
 
     cells is the net cut by origin_cells; pd holds the points' norms and
-    im the norms of their images under op, each image net_images' column.
+    im the norms of their images under op, each image _net_images' column.
     Below, pd, im and a cell's largest pd, P, are normalized.
 
     The bound: for every x of a cell with centre c and radius rho,
@@ -462,7 +466,7 @@ def origin_ceilings(cells, op, normalizer, m_grid):
     seed = np.flatnonzero(far & (bound <= max(float(np.min(
         bound, where=far, initial=np.inf)), 0.0)))
     idx, counts = _cell_members(cells.starts, seed)
-    im = np.sqrt(_sq_norms(net_images(op, cells.points_t, idx).T))
+    im = np.sqrt(_sq_norms(_net_images(op, cells.points_t, idx).T))
     im /= normalizer
     least = im == np.repeat(
         np.minimum.reduceat(im, np.cumsum(counts) - counts), counts)
@@ -480,8 +484,8 @@ def origin_ceilings(cells, op, normalizer, m_grid):
     more = np.flatnonzero(kept)
     if len(more):
         more_idx, more_counts = _cell_members(cells.starts, more)
-        im_more = np.sqrt(_sq_norms(net_images(op, cells.points_t,
-                                               more_idx).T))
+        im_more = np.sqrt(_sq_norms(_net_images(op, cells.points_t,
+                                                more_idx).T))
         im = np.concatenate([im, im_more / normalizer])
         idx = np.concatenate([idx, more_idx])
         seed = np.concatenate([seed, more])
@@ -494,6 +498,26 @@ def origin_ceilings(cells, op, normalizer, m_grid):
         alphas[j] = min(alphas[j], float(holder_ceiling(pd[near], im[near],
                                                         m_grid[j])))
     return alphas
+
+
+def holder_at_origin(cells, hull_idx, op, witnesses, m_grid):
+    """Pointwise Holder ceilings at the origin of a net and its (w, d)
+    witnesses under one map, a float for each M of m_grid.
+
+    cells is the net cut by origin_cells and hull_idx its hull_vertices in
+    cell order.  The normalizer is twice the image diameter, taken over the
+    images of the net's hull vertices (conv(LX) = L conv(X)) and of the
+    witnesses.  The base, at the origin, never binds, and the ceiling is a
+    minimum over points, so it splits over the net and the witnesses.
+    """
+    hull_imgs = _net_images(op, cells.points_t, hull_idx).T
+    wit_imgs = witnesses @ op.T
+    normalizer = 2.0 * set_diameter(np.vstack([hull_imgs, wit_imgs]))
+    alphas = _origin_ceilings(cells, op, normalizer, m_grid)
+    pd_wit = np.sqrt(_sq_norms(witnesses)) / normalizer
+    im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
+    return [min(a, float(holder_ceiling(pd_wit, im_wit, m)))
+            for m, a in zip(m_grid, alphas)]
 
 
 def _facet_scan(pts, top):
@@ -602,7 +626,7 @@ def set_diameter(points, stop=math.inf):
 
     The scan costs a pass over all pairs.  The diameter is attained on
     convex-hull vertices, so a caller with a large set reduces it to its
-    hull_vertices first, as holder-ceiling's _holder_leg does once per net.
+    hull_vertices first, as holder_at_origin does.
     The scan ends early at the first block whose largest distance reaches
     stop, and returns that distance: at least stop, at most the diameter.
 
@@ -636,6 +660,19 @@ def log_lipschitz_modulus(u, big_r, eta, theta):
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return u / np.log2(2.0 * big_r / u) ** (eta / theta)
+
+
+def log_lip_distances(points, eta, theta):
+    """(pd, R, f_mod) of an (n, N) atom array for log_lip_pass: distances,
+    R = max pd and f_mod = log_lipschitz_modulus(pd, R, eta, theta).  pd is
+    taken TRI_BLOCK rows at a time, with no n x n x N tensor; each entry is
+    its own np.linalg.norm, so pd is bit-symmetric and its bits do not
+    depend on the block."""
+    pd = np.vstack([
+        np.linalg.norm(points[i:i + TRI_BLOCK, None] - points[None], axis=2)
+        for i in range(0, len(points), TRI_BLOCK)])
+    big_r = float(pd.max())
+    return pd, big_r, log_lipschitz_modulus(pd, big_r, eta, theta)
 
 
 def log_lip_pass(pd, f_mod, images, m_const):
@@ -711,3 +748,127 @@ def log_lip_pass(pd, f_mod, images, m_const):
     np.minimum.at(alpha, i, ceil)
     np.minimum.at(alpha, j, ceil)
     return alpha, c_hat
+
+
+def _grid_ranges(lead, reach):
+    """Candidate ranges of one block of maps for nearest-image decoding.
+
+    lead holds two (m, n) arrays, the first two coordinates of the clean
+    images of m maps (the second all 0 for one-row maps), and reach the
+    (m,) largest own distances.  Each map's images go into square cells
+    of side h > 2 reach, and the block is sorted by cell with the map index
+    in the key.  Returns that order and ranges (first, begin, count): the
+    atom at sorted position first meets the count atoms from position
+    begin on.  An atom meets the atoms after it in its own cell and the
+    next one of its row, and those of the three adjacent cells in the next
+    row, so each pair in the same or adjacent cells is met once.
+
+    h is at least 2 reach (1 + DECODE_MARGIN), so that rounding in
+    floor(x / h) cannot move two images less than 2 reach apart two cells
+    apart; at least span / (4 sqrt n), so that a map has at most
+    (4 sqrt n + 3)^2 cells however small its noise; and positive when
+    every image coincides.
+    """
+    m, n = lead[0].shape
+    lo = [x.min(axis=1, keepdims=True) for x in lead]
+    span = np.maximum(*(x.max(axis=1, keepdims=True) - l
+                        for x, l in zip(lead, lo)))
+    side = np.maximum(np.maximum(reach[:, None] * (2 * (1 + DECODE_MARGIN)),
+                                 span / (4 * math.sqrt(n))),
+                      np.finfo(float).tiny)
+    row, col = (((x - l) / side).astype(np.int64) for x, l in zip(lead, lo))
+    # one spare column on each side of a row, one spare row at the end
+    width = col.max(axis=1, keepdims=True) + 3
+    size = (row.max(axis=1, keepdims=True) + 2) * width
+    key = row * width
+    key += col + 1
+    key += np.cumsum(size).reshape(m, 1) - size
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    start = np.zeros(size.sum() + 1, np.int64)
+    np.cumsum(np.bincount(key, minlength=size.sum()), out=start[1:])
+    pos = np.arange(m * n)
+    below = (key.reshape(m, n) + width).ravel()
+    first, begin, count = [], [], []
+    for lo_pos, hi_pos in ((pos + 1, start[key + 2]),
+                           (start[below - 1], start[below + 2])):
+        hit = np.flatnonzero(hi_pos > lo_pos)
+        first.append(hit)
+        begin.append(lo_pos[hit])
+        count.append(hi_pos[hit] - lo_pos[hit])
+    return order, *(np.concatenate(r) for r in (first, begin, count))
+
+
+def decode_recoveries(points, weights, rows, noise, noise_rng):
+    """Weighted share of atoms that nearest-image decoding recovers, for
+    each map of an (m, k, N) stack, in stack order.
+
+    Under each map every image L p_i is moved by noise times a uniform unit
+    vector drawn from noise_rng, to y_i.  Atom i is recovered only if its
+    own clean image is strictly the nearest to y_i: it fails when some
+    j != i has |y_i - L p_j|^2 <= |y_i - L p_i|^2, squares summed
+    coordinate by coordinate as _sq_norms sums them.  So an exact tie, as
+    between coincident atoms, is a failure.  The maps share the stream, so
+    they are taken in order.
+
+    No tree is built.  Atom j can beat atom i only if
+    |L p_j - L p_i| <= 2 |y_i - L p_i| <= 2 reach, with reach the map's
+    largest own distance, taken from the computed points (y_i holds
+    rounding of the order of |L p_i| 2^-52, which a tiny noise does not
+    dominate).  So only pairs whose clean images share or touch a cell of
+    side above 2 reach on the first two coordinates are scored
+    (_grid_ranges), in both directions.  The squares of a pair are summed
+    one coordinate at a time and the pair is dropped once the partial sum
+    exceeds the own distance: a sum of squares never falls as terms are
+    added, so the verdict is that of the whole sum.
+
+    The maps are taken DECODE_BLOCK images at a time and the pairs
+    DECODE_PAIRS at a time.  A block's images are the products
+    points @ L.T of its maps one by one, and its noise is one draw of the
+    stream normalized row by row, so every bit is that of one map alone.
+    """
+    n, k = len(points), rows.shape[1]
+    per = max(1, DECODE_BLOCK // n)
+    recoveries = []
+    for s in range(0, len(rows), per):
+        ops = rows[s:s + per]
+        imgs = np.empty((len(ops), n, k))
+        for b, op in enumerate(ops):
+            np.matmul(points, op.T, out=imgs[b])
+        y = noise_rng.standard_normal(imgs.shape)
+        y /= np.linalg.norm(y, axis=2, keepdims=True)
+        y *= noise
+        y += imgs
+        own = _sq_norms(y, imgs)
+        lead = [imgs[..., 0], imgs[..., 1] if k > 1 else np.zeros(own.shape)]
+        order, first, begin, count = _grid_ranges(
+            lead, np.sqrt(own.max(axis=1)))
+        own = own.ravel()[order]
+        cols = [(y[..., c].ravel()[order], imgs[..., c].ravel()[order])
+                for c in range(k)]
+        lost = np.zeros(len(order), bool)
+        stop = np.cumsum(count)
+        r = 0
+        while r < len(count):
+            base = stop[r] - count[r]
+            t = max(r + 1, int(np.searchsorted(stop, base + DECODE_PAIRS,
+                                               side="right")))
+            reps = count[r:t]
+            i = np.repeat(first[r:t], reps)
+            j = np.repeat(begin[r:t] - (stop[r:t] - reps), reps)
+            j += np.arange(base, stop[t - 1])
+            for a, b in ((i, j), (j, i)):
+                bound, d2 = own[a], np.zeros(len(a))
+                for yc, cc in cols:
+                    d = yc[a]
+                    d -= cc[b]
+                    d *= d
+                    d2 += d
+                    near = np.flatnonzero(d2 <= bound)
+                    a, b, d2, bound = a[near], b[near], d2[near], bound[near]
+                lost[order[a]] = True
+            r = t
+        for row in lost.reshape(len(ops), n):
+            recoveries.append(float(weights[~row].sum()))
+    return recoveries

@@ -32,16 +32,16 @@ import scipy
 from . import __version__
 from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
                             kernel_shell_witnesses, parabola_lift_measure,
-                            sparse_atoms, sphere_net, sphere_net_union,
-                            verify_digit_lemma, word_entropy_dimension)
+                            parabola_resolution, sparse_atoms, sphere_net,
+                            sphere_net_union, verify_digit_lemma,
+                            word_entropy_dimension)
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension)
-from .embedding import (_sq_norms, check_deltas, check_holder_budget,
-                        collision_probability, holder_ceiling,
-                        hull_vertices, inverse_continuity_modulus,
-                        log_lip_pass, log_lipschitz_modulus, net_images,
-                        origin_ceilings, origin_cells, set_diameter,
-                        transversality_fraction)
+from .embedding import (check_deltas, check_holder_budget,
+                        collision_probability, decode_recoveries,
+                        holder_at_origin, hull_vertices,
+                        inverse_continuity_modulus, log_lip_distances,
+                        log_lip_pass, origin_cells, transversality_fraction)
 from .geom import write_points_csv
 from .linalg import sample_e_batch
 from .slicing import (dirac_score, nn_spacing_at, slab_conditional,
@@ -402,11 +402,11 @@ def _local_dim(cfg, art, threads):
     "n_maps": 100_000, "slope_tol": 0.15, "stability_tol": 0.2, "seed": None,
 })
 def _transversality(cfg, art, threads):
+    rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
+                          cfg["seed"])
     x = np.zeros(cfg["ambient_dim"])
     x[0] = 1.0
     grid = dyadic_scales(cfg["eps_max"], cfg["eps_min"])
-    rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
-                          cfg["seed"])
     res = transversality_fraction(x, grid, rows)
     art.table("transversality", ["eps", "count", "fraction", "c_at_eps"],
               [(e, c, c / cfg["n_maps"], cv)
@@ -507,9 +507,7 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
 
     Each map sees the net's images and the two kernel-adjacent witnesses
     of every spec on shells; spec j of map midx draws its witnesses from
-    _sub_seeds(seed, len(specs) * n_maps)[j * n_maps + midx].  The
-    normalizer is twice the image diameter, taken over the images of the
-    net's hull vertices (conv(LX) = L conv(X)) and of the witnesses.
+    _sub_seeds(seed, len(specs) * n_maps)[j * n_maps + midx].
     """
     n_maps = len(rows)
     cells = origin_cells(net.points)
@@ -522,16 +520,8 @@ def _holder_leg(net, specs, shells, rows, seed, m_grid, threads):
             kernel_shell_witnesses(s, op, wit_seeds[j * n_maps + midx],
                                    shells).points
             for j, s in enumerate(specs)])
-        hull_imgs = net_images(op, cells.points_t, hull_idx).T
-        wit_imgs = wit @ op.T
-        normalizer = 2.0 * set_diameter(np.vstack([hull_imgs, wit_imgs]))
-        # the base, at the origin, never binds, and the ceiling is a
-        # minimum over points, so it splits over the net and the witnesses
-        alphas = origin_ceilings(cells, op, normalizer, m_grid)
-        pd_wit = np.sqrt(_sq_norms(wit)) / normalizer
-        im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
-        return {m: min(a, float(holder_ceiling(pd_wit, im_wit, m)))
-                for m, a in zip(m_grid, alphas)}
+        return dict(zip(m_grid, holder_at_origin(cells, hull_idx, op, wit,
+                                                 m_grid)))
 
     return _map_loop(one_map, n_maps, threads)
 
@@ -638,10 +628,7 @@ def _log_lip(cfg, art, threads):
                            seeds[0])
     pts = measure.points
     w = measure.weights
-    pd = np.vstack([np.linalg.norm(pts[i:i + 128, None] - pts[None], axis=2)
-                    for i in range(0, len(pts), 128)])  # no n x n x N
-    big_r = float(pd.max())
-    f_mod = log_lipschitz_modulus(pd, big_r, cfg["eta"], cfg["theta"])
+    pd, big_r, f_mod = log_lip_distances(pts, cfg["eta"], cfg["theta"])
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
     m_const = float(cfg["m_const"])
@@ -681,134 +668,6 @@ def _log_lip(cfg, art, threads):
 
 # --- nearest-image decoding of sparse clouds ---
 
-DECODE_BLOCK = 1 << 14  # atom images per block of maps in _decode_recoveries
-DECODE_PAIRS = 1 << 15  # candidate pairs scored at a time there
-DECODE_MARGIN = 1e-6  # relative margin of the cell side over twice the reach
-
-
-def _grid_ranges(lead, reach):
-    """Candidate ranges of one block of maps for nearest-image decoding.
-
-    lead holds two (m, n) arrays, the first two coordinates of the clean
-    images of m maps (the second all 0 for one-row maps), and reach the
-    (m,) largest own distances.  Each map's images go into square cells
-    of side h > 2 reach, and the block is sorted by cell with the map index
-    in the key.  Returns that order and ranges (first, begin, count): the
-    atom at sorted position first meets the count atoms from position
-    begin on.  An atom meets the atoms after it in its own cell and the
-    next one of its row, and those of the three adjacent cells in the next
-    row, so each pair in the same or adjacent cells is met once.
-
-    h is at least 2 reach (1 + DECODE_MARGIN), so that rounding in
-    floor(x / h) cannot move two images less than 2 reach apart two cells
-    apart; at least span / (4 sqrt n), so that a map has at most
-    (4 sqrt n + 3)^2 cells however small its noise; and positive when
-    every image coincides.
-    """
-    m, n = lead[0].shape
-    lo = [x.min(axis=1, keepdims=True) for x in lead]
-    span = np.maximum(*(x.max(axis=1, keepdims=True) - l
-                        for x, l in zip(lead, lo)))
-    side = np.maximum(np.maximum(reach[:, None] * (2 * (1 + DECODE_MARGIN)),
-                                 span / (4 * math.sqrt(n))),
-                      np.finfo(float).tiny)
-    row, col = (((x - l) / side).astype(np.int64) for x, l in zip(lead, lo))
-    # one spare column on each side of a row, one spare row at the end
-    width = col.max(axis=1, keepdims=True) + 3
-    size = (row.max(axis=1, keepdims=True) + 2) * width
-    key = row * width
-    key += col + 1
-    key += np.cumsum(size).reshape(m, 1) - size
-    key = key.ravel()
-    order = np.argsort(key)
-    key = key[order]
-    start = np.zeros(size.sum() + 1, np.int64)
-    np.cumsum(np.bincount(key, minlength=size.sum()), out=start[1:])
-    pos = np.arange(m * n)
-    below = (key.reshape(m, n) + width).ravel()
-    first, begin, count = [], [], []
-    for lo_pos, hi_pos in ((pos + 1, start[key + 2]),
-                           (start[below - 1], start[below + 2])):
-        hit = np.flatnonzero(hi_pos > lo_pos)
-        first.append(hit)
-        begin.append(lo_pos[hit])
-        count.append(hi_pos[hit] - lo_pos[hit])
-    return order, *(np.concatenate(r) for r in (first, begin, count))
-
-
-def _decode_recoveries(points, weights, rows, noise, noise_rng):
-    """Weighted share of atoms that nearest-image decoding recovers, for
-    each map of an (m, k, N) stack, in stack order.
-
-    Under each map every image L p_i is moved by noise times a uniform unit
-    vector drawn from noise_rng, to y_i.  Atom i is recovered only if its
-    own clean image is strictly the nearest to y_i: it fails when some
-    j != i has |y_i - L p_j|^2 <= |y_i - L p_i|^2, squares summed
-    coordinate by coordinate as _sq_norms sums them.  So an exact tie, as
-    between coincident atoms, is a failure.  The maps share the stream, so
-    they are taken in order.
-
-    No tree is built.  Atom j can beat atom i only if
-    |L p_j - L p_i| <= 2 |y_i - L p_i| <= 2 reach, with reach the map's
-    largest own distance, taken from the computed points (y_i holds
-    rounding of the order of |L p_i| 2^-52, which a tiny noise does not
-    dominate).  So only pairs whose clean images share or touch a cell of
-    side above 2 reach on the first two coordinates are scored
-    (_grid_ranges), in both directions.  The squares of a pair are summed
-    one coordinate at a time and the pair is dropped once the partial sum
-    exceeds the own distance: a sum of squares never falls as terms are
-    added, so the verdict is that of the whole sum.
-
-    The maps are taken DECODE_BLOCK images at a time and the pairs
-    DECODE_PAIRS at a time.  A block's images are the products
-    points @ L.T of its maps one by one, and its noise is one draw of the
-    stream normalized row by row, so every bit is that of one map alone.
-    """
-    n, k = len(points), rows.shape[1]
-    per = max(1, DECODE_BLOCK // n)
-    recoveries = []
-    for s in range(0, len(rows), per):
-        ops = rows[s:s + per]
-        imgs = np.empty((len(ops), n, k))
-        for b, op in enumerate(ops):
-            np.matmul(points, op.T, out=imgs[b])
-        y = noise_rng.standard_normal(imgs.shape)
-        y /= np.linalg.norm(y, axis=2, keepdims=True)
-        y *= noise
-        y += imgs
-        own = _sq_norms(y, imgs)
-        lead = [imgs[..., 0], imgs[..., 1] if k > 1 else np.zeros(own.shape)]
-        order, first, begin, count = _grid_ranges(
-            lead, np.sqrt(own.max(axis=1)))
-        own = own.ravel()[order]
-        cols = [(y[..., c].ravel()[order], imgs[..., c].ravel()[order])
-                for c in range(k)]
-        lost = np.zeros(len(order), bool)
-        stop = np.cumsum(count)
-        r = 0
-        while r < len(count):
-            base = stop[r] - count[r]
-            t = max(r + 1, int(np.searchsorted(stop, base + DECODE_PAIRS,
-                                               side="right")))
-            reps = count[r:t]
-            i = np.repeat(first[r:t], reps)
-            j = np.repeat(begin[r:t] - (stop[r:t] - reps), reps)
-            j += np.arange(base, stop[t - 1])
-            for a, b in ((i, j), (j, i)):
-                bound, d2 = own[a], np.zeros(len(a))
-                for yc, cc in cols:
-                    d = yc[a]
-                    d -= cc[b]
-                    d *= d
-                    d2 += d
-                    near = np.flatnonzero(d2 <= bound)
-                    a, b, d2, bound = a[near], b[near], d2[near], bound[near]
-                lost[order[a]] = True
-            r = t
-        for row in lost.reshape(len(ops), n):
-            recoveries.append(float(weights[~row].sum()))
-    return recoveries
-
 
 @_register("decode-sparse", needs_seed=True, defaults={
     "ambient_dim": 10, "s": 2, "k_good": 4, "k_bad": 2, "n_atoms": 1000,
@@ -824,9 +683,9 @@ def _decode_sparse(cfg, art, threads):
 
     def recovery_for(k, map_seed, noise_seed):
         rows = sample_e_batch(cfg["ambient_dim"], k, cfg["n_maps"], map_seed)
-        return _decode_recoveries(measure.points, measure.weights, rows,
-                                  cfg["noise"],
-                                  np.random.default_rng(noise_seed))
+        return decode_recoveries(measure.points, measure.weights, rows,
+                                 cfg["noise"],
+                                 np.random.default_rng(noise_seed))
 
     good = recovery_for(cfg["k_good"], seeds[1], seeds[2])
     bad = recovery_for(cfg["k_bad"], seeds[1], seeds[3])
@@ -858,23 +717,6 @@ def _decode_sparse(cfg, art, threads):
 # --- slab slices of the lifted digit measure, every direction ---
 
 
-def _parabola_resolution(points):
-    """Least nearest-neighbour distance of atoms (x, x^2) with distinct
-    x >= 0, found without a tree.
-
-    The squared distance from (x, x^2) to (y, y^2) is
-    (x - y)^2 (1 + (x + y)^2).  For y >= x both factors grow with y.  For
-    y = x - u, 0 <= u <= x, it is u^2 (1 + (2x - u)^2), whose derivative in
-    u is 2u (1 + 2 (2x - u)(x - u)) > 0 for u > 0.  So on each side of x
-    the distance grows with |x - y|, every nearest neighbour is adjacent
-    in x order, and the least adjacent distance is the least
-    nearest-neighbour distance (inf below two atoms).
-    """
-    pts = points[np.argsort(points[:, 0])]
-    gaps = np.sqrt(np.square(pts[1:] - pts[:-1]).sum(axis=1))
-    return float(gaps[gaps > 0].min(initial=np.inf))
-
-
 @_register("all-directions", needs_seed=True, defaults={
     "p": 0.25, "n_blocks": 12, "n_directions": 64, "n_slabs": 40,
     "tau": 0.25, "width_factor": 2.0, "required_fraction": 0.95,
@@ -885,7 +727,7 @@ def _all_directions(cfg, art, threads):
         if cfg[key] < 1:
             raise ValueError("%s must be at least 1" % key)
     measure = parabola_lift_measure(cfg["p"], cfg["n_blocks"])
-    atom_res = _parabola_resolution(measure.points)
+    atom_res = parabola_resolution(measure.points)
     n = measure.points.shape[0]
     rng = np.random.default_rng(cfg["seed"])
     fractions = []

@@ -29,6 +29,8 @@ def ball_rows(n_rows, dim, rng):
     g / |g| * U^(1/dim), and the temporaries stay within one block
     (the block's squares and two vectors of its length).
     """
+    if dim < 1:
+        raise ValueError("the ambient dimension must be at least 1")
     g = rng.standard_normal((n_rows, dim))
     for s in range(0, n_rows, ROW_BLOCK):
         block = g[s:s + ROW_BLOCK]

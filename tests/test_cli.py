@@ -143,6 +143,23 @@ def test_n_blocks_below_one_exit_two(tmp_path):
             assert "n_blocks must be at least 1" in proc.stderr
 
 
+
+def test_ambient_dim_zero_exit_two(tmp_path):
+    # these once raised IndexError or ZeroDivisionError, which exits 1
+    # with a traceback as if a check had failed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ambient_dim": 0}))
+    for name in ("transversality", "holder-ceiling",
+                 "dense-ball-discontinuity"):
+        out = tmp_path / name
+        proc = run_cli(name, "--seed", "0", "--config", str(cfg),
+                       "--out", str(out))
+        assert proc.returncode == 2, name
+        assert "ambient dimension must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 def test_threads_below_one_exit_two():
     for threads in ("0", "-2"):
         proc = run_cli("digit-lemma", "--threads", threads)

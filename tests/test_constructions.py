@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from oracles import (BitWord, pair_problems, parabola_lift_oracle, pi_encode,
-                     word_ints)
+from oracles import (BitWord, min_nn_distance, pair_problems,
+                     parabola_lift_oracle, pi_encode, word_ints)
 from projlab import constructions
 from projlab.constructions import (PRECISION_FLOOR, IfsSpec, SphereNetSpec,
                                    _corrupt_add, _lattice_filter,
@@ -20,7 +20,8 @@ from projlab.constructions import (PRECISION_FLOOR, IfsSpec, SphereNetSpec,
                                    exceptional_set_membership,
                                    fibonacci_sphere, ifs_atoms,
                                    kernel_shell_witnesses,
-                                   parabola_lift_measure, sparse_atoms,
+                                   parabola_lift_measure,
+                                   parabola_resolution, sparse_atoms,
                                    sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
 from projlab.linalg import sample_e_batch
@@ -233,6 +234,13 @@ def test_parabola_lift_matches_the_word_encoding():
             points, weights = parabola_lift_oracle(p, n_blocks)
             assert np.array_equal(m.points, points), (p, n_blocks)
             assert np.array_equal(m.weights, weights), (p, n_blocks)
+
+
+@pytest.mark.parametrize("n_blocks", [4, 8, 12])
+def test_parabola_resolution_is_the_tree_value(n_blocks):
+    # all-directions' atom resolution, bit for bit, against the KD-tree
+    pts = parabola_lift_measure(0.25, n_blocks).points
+    assert parabola_resolution(pts) == min_nn_distance(pts)
 
 
 def test_word_entropy_dimension_frozen():

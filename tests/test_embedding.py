@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from oracles import (image_sq_norms, modulus_oracle, origin_ceiling_scorer,
+from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
+                     image_sq_norms, modulus_oracle, origin_ceiling_scorer,
                      transversality_oracle)
 from projlab import embedding
-from projlab.constructions import SphereNetSpec, sphere_net, sphere_net_union
-from projlab.embedding import (_sq_norms, _tail_table, collision_probability,
-                               holder_ceiling, hull_vertices,
-                               inverse_continuity_modulus,
-                               log_lip_pass, log_lipschitz_modulus,
-                               net_images, origin_ceilings, origin_cells,
+from projlab.constructions import (SphereNetSpec, sparse_atoms, sphere_net,
+                                   sphere_net_union)
+from projlab.embedding import (_net_images, _origin_ceilings, _sq_norms,
+                               _tail_table, collision_probability,
+                               decode_recoveries, holder_ceiling,
+                               hull_vertices, inverse_continuity_modulus,
+                               log_lip_distances, log_lip_pass,
+                               log_lipschitz_modulus, origin_cells,
                                set_diameter, transversality_fraction)
 from projlab.experiments import _sub_seeds
 from projlab.linalg import sample_e_batch
@@ -353,6 +356,24 @@ def test_log_lipschitz_collision_and_validation():
         with pytest.raises(ValueError):
             log_lipschitz_modulus([1.0], 1.0, eta, theta)
 
+
+
+@pytest.mark.parametrize("n", [1, embedding.TRI_BLOCK,
+                               2 * embedding.TRI_BLOCK + 5])
+def test_log_lip_distances_are_symmetric_row_norms(n):
+    # log_lip_pass needs pd bit-symmetric and taken entry by entry; repeated
+    # atoms and mixed scales put exact zeros and small distances in it
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1, 1, (n, 8)) * 2.0 ** rng.integers(-6, 1, (n, 1))
+    pts[rng.random(n) < 0.1] = pts[0]
+    pd, big_r, f_mod = log_lip_distances(pts, 2.0, 1.0)
+    assert pd.shape == (n, n)
+    assert np.array_equal(pd, pd.T)
+    for i in range(n):
+        assert np.array_equal(pd[i], np.linalg.norm(pts - pts[i], axis=1))
+    assert big_r == float(pd.max())
+    assert np.array_equal(f_mod, log_lipschitz_modulus(pd, big_r, 2.0, 1.0),
+                          equal_nan=True)
 
 # --- log-lip's triangle pass against the whole matrices ---
 
@@ -693,7 +714,7 @@ def _full_pass(pts, op, normalizer, m_grid=M_GRID):
     the whole net: the oracle.  For k >= 2 that product is the chunked
     one of the scorer the cells replaced, and that scorer agrees."""
     pts_t = np.ascontiguousarray(pts.T)
-    sq_im = _sq_norms(net_images(op, pts_t, np.arange(len(pts))).T)
+    sq_im = _sq_norms(_net_images(op, pts_t, np.arange(len(pts))).T)
     pd = np.sqrt(_sq_norms(pts))
     full = [float(holder_ceiling(pd / normalizer, np.sqrt(sq_im) / normalizer,
                                  m)) for m in m_grid]
@@ -706,7 +727,7 @@ def _full_pass(pts, op, normalizer, m_grid=M_GRID):
 
 def _candidate_pass(pts, op, normalizer, m_grid=M_GRID,
                     side=embedding.CELL_SIDE):
-    return origin_ceilings(origin_cells(pts, side), op, normalizer, m_grid)
+    return _origin_ceilings(origin_cells(pts, side), op, normalizer, m_grid)
 
 
 def _shell_net(n, seed, shuffle):
@@ -835,7 +856,7 @@ def test_cell_bounds_hold_on_tight_cells():
         op = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) \
             * rng.uniform(0.5, 2.0)
         cells = origin_cells(pts, math.inf)
-        im = np.sqrt(_sq_norms(net_images(op, cells.points_t,
+        im = np.sqrt(_sq_norms(_net_images(op, cells.points_t,
                                           np.arange(2)).T))
         assert embedding._cell_bounds(cells, op)[0] <= im.min()
 
@@ -912,3 +933,85 @@ def test_origin_cells_partition_the_net():
     sphere /= np.linalg.norm(sphere, axis=1)[:, None]
     assert len(origin_cells(sphere, 2.0**-30).starts) == len(sphere) + 1
     assert origin_cells(sphere, math.inf).starts.tolist() == [0, len(sphere)]
+
+
+# --- nearest-image decoding ---
+
+
+@pytest.mark.parametrize("noise", [0.007, 0.0, -0.007, 1e-13])
+def test_decode_bounded_query_matches_the_unbounded_tree(noise):
+    # the grid meets only images within twice the largest own distance;
+    # at noise 1e-13 that distance is set by the rounding of y, and the
+    # cell side by the span.  One row puts every image on a line, and from
+    # three rows on some coordinates are not bucketed.
+    for seed in range(4):
+        measure = sparse_atoms(10, 2, 1000, seed)
+        for k in (1, 2, 3, 4, 6):
+            rows = sample_e_batch(10, k, 20, seed)
+            got = decode_recoveries(
+                measure.points, measure.weights, rows, noise,
+                np.random.default_rng(seed))
+            want = decode_recoveries_oracle(
+                measure.points, measure.weights, rows, noise,
+                np.random.default_rng(seed))
+            assert got == want
+            if noise == 0:
+                assert got == [float(measure.weights.sum())] * 20
+
+
+@pytest.mark.parametrize("block, pairs", [(None, None), (480, 100)])
+def test_decode_ties_fail_as_in_the_brute_force_oracle(monkeypatch, block,
+                                                       pairs):
+    # coincident atoms (every atom at s = 0, ten repeated ones otherwise)
+    # tie and fail, where a tree recovers one of them.  Blocks of 480
+    # images (three maps) end on a ragged one, and chunks of 100 pairs
+    # split the range of a cell that holds all 160 atoms.
+    n_maps = 6
+    if block is not None:
+        monkeypatch.setattr(embedding, "DECODE_BLOCK", block)
+        monkeypatch.setattr(embedding, "DECODE_PAIRS", pairs)
+        n_maps = 4
+    for s in (0, 1, 2):
+        measure = sparse_atoms(10, s, 150, s)
+        points = np.vstack([measure.points, measure.points[:10]])
+        weights = np.full(len(points), 1 / len(points))
+        for k in (1, 2, 3, 4, 6):
+            rows = sample_e_batch(10, k, n_maps, k)
+            for noise in (0.007, 0.0, 0.3):
+                got = decode_recoveries(
+                    points, weights, rows, noise, np.random.default_rng(s))
+                want = decode_brute_force_oracle(
+                    points, weights, rows, noise, np.random.default_rng(s))
+                assert got == want
+                assert max(got) <= 140 / 160 + 1e-12
+                if s == 0:
+                    assert got == [0.0] * n_maps
+
+
+@pytest.mark.parametrize("s, noise, n_maps", [(2, 0.007, 500),
+                                              (2, 1e-13, 500), (0, 0.007, 17)])
+def test_decode_peak_is_one_block(s, noise, n_maps):
+    # a block holds its images and noisy images and their columns in cell
+    # order, the keys and ranges of its atoms, a cell table and its counts
+    # (at most (4 sqrt n + 3)^2 cells a map) and one chunk of pairs.  The
+    # stack's images at 500 maps would not fit; at s = 0 every atom shares
+    # one cell and the pairs come in many chunks.
+    n, k = 1000, 4
+    per = embedding.DECODE_BLOCK // n
+    measure = sparse_atoms(10, s, n, 0)
+    rows = sample_e_batch(10, k, n_maps, 0)
+    decode_recoveries(measure.points, measure.weights, rows[:1], noise,
+                      np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        decode_recoveries(measure.points, measure.weights, rows, noise,
+                          np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = per * (4 * math.sqrt(n) + 3) ** 2
+    words = (4 * k + 16) * per * n + 2 * cells + 12 * (
+        embedding.DECODE_PAIRS + n)
+    assert peak <= 8 * words
+    if n_maps == 500:
+        assert 8 * words < n_maps * n * k * 8

@@ -3,22 +3,20 @@
 import csv
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
-                     image_sq_norms, min_nn_distance)
+from oracles import image_sq_norms
 from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
-                                   kernel_shell_witnesses,
-                                   parabola_lift_measure, sparse_atoms,
+                                   kernel_shell_witnesses, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.embedding import (_sq_norms, hull_vertices, log_lipschitz_modulus,
-                               net_images, origin_cells, set_diameter)
+from projlab.embedding import (_net_images, _sq_norms, hull_vertices,
+                               log_lipschitz_modulus, origin_cells,
+                               set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
@@ -93,85 +91,6 @@ def test_transversality_without_events_fails_without_warnings():
     assert summary["results"]["c_by_eps"] == [0.0] * 4
     assert summary["results"]["c_relative_spread"] == "inf"
     assert not summary["all_passed"]
-
-
-@pytest.mark.parametrize("noise", [0.007, 0.0, -0.007, 1e-13])
-def test_decode_bounded_query_matches_the_unbounded_tree(noise):
-    # the grid meets only images within twice the largest own distance;
-    # at noise 1e-13 that distance is set by the rounding of y, and the
-    # cell side by the span.  One row puts every image on a line, and from
-    # three rows on some coordinates are not bucketed.
-    for seed in range(4):
-        measure = sparse_atoms(10, 2, 1000, seed)
-        for k in (1, 2, 3, 4, 6):
-            rows = sample_e_batch(10, k, 20, seed)
-            got = experiments._decode_recoveries(
-                measure.points, measure.weights, rows, noise,
-                np.random.default_rng(seed))
-            want = decode_recoveries_oracle(
-                measure.points, measure.weights, rows, noise,
-                np.random.default_rng(seed))
-            assert got == want
-            if noise == 0:
-                assert got == [float(measure.weights.sum())] * 20
-
-
-@pytest.mark.parametrize("block, pairs", [(None, None), (480, 100)])
-def test_decode_ties_fail_as_in_the_brute_force_oracle(monkeypatch, block,
-                                                       pairs):
-    # coincident atoms (every atom at s = 0, ten repeated ones otherwise)
-    # tie and fail, where a tree recovers one of them.  Blocks of 480
-    # images (three maps) end on a ragged one, and chunks of 100 pairs
-    # split the range of a cell that holds all 160 atoms.
-    n_maps = 6
-    if block is not None:
-        monkeypatch.setattr(experiments, "DECODE_BLOCK", block)
-        monkeypatch.setattr(experiments, "DECODE_PAIRS", pairs)
-        n_maps = 4
-    for s in (0, 1, 2):
-        measure = sparse_atoms(10, s, 150, s)
-        points = np.vstack([measure.points, measure.points[:10]])
-        weights = np.full(len(points), 1 / len(points))
-        for k in (1, 2, 3, 4, 6):
-            rows = sample_e_batch(10, k, n_maps, k)
-            for noise in (0.007, 0.0, 0.3):
-                got = experiments._decode_recoveries(
-                    points, weights, rows, noise, np.random.default_rng(s))
-                want = decode_brute_force_oracle(
-                    points, weights, rows, noise, np.random.default_rng(s))
-                assert got == want
-                assert max(got) <= 140 / 160 + 1e-12
-                if s == 0:
-                    assert got == [0.0] * n_maps
-
-
-@pytest.mark.parametrize("s, noise, n_maps", [(2, 0.007, 500),
-                                              (2, 1e-13, 500), (0, 0.007, 17)])
-def test_decode_peak_is_one_block(s, noise, n_maps):
-    # a block holds its images and noisy images and their columns in cell
-    # order, the keys and ranges of its atoms, a cell table and its counts
-    # (at most (4 sqrt n + 3)^2 cells a map) and one chunk of pairs.  The
-    # stack's images at 500 maps would not fit; at s = 0 every atom shares
-    # one cell and the pairs come in many chunks.
-    n, k = 1000, 4
-    per = experiments.DECODE_BLOCK // n
-    measure = sparse_atoms(10, s, n, 0)
-    rows = sample_e_batch(10, k, n_maps, 0)
-    experiments._decode_recoveries(measure.points, measure.weights, rows[:1],
-                                   noise, np.random.default_rng(0))
-    tracemalloc.start()
-    try:
-        experiments._decode_recoveries(measure.points, measure.weights, rows,
-                                       noise, np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    cells = per * (4 * math.sqrt(n) + 3) ** 2
-    words = (4 * k + 16) * per * n + 2 * cells + 12 * (
-        experiments.DECODE_PAIRS + n)
-    assert peak <= 8 * words
-    if n_maps == 500:
-        assert 8 * words < n_maps * n * k * 8
 
 
 def test_threads_do_not_change_results(tmp_path):
@@ -344,12 +263,12 @@ def test_holder_witnesses_never_set_the_power_law_diameter(tmp_path):
 
 
 def test_holder_images_by_the_transposed_view_keep_their_bits():
-    # _holder_leg gathers (k, c) images from a (3, n) cell-ordered copy of
+    # holder_at_origin gathers (k, c) images from a (3, n) cell-ordered copy of
     # the net, column subsets of every size: the hull vertices, candidate
     # cells, one point.  BLAS builds do not promise that these products
     # equal net.points @ op.T or the whole product, so pin the gathers and
     # their squared norms to the whole product chunk by chunk, on both
-    # default nets and maps at seed 42; and one-row maps, which net_images
+    # default nets and maps at seed 42; and one-row maps, which _net_images
     # doubles, to the whole product of the doubled map
     seeds = _sub_seeds(42, 3)
     union = sphere_net_union(3, 2, l_law="pow2t", t=2.0, i_max=8,
@@ -374,16 +293,16 @@ def test_holder_images_by_the_transposed_view_keep_their_bits():
                 sq_im, hull_imgs = image_sq_norms(op, pts_t, hull)
                 assert np.array_equal(sq_im, _sq_norms(imgs.T))
                 assert np.array_equal(hull_imgs, imgs[:, hull].T)
-            assert np.array_equal(net_images(op, pts_t, hull), imgs[:, hull])
+            assert np.array_equal(_net_images(op, pts_t, hull), imgs[:, hull])
             picked = rng.choice(len(counts), 40, replace=False)
             for some in (picked[:1], picked):
                 idx = np.concatenate([np.arange(cells.starts[c],
                                                 cells.starts[c + 1])
                                       for c in np.sort(some)])
-                assert np.array_equal(net_images(op, pts_t, idx),
+                assert np.array_equal(_net_images(op, pts_t, idx),
                                       imgs[:, idx])
             one = rng.integers(len(pts), size=1)
-            assert np.array_equal(net_images(op, pts_t, one), imgs[:, one])
+            assert np.array_equal(_net_images(op, pts_t, one), imgs[:, one])
 
 
 THREAD_CONFIGS = {
@@ -450,6 +369,10 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("collision-scaling", {"k": 3}, r"k \+ 1 must not exceed ambient_dim"),
     ("decode-sparse", {"noise": math.nan}, "noise must be finite"),
     ("decode-sparse", {"noise": math.inf}, "noise must be finite"),
+    ("transversality", {"ambient_dim": 0}, "ambient dimension must be at"),
+    ("holder-ceiling", {"ambient_dim": 0}, "ambient dimension must be at"),
+    ("dense-ball-discontinuity", {"ambient_dim": 0},
+     "ambient dimension must be at"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -584,10 +507,3 @@ def test_dense_ball_has_no_false_collision(tmp_path):
         far = np.linalg.norm(diff, axis=2) >= 0.5
         oracle = np.minimum(oracle, np.abs(diff[far] @ rows.T).min(axis=0))
     assert eps[maps] == pytest.approx(oracle, rel=1e-6)
-
-
-@pytest.mark.parametrize("n_blocks", [4, 8, 12])
-def test_parabola_resolution_is_the_tree_value(n_blocks):
-    # all-directions' atom resolution, bit for bit, against the KD-tree
-    pts = parabola_lift_measure(0.25, n_blocks).points
-    assert experiments._parabola_resolution(pts) == min_nn_distance(pts)

@@ -42,6 +42,9 @@ def test_sampler_determinism():
         sample_e_batch(5, 3, 0, seed=11)
     with pytest.raises(ValueError, match="at least one row"):
         sample_e_batch(5, 0, 4, seed=11)
+    for dim in (0, -1):  # refused before 1 / dim or an empty row is formed
+        with pytest.raises(ValueError, match="ambient dimension"):
+            ball_rows(4, dim, np.random.default_rng(11))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10])

@@ -86,14 +86,42 @@ def test_every_public_definition_is_reached_from_the_package():
 
 
 def test_block_sizes_are_known_only_to_embedding():
-    # the kernels' block sizes, cell side and cell slack are embedding's
-    # own decision, so no other module names them, not even in prose;
-    # tests may patch them
+    # the kernels' block sizes, cell side, slacks, margins and hull
+    # tolerances are embedding's own decision, so no other module names
+    # them, not even in prose; tests may patch them
     names = re.compile(r"\b(STACK_BLOCK|MAP_BLOCK|TRANS_BLOCK|TRI_BLOCK"
-                       r"|CELL_SIDE|CELL_SLACK)\b")
+                       r"|CELL_SIDE|CELL_SLACK|CEIL_SLACK|HULL_TOL"
+                       r"|HULL_SCAN_MAX|DECODE_BLOCK|DECODE_PAIRS"
+                       r"|DECODE_MARGIN)\b")
     assert ["%s %s" % (path.name, name)
             for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
             for name in names.findall(path.read_text())] == []
+
+
+def _numeric(node):
+    """Whether an expression is built from number literals alone."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.UnaryOp):
+        return _numeric(node.operand)
+    return (isinstance(node, ast.BinOp) and _numeric(node.left)
+            and _numeric(node.right))
+
+
+def test_experiments_hold_no_kernel_internals():
+    # experiments.py keeps configs, checks and artifacts: it reaches the
+    # library only through public names, and its kernels' tuning constants
+    # live with the kernels
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    private = ["%d %s" % (node.lineno, alias.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or (node.module or "").startswith("projlab"))
+               for alias in node.names
+               if alias.name.startswith("_") and alias.name != "__version__"]
+    constants = [node.lineno for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and node.value is not None and _numeric(node.value)]
+    assert private == [] and constants == []
 
 
 def test_only_the_experiments_draw_maps():
