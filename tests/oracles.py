@@ -6,6 +6,8 @@
   Python integers.
 * parabola_lift_oracle: the parabola lift of the blocked-digit measure,
   word by word.
+* greedy_cover_loop: the greedy closed-ball cover one index at a time,
+  one KD-tree ball query per center.
 * min_nn_distance: the least positive nearest-neighbour distance, by
   KD-tree.
 * ball_rows_oracle: unit-ball rows normalized and scaled in one shot.
@@ -28,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from projlab.dimension import _resolution, cover_index
 from projlab.embedding import CEIL_SLACK, _sq_norms, holder_ceiling
 
 MODULUS_BLOCK = 1 << 18  # map x pair entries per block of modulus_oracle
@@ -146,9 +147,34 @@ def parabola_lift_oracle(p, n_blocks):
     return points, w
 
 
+def greedy_cover_loop(pts, delta):
+    """The greedy cover one index at a time, one KD-tree ball query per
+    center: the slow reference for covering_number's (count, centers)."""
+    from scipy.spatial import cKDTree
+
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tree = cKDTree(pts)
+    covered = np.zeros(len(pts), dtype=bool)
+    centers = []
+    for pos in range(len(pts)):
+        if covered[pos]:
+            continue
+        centers.append(pos)
+        covered[tree.query_ball_point(pts[pos], delta)] = True
+    return len(centers), centers
+
+
 def min_nn_distance(pts):
-    """Minimum positive nearest-neighbor distance (the resolution scale)."""
-    return _resolution(cover_index(pts)[1])
+    """Minimum positive nearest-neighbor distance (the resolution scale),
+    by KD-tree: inf below two points, 0.0 when every point has a twin."""
+    from scipy.spatial import cKDTree
+
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if len(pts) < 2:
+        return np.inf
+    nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
+    positive = nn[nn > 0]
+    return float(positive.min()) if len(positive) else 0.0
 
 
 def ball_rows_oracle(n_rows, dim, rng):

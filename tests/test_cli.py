@@ -38,7 +38,8 @@ def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
     # collision-scaling thins its shells by lattice offsets and
     # all-directions takes its atom resolution in x order: neither builds
     # a tree; holder-ceiling takes its nets' hull vertices from the shells,
-    # and decode-sparse finds its nearest images on a grid
+    # decode-sparse finds its nearest images on a grid, and box-dim and
+    # assouad-probe find their balls on cell tables
     code = ("import sys; from projlab.experiments import run_experiment; "
             "run_experiment('collision-scaling', config={'seed': 0, "
             "'i_max': 4, 'n_maps': 50}); "
@@ -48,6 +49,11 @@ def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
             "'i_max': 3, 'sq_i_max': 3, 'n_maps': 2}); "
             "run_experiment('decode-sparse', config={'seed': 0, "
             "'n_atoms': 200, 'n_maps': 5}); "
+            "run_experiment('box-dim', config={'seed': 0, 'i_max': 5}); "
+            "run_experiment('box-dim', config={'seed': 0, 'i_max': 5, "
+            "'t': 3.0}); "
+            "run_experiment('assouad-probe', config={'seed': 0, "
+            "'n_centers': 8}); "
             "print('scipy.spatial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
@@ -156,6 +162,23 @@ def test_ambient_dim_zero_exit_two(tmp_path):
                        "--out", str(out))
         assert proc.returncode == 2, name
         assert "ambient dimension must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def test_box_dim_non_finite_window_exits_two(tmp_path):
+    # json reads Infinity and NaN; an infinite delta_max once made the
+    # dyadic grid halve inf forever
+    cfg = tmp_path / "cfg.json"
+    for config in ({"delta_max": float("inf")}, {"delta_min": float("nan")}):
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "projlab.cli", "box-dim", "--seed", "0",
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, config
+        assert "need 0 < delta_min < delta_max < inf" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
-from oracles import min_nn_distance
-from projlab.constructions import IfsSpec, ifs_atoms
+from oracles import greedy_cover_loop, min_nn_distance
+from projlab import dimension, embedding
+from projlab.constructions import IfsSpec, ifs_atoms, sphere_net_union
 from projlab.dimension import (ScalingFit, assouad_probe, box_dimension_fit,
-                               covering_number, cover_index, dyadic_scales,
-                               fit_loglog, local_dimension)
+                               covering_number, dyadic_scales, fit_loglog,
+                               local_dimension)
+from projlab.embedding import _CellTable
 from projlab.geom import AtomicMeasure, PointSet
 
 
@@ -27,21 +28,6 @@ def exhaustive_cover(pts, delta):
             if np.all(d[list(centers)].min(axis=0) <= delta + 1e-12):
                 return size
     return len(pts)
-
-
-def greedy_cover_loop(pts, delta):
-    """The greedy cover one index at a time, one ball query per center:
-    the slow reference for covering_number's (count, centers)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    tree = cKDTree(pts)
-    covered = np.zeros(len(pts), dtype=bool)
-    centers = []
-    for pos in range(len(pts)):
-        if covered[pos]:
-            continue
-        centers.append(pos)
-        covered[tree.query_ball_point(pts[pos], delta)] = True
-    return len(centers), centers
 
 
 LINE5 = np.arange(5.0)[:, None]
@@ -85,6 +71,18 @@ def cover_cases():
 def test_cover_matches_greedy_loop(pts, delta):
     assert covering_number(pts, delta, return_centers=True) == \
         greedy_cover_loop(pts, delta)
+
+
+@pytest.mark.parametrize("delta", [1.0, 8.0, 2.0**-9])
+def test_cover_meets_a_rim_pair_across_a_cell_edge(delta):
+    # the table's cells have side h = delta (1 + GRID_MARGIN) from the
+    # lowest point, 0; x sits just below the edge at 2h and x + delta on
+    # the rim of its ball, so the pair must share or touch a cell
+    x = np.nextafter(2 * delta * (1 + embedding.GRID_MARGIN), 0)
+    pts = np.array([[0.0], [x], [x + delta]])
+    assert pts[2, 0] - pts[1, 0] == delta
+    assert covering_number(pts, delta, True) == greedy_cover_loop(pts, delta) \
+        == (2, [0, 1])
 
 
 def test_greedy_cover_frozen_line():
@@ -133,6 +131,24 @@ def test_min_nn_distance():
 def test_dyadic_scales():
     scales = dyadic_scales(2.0**-3, 2.0**-8)
     assert scales == [2.0**-i for i in range(3, 9)]
+
+
+@pytest.mark.parametrize("delta_max, delta_min", [
+    (math.inf, 2.0**-8), (math.nan, 2.0**-8), (0.5, math.nan),
+    (math.inf, math.inf), (0.5, 0.0), (0.25, 0.5), (-0.25, -0.5)])
+def test_scale_windows_must_be_finite_and_ordered(monkeypatch, delta_max,
+                                                  delta_min):
+    # dyadic_scales(inf, d) would halve inf forever; both paths of the fit
+    # refuse the window before any cell table is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell table was built")
+
+    with pytest.raises(ValueError, match="delta_min < delta_max < inf"):
+        dyadic_scales(delta_max, delta_min)
+    monkeypatch.setattr(dimension, "_CellTable", unreachable)
+    for n_scales in (None, 4):
+        with pytest.raises(ValueError, match="delta_min < delta_max < inf"):
+            box_dimension_fit(LINE5, delta_max, delta_min, n_scales=n_scales)
 
 
 def test_fit_loglog_exact_power_law():
@@ -194,6 +210,55 @@ def test_box_dimension_refuses_sub_resolution_window():
         box_dimension_fit(LINE5, 2.0, 0.5)  # min gap is 1.0
 
 
+def small_union(seed, t):
+    return sphere_net_union(3, 2, l_law="pow2t", t=t, i_max=5, seed=seed,
+                            sep_floor=2.0**-8).points
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_box_dimension_counts_match_the_tree_on_the_union(seed, t):
+    # shell i sits at distance exactly 2^-i from the origin, so at each
+    # dyadic scale a whole shell lies on the rim of the origin's ball
+    pts = small_union(seed, t)
+    fit = box_dimension_fit(pts, 2.0**-1, 2.0**-6)
+    assert [c for _, c in fit.table] == \
+        [greedy_cover_loop(pts, d)[0] for d, _ in fit.table]
+
+
+def resolution_sets():
+    yield "union", small_union(0, 2.0)
+    yield "line", LINE5
+    # the twins are 1 apart, but only the lone point counts: floor 4
+    yield "twins", np.array([[0.0], [0.0], [1.0], [1.0], [5.0]])
+    yield "all-twins", np.repeat(LINE5, 2, axis=0)  # floor 0
+    yield "one-point", np.array([[0.3, 0.7]])  # floor inf
+    rng = np.random.default_rng(3)
+    yield "cloud", rng.uniform(0, 1, (500, 3))
+
+
+@pytest.mark.parametrize("pts", [c[1] for c in resolution_sets()],
+                         ids=[c[0] for c in resolution_sets()])
+def test_resolution_floor_refuses_the_windows_the_tree_refused(pts):
+    # the window stands exactly when delta_min reaches the tree's floor,
+    # to the last bit, and a refusal reports that floor
+    floor = min_nn_distance(pts)
+    if floor == 0:
+        probes = [1e-3, 1.0]
+    elif floor == math.inf:
+        probes = [1.0]
+    else:
+        probes = [floor / 3, np.nextafter(floor, 0), floor,
+                  np.nextafter(floor, math.inf), 3 * floor]
+    for delta_min in probes:
+        if delta_min < floor:
+            with pytest.raises(ValueError, match="resolution limit %.3g"
+                               % floor):
+                box_dimension_fit(pts, 8 * delta_min, delta_min)
+        else:
+            box_dimension_fit(pts, 8 * delta_min, delta_min)
+
+
 def test_assouad_probe_matches_exhaustive_on_small_set():
     pts = np.array([[0.0], [0.1], [0.2], [0.55], [1.0]])
     probe = assouad_probe(pts, n_centers=5, r=0.5, rho=0.1, seed=1)
@@ -216,14 +281,16 @@ def test_assouad_probe_plane_grid():
 
 @pytest.mark.parametrize("r,rho", [(0.5, 0.02), (0.3, 0.005), (2.0, 0.1)])
 def test_local_covers_match_extracted_sets(r, rho):
-    # assouad_probe's covers: a subset of one indexed set, walked in place
+    # assouad_probe's covers: a subset of one set, walked in place, alone
+    # or on one table that keeps the balls of every cover before
     pts = mixed_set(7)
-    index = cover_index(pts)
+    shared = _CellTable(pts, rho, keep_balls=True)
     counts = []
     for i in range(len(pts)):
         local = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)
         count, centers = greedy_cover_loop(pts[local], rho)
-        assert covering_number(pts, rho, True, within=local, index=index) == \
+        assert covering_number(pts, rho, True, within=local) == \
+            covering_number(pts, rho, True, within=local, index=shared) == \
             (count, local[centers].tolist())
         mask = np.zeros(len(pts), dtype=bool)
         mask[local] = True
@@ -276,3 +343,27 @@ def test_cover_shrinks_when_delta_doubles(pts, quarters, factor):
     # no fine ball holds two of them
     delta = 0.25 * quarters
     assert covering_number(pts, factor * delta) <= covering_number(pts, delta)
+
+
+lattice_rows = st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=lattice_rows, quarters=st.integers(1, 12),
+       power=st.integers(-8, 8), data=st.data())
+def test_cover_matches_the_tree_on_lattices(rows, quarters, power, data):
+    # 1/4-lattice points in 1-4 dimensions: duplicates and points exactly
+    # on the rim of a ball are common, and scaling by 2^p is exact.  A
+    # cover within a subset is the tree's cover of the extracted points.
+    c = 2.0**power
+    pts, delta = c * 0.25 * np.array(rows, dtype=float), c * 0.25 * quarters
+    within = data.draw(st.none() | st.lists(
+        st.booleans(), min_size=len(pts), max_size=len(pts)).map(np.array))
+    if within is None:
+        want = greedy_cover_loop(pts, delta)
+    else:
+        local = np.flatnonzero(within)
+        count, centers = greedy_cover_loop(pts[local], delta)
+        want = (count, local[centers].tolist())
+    assert covering_number(pts, delta, True, within=within) == want

@@ -373,6 +373,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("holder-ceiling", {"ambient_dim": 0}, "ambient dimension must be at"),
     ("dense-ball-discontinuity", {"ambient_dim": 0},
      "ambient dimension must be at"),
+    ("box-dim", {"delta_max": math.inf}, r"delta_min < delta_max < inf"),
+    ("box-dim", {"delta_min": math.nan}, r"delta_min < delta_max < inf"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):

@@ -92,7 +92,7 @@ def test_block_sizes_are_known_only_to_embedding():
     names = re.compile(r"\b(STACK_BLOCK|MAP_BLOCK|TRANS_BLOCK|TRI_BLOCK"
                        r"|CELL_SIDE|CELL_SLACK|CEIL_SLACK|HULL_TOL"
                        r"|HULL_SCAN_MAX|DECODE_BLOCK|DECODE_PAIRS"
-                       r"|DECODE_MARGIN)\b")
+                       r"|GRID_MARGIN|GRID_AXIS|COVER_PAIRS)\b")
     assert ["%s %s" % (path.name, name)
             for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
             for name in names.findall(path.read_text())] == []
