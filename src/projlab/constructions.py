@@ -26,6 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dimension import covering_number
+from .embedding import _ranges
 from .geom import AtomicMeasure, PointSet, normalized_measure
 from .linalg import ball_rows
 
@@ -327,27 +329,21 @@ def fibonacci_sphere(count):
     return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
 
 
-def _first_come_keep(pts, close):
-    """pts without the points that close pairs (a, b), a < b, drop: in
-    increasing a, a point not yet dropped drops its partner b."""
-    drop = np.zeros(len(pts), dtype=bool)
-    for a, b in close[np.argsort(close[:, 0])]:
-        if not drop[a]:
-            drop[b] = True
-    return pts[~drop]
-
-
 def _separated_filter(pts, ell):
-    """Keep a subset with pairwise distances >= ell (first come wins)."""
-    from scipy.spatial import cKDTree
-
-    close = cKDTree(pts).query_pairs(ell * (1 - 1e-12), output_type="ndarray")
-    return _first_come_keep(pts, close)
+    """The points that no point kept before them lies within ell (1 - 1e-12)
+    of (first come wins): the centers of the greedy cover at that delta,
+    whose walk opens a center exactly when no earlier center's closed ball
+    holds the point.  Its tie rule, squares summed coordinate by coordinate
+    against delta * delta, is a KD-tree's pair test below eight coordinates.
+    """
+    _, kept = covering_number(pts, ell * (1 - 1e-12), return_centers=True)
+    return pts[kept]
 
 
 def _lattice_filter(pts, ell):
     """_separated_filter(pts, ell) for pts = fibonacci_sphere(n) @ q.T
-    with q orthogonal, found from the lattice's index offsets, no tree.
+    with q orthogonal: pts itself when the lattice's index offsets certify
+    that no pair is close.
 
     Point i has height z_i = 1 - (2i+1)/n, radius rho_i = sqrt(1 - z_i^2)
     and angle g*i, g = GOLDEN_ANGLE.  For j = i + d the squared chord is
@@ -368,11 +364,11 @@ def _lattice_filter(pts, ell):
     4 spacing(g n) + 1e-15; ell is raised by a relative 1e-6, against
     coordinate, rotation and distance errors of order 1e-15 (ell >= 1e-9
     is ample); each cap gets two more indices, against the rounding of z
-    and of h_d.  A pair the tree would return is therefore a candidate.
-    The tree keeps pairs at distance <= ell (1 - 1e-12); if a candidate
-    lies within a relative 1e-9 of that threshold, where the two
-    distance routines might round it apart, the shell goes to
-    _separated_filter instead.  Either way the kept set is the tree's.
+    and of h_d.  So every close pair is a candidate.  When every candidate
+    lies above the threshold ell (1 - 1e-12) by more than a relative 1e-9,
+    which no difference in rounding between two distance routines bridges,
+    no point is dropped and the lattice is returned as it is.  Otherwise
+    the whole shell goes to _separated_filter.
     """
     n = len(pts)
     thr = ell * (1 - 1e-12)
@@ -393,17 +389,13 @@ def _lattice_filter(pts, ell):
     north = np.clip(cap, 0, stop)
     south = np.maximum(stop - cap, north)
     starts = np.concatenate([np.zeros_like(d), south])
-    stops = np.concatenate([north, stop])
-    lengths = stops - starts
-    offsets = np.repeat(np.concatenate([d, d]), lengths)
-    i = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) \
-        + np.arange(lengths.sum())
-    j = i + offsets
+    lengths = np.concatenate([north, stop]) - starts
+    i = _ranges(starts, lengths)
+    j = i + np.repeat(np.concatenate([d, d]), lengths)
     dist = np.sqrt(np.square(pts[j] - pts[i]).sum(axis=1))
-    if np.any(np.abs(dist - thr) <= 1e-9 * thr):
+    if np.any(dist <= thr * (1 + 1e-9)):
         return _separated_filter(pts, ell)
-    close = dist <= thr
-    return _first_come_keep(pts, np.column_stack([i[close], j[close]]))
+    return pts
 
 
 def _sphere_shell(k, r, ell, rng, max_points):

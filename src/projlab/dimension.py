@@ -102,7 +102,7 @@ def covering_number(ps, delta, return_centers=False, within=None, index=None):
     the greedy walk opens them.
     """
     pts = _as_points(ps)
-    if delta <= 0:
+    if not delta > 0:  # NaN fails; an infinite delta is one ball
         raise ValueError("delta must be positive")
     n = len(pts)
     table = _CellTable(pts, delta) if index is None else index
@@ -203,16 +203,18 @@ def box_dimension_fit(ps, delta_max, delta_min, n_scales=None):
     """Box-counting fit over a geometric scale window.
 
     By default the scales are dyadic (ratio 2) between the endpoints; an
-    explicit n_scales >= 3 spaces them geometrically instead.  The window
-    is refused when delta_min sinks below the set's minimum positive
-    nearest-neighbor distance (4x the saturation floor nn/4): below that
-    the table measures the sample, not the set.  The window is checked
-    before any cell table is built.
+    explicit whole n_scales >= 3 spaces them geometrically instead.  The
+    window is refused when delta_min sinks below the set's minimum
+    positive nearest-neighbor distance (4x the saturation floor nn/4):
+    below that the table measures the sample, not the set.  The window
+    and n_scales are checked before any cell table is built.
     """
     pts = _as_points(ps)
     if n_scales is None:
         scales = dyadic_scales(delta_max, delta_min)
     else:
+        if not (math.isfinite(n_scales) and n_scales == int(n_scales)):
+            raise ValueError("n_scales must be a whole number")
         if n_scales < 3:
             raise ValueError("need at least 3 scales")
         _check_window(delta_max, delta_min)

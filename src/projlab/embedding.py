@@ -386,12 +386,18 @@ def _net_images(op, points_t, idx):
     return (wide @ points_t[:, idx if c != 1 else np.repeat(idx, 2)])[:k, :c]
 
 
+def _ranges(begin, count):
+    """The ranges [begin, begin + count), one after another."""
+    out = np.repeat(begin - np.cumsum(count) + count, count)
+    out += np.arange(len(out))
+    return out
+
+
 def _cell_members(starts, cells):
     """The columns of the given cells, cell after cell, and how many each
     cell holds."""
     counts = starts[cells + 1] - starts[cells]
-    first = np.repeat(starts[cells] - np.cumsum(counts) + counts, counts)
-    return first + np.arange(counts.sum()), counts
+    return _ranges(starts[cells], counts), counts
 
 
 def _cell_bounds(cells, op):
@@ -886,10 +892,7 @@ class _CellTable:
         count = self._end[cell] - self._begin[cell]
         total = count.sum(axis=1)
         i = np.repeat(pos, total)
-        count = count.ravel()
-        j = np.repeat(self._begin[cell].ravel() - np.cumsum(count) + count,
-                      count)
-        j += np.arange(len(j))
+        j = _ranges(self._begin[cell].ravel(), count.ravel())
         d2 = None
         for x in self._cols:
             d = x[j]
@@ -918,10 +921,8 @@ class _CellTable:
             self._size[fresh] = np.diff(first, append=len(j))
             self._used = end
         size = self._size[pos]
-        first = np.cumsum(size) - size
-        j = np.repeat(self._at[pos] - first, size)
-        j += np.arange(len(j))
-        return np.repeat(pos, size), self._kept[j], first
+        j = _ranges(self._at[pos], size)
+        return np.repeat(pos, size), self._kept[j], np.cumsum(size) - size
 
     def _near(self, pos):
         """near(pos), found from the candidates; marks the points found
@@ -1006,8 +1007,7 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
                                                side="right")))
             reps = count[r:t]
             i = np.repeat(first[r:t], reps)
-            j = np.repeat(begin[r:t] - (stop[r:t] - reps), reps)
-            j += np.arange(base, stop[t - 1])
+            j = _ranges(begin[r:t], reps)
             for a, b in ((i, j), (j, i)):
                 bound, d2 = own[a], np.zeros(len(a))
                 for yc, cc in cols:

@@ -10,6 +10,8 @@
   one KD-tree ball query per center.
 * min_nn_distance: the least positive nearest-neighbour distance, by
   KD-tree.
+* separated_filter_oracle: first-come thinning from a KD-tree's close
+  pairs.
 * ball_rows_oracle: unit-ball rows normalized and scaled in one shot.
 * transversality_oracle: the tail table of |Lx| from the norm of the
   whole stack's images.
@@ -175,6 +177,21 @@ def min_nn_distance(pts):
     nn = cKDTree(pts).query(pts, k=2)[0][:, 1]
     positive = nn[nn > 0]
     return float(positive.min()) if len(positive) else 0.0
+
+
+def separated_filter_oracle(pts, ell):
+    """The points that no point kept before them lies within
+    ell (1 - 1e-12) of, from every close pair of a KD-tree: in increasing
+    first index, a point not yet dropped drops its partner.  The slow
+    reference for constructions._separated_filter."""
+    from scipy.spatial import cKDTree
+
+    close = cKDTree(pts).query_pairs(ell * (1 - 1e-12), output_type="ndarray")
+    drop = np.zeros(len(pts), dtype=bool)
+    for a, b in close[np.argsort(close[:, 0])]:
+        if not drop[a]:
+            drop[b] = True
+    return pts[~drop]
 
 
 def ball_rows_oracle(n_rows, dim, rng):

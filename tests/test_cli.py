@@ -23,7 +23,7 @@ def test_list_names():
 
 
 def test_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial is loaded by the first tree or hull, not by the import;
+    # scipy.spatial is loaded by the first hull, not by the import;
     # embedding's hull name still resolves, to scipy's own object
     code = ("import sys, projlab.cli; print('scipy.spatial' in sys.modules); "
             "from projlab import embedding; import scipy.spatial as sp; "
@@ -38,8 +38,9 @@ def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
     # collision-scaling thins its shells by lattice offsets and
     # all-directions takes its atom resolution in x order: neither builds
     # a tree; holder-ceiling takes its nets' hull vertices from the shells,
-    # decode-sparse finds its nearest images on a grid, and box-dim and
-    # assouad-probe find their balls on cell tables
+    # decode-sparse finds its nearest images on a grid, box-dim and
+    # assouad-probe find their balls on cell tables, and a k = 3 net thins
+    # its stream with the greedy cover
     code = ("import sys; from projlab.experiments import run_experiment; "
             "run_experiment('collision-scaling', config={'seed': 0, "
             "'i_max': 4, 'n_maps': 50}); "
@@ -54,6 +55,8 @@ def test_shell_and_parabola_experiments_leave_scipy_spatial_unloaded():
             "'t': 3.0}); "
             "run_experiment('assouad-probe', config={'seed': 0, "
             "'n_centers': 8}); "
+            "from projlab.constructions import sphere_net_union; "
+            "sphere_net_union(4, 3, i_max=2, seed=0); "
             "print('scipy.spatial' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
@@ -179,6 +182,21 @@ def test_box_dim_non_finite_window_exits_two(tmp_path):
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2, config
         assert "need 0 < delta_min < delta_max < inf" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+def test_box_dim_n_scales_not_whole_exits_two(tmp_path):
+    # int(inf) once raised OverflowError (exit 1), and 3.7 built 3 scales
+    # while the summary recorded 3.7
+    cfg = tmp_path / "cfg.json"
+    for n_scales in (float("inf"), 3.7):
+        cfg.write_text(json.dumps({"n_scales": n_scales}))
+        out = tmp_path / "run"
+        proc = run_cli("box-dim", "--seed", "0", "--config", str(cfg),
+                       "--out", str(out))
+        assert proc.returncode == 2, n_scales
+        assert "n_scales must be a whole number" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 

@@ -8,10 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from oracles import (BitWord, min_nn_distance, pair_problems,
-                     parabola_lift_oracle, pi_encode, word_ints)
+                     parabola_lift_oracle, pi_encode, separated_filter_oracle,
+                     word_ints)
 from projlab import constructions
 from projlab.constructions import (PRECISION_FLOOR, IfsSpec, SphereNetSpec,
                                    _corrupt_add, _lattice_filter,
@@ -24,6 +27,7 @@ from projlab.constructions import (PRECISION_FLOOR, IfsSpec, SphereNetSpec,
                                    parabola_resolution, sparse_atoms,
                                    sphere_net, sphere_net_union,
                                    verify_digit_lemma, word_entropy_dimension)
+from projlab.experiments import REGISTRY, _sub_seeds
 from projlab.linalg import sample_e_batch
 
 
@@ -330,7 +334,7 @@ def test_lattice_filter_matches_the_tree(seed):
         for density in (6, 12, 24, 60):
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             pts = fibonacci_sphere(max(1, int(density * ratio**2))) @ q.T
-            kept = _separated_filter(pts, 1 / ratio)
+            kept = separated_filter_oracle(pts, 1 / ratio)
             assert np.array_equal(_lattice_filter(pts, 1 / ratio), kept)
             dropped += len(pts) - len(kept)
     assert dropped > 10_000
@@ -342,12 +346,14 @@ def test_lattice_filter_matches_the_tree_at_the_largest_shell():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     pts = fibonacci_sphere(6 * 256**2) @ q.T
     assert np.array_equal(_lattice_filter(pts, 1 / 256),
-                          _separated_filter(pts, 1 / 256))
+                          separated_filter_oracle(pts, 1 / 256))
 
 
-def test_lattice_filter_falls_back_to_the_tree_in_the_band(monkeypatch):
-    # a candidate at the tree's threshold, where the two distance routines
-    # might round apart, sends the shell to the tree
+def test_lattice_filter_falls_back_to_the_cover_near_the_threshold(
+        monkeypatch):
+    # the offset candidates only certify that nothing is dropped: a
+    # candidate at or below the threshold (1 + 1e-9), where two distance
+    # routines might round apart, sends the whole shell to the cover once
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     pts = fibonacci_sphere(100) @ q.T
@@ -358,15 +364,17 @@ def test_lattice_filter_falls_back_to_the_tree_in_the_band(monkeypatch):
         return _separated_filter(points, ell)
 
     monkeypatch.setattr(constructions, "_separated_filter", spy)
-    gap = float(np.linalg.norm(pts[1] - pts[0]))
-    for ell in (0.5, gap * (1 + 1e-8)):  # the second just outside the band
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    gap = float(d[np.triu_indices(len(pts), 1)].min())
+    for ell, fallback in ((gap * (1 - 1e-8), False),  # below the band
+                          (gap * (1 - 5e-10) / (1 - 1e-12), True),  # inside
+                          (gap / (1 - 1e-12), True),  # at the threshold
+                          (0.5, True)):  # most points dropped
+        calls.clear()
         kept = _lattice_filter(pts, ell)
-        assert np.array_equal(kept, _separated_filter(pts, ell))
-    assert calls == [] and len(kept) < len(pts)
-    ell = gap / (1 - 1e-12)
-    kept = _lattice_filter(pts, ell)
-    assert calls == [ell]
-    assert np.array_equal(kept, _separated_filter(pts, ell))
+        assert calls == ([ell] if fallback else [])
+        assert np.array_equal(kept, separated_filter_oracle(pts, ell))
+    assert len(kept) < len(pts)
 
 
 def test_sphere_nets_match_the_tree_path(monkeypatch):
@@ -378,7 +386,8 @@ def test_sphere_nets_match_the_tree_path(monkeypatch):
                 sphere_net(spec, 7, allow_partial=True).points)
 
     fast = build()
-    monkeypatch.setattr(constructions, "_lattice_filter", _separated_filter)
+    monkeypatch.setattr(constructions, "_lattice_filter",
+                        separated_filter_oracle)
     for a, b in zip(fast, build()):
         assert np.array_equal(a, b)
 
@@ -401,6 +410,66 @@ def test_sphere_net_k3_matches_brute_force_greedy():
         shell = net.points[[lab == ((0, 1, 2, 3), i) for lab in net.labels]]
         assert len(shell) > 1
         assert np.array_equal(shell, kept * r)
+
+
+lattice_rows = st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(0, 6)] * dim), min_size=1, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=lattice_rows, quarters=st.integers(1, 12),
+       power=st.integers(-8, 8), on_rim=st.booleans())
+def test_separated_filter_matches_the_tree_on_lattices(rows, quarters, power,
+                                                       on_rim):
+    # 1/4-lattice points in 1-4 dimensions, duplicates common, scaled by
+    # 2^p exactly; with on_rim the threshold ell (1 - 1e-12) is itself a
+    # lattice distance, so pairs lie exactly on it
+    c = 2.0**power
+    pts, ell = c * 0.25 * np.array(rows, dtype=float), c * 0.25 * quarters
+    if on_rim:
+        ell /= 1 - 1e-12
+        assert ell * (1 - 1e-12) == c * 0.25 * quarters
+    assert np.array_equal(_separated_filter(pts, ell),
+                          separated_filter_oracle(pts, ell))
+
+
+@pytest.mark.parametrize("k, ratio", [(3, 2), (3, 4), (4, 2), (4, 4), (5, 2)])
+def test_separated_filter_matches_the_tree_on_streams(k, ratio):
+    # the k >= 3 shells thin an oversampled uniform stream on S^k
+    rng = np.random.default_rng(k)
+    stream = rng.standard_normal((50 * int(np.ceil(2.0 * ratio**k)), k + 1))
+    stream /= np.linalg.norm(stream, axis=1, keepdims=True)
+    kept = _separated_filter(stream, 1 / ratio)
+    assert 1 < len(kept) < len(stream)
+    assert np.array_equal(kept, separated_filter_oracle(stream, 1 / ratio))
+
+
+def test_default_nets_never_reach_the_cover(monkeypatch):
+    # at FIB_DENSITY the default shells drop no lattice point, so the nets
+    # the experiments build by default (seed 42) are certified by the
+    # offsets alone: holder-ceiling's legs A and B, box-dim's union at
+    # t = 2 and 3, assouad-probe's net and collision-scaling's union
+    calls = []
+    monkeypatch.setattr(constructions, "_separated_filter",
+                        lambda pts, ell: calls.append(ell)
+                        or _separated_filter(pts, ell))
+    hc, bd, ap, cs = (REGISTRY[name]["defaults"] for name in (
+        "holder-ceiling", "box-dim", "assouad-probe", "collision-scaling"))
+    seed = _sub_seeds(42, 3)[0]  # holder-ceiling's nets
+    sphere_net_union(hc["ambient_dim"], hc["k"], t=hc["t"],
+                     i_max=hc["i_max"], seed=seed)
+    sphere_net(SphereNetSpec(hc["ambient_dim"], hc["k"],
+                             tuple(range(hc["k"] + 1)), l_law="pow2sq",
+                             i_max=hc["sq_i_max"]), seed, allow_partial=True)
+    for t in (2.0, 3.0):
+        sphere_net_union(bd["ambient_dim"], bd["k"], t=t, i_max=bd["i_max"],
+                         seed=42, sep_floor=bd["delta_min"] / 4)
+    sphere_net(SphereNetSpec(ap["ambient_dim"], ap["k"],
+                             tuple(range(ap["k"] + 1)), l_law="pow2sq",
+                             i_max=ap["i_max"]), 42)
+    sphere_net_union(cs["ambient_dim"], cs["k"], t=cs["t"],
+                     i_max=cs["i_max"], seed=42)
+    assert calls == []
 
 
 def test_sphere_net_point_cap():

@@ -122,6 +122,14 @@ def test_cover_accepts_point_set():
     assert covering_number(ps, 1.0) == covering_number(LINE5, 1.0)
 
 
+def test_cover_refuses_a_delta_that_is_not_positive():
+    # NaN fails the guard as well; an infinite delta is one ball
+    for delta in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            covering_number(LINE5, delta)
+    assert covering_number(LINE5, math.inf, return_centers=True) == (1, [0])
+
+
 def test_min_nn_distance():
     assert min_nn_distance(LINE5) == pytest.approx(1.0)
     assert min_nn_distance([[0.0, 0.0], [0.3, 0.4], [9.0, 9.0]]) == \
@@ -149,6 +157,18 @@ def test_scale_windows_must_be_finite_and_ordered(monkeypatch, delta_max,
     for n_scales in (None, 4):
         with pytest.raises(ValueError, match="delta_min < delta_max < inf"):
             box_dimension_fit(LINE5, delta_max, delta_min, n_scales=n_scales)
+
+
+def test_n_scales_must_be_whole(monkeypatch):
+    # int(n_scales) once overflowed at inf and cut 3.7 to 3 scales; the
+    # count is refused before any cell table is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a cell table was built")
+
+    monkeypatch.setattr(dimension, "_CellTable", unreachable)
+    for n_scales in (math.inf, -math.inf, math.nan, 3.7):
+        with pytest.raises(ValueError, match="n_scales must be a whole"):
+            box_dimension_fit(LINE5, 2.0, 0.25, n_scales=n_scales)
 
 
 def test_fit_loglog_exact_power_law():

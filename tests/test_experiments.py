@@ -375,6 +375,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
      "ambient dimension must be at"),
     ("box-dim", {"delta_max": math.inf}, r"delta_min < delta_max < inf"),
     ("box-dim", {"delta_min": math.nan}, r"delta_min < delta_max < inf"),
+    ("box-dim", {"n_scales": math.inf}, "n_scales must be a whole number"),
+    ("box-dim", {"n_scales": 3.7}, "n_scales must be a whole number"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):

@@ -98,6 +98,39 @@ def test_block_sizes_are_known_only_to_embedding():
             for name in names.findall(path.read_text())] == []
 
 
+def _spatial_imports(tree):
+    """The top-level definitions of a module that import scipy.spatial,
+    each by name, "<module>" for an import outside them."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, alias.name)
+                         for alias in node.names]
+            else:
+                continue
+            if any((name + ".").startswith("scipy.spatial.")
+                   for name in names):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_scipy_spatial_only_behind_the_hull():
+    # the package builds no KD-tree; scipy.spatial is imported only by
+    # hull_vertices' Qhull fallback and by embedding's lazy ConvexHull name
+    trees, importers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        trees += [path.name] * ("cKDTree" in text)
+        importers += ["%s %s" % (path.name, name)
+                      for name in _spatial_imports(ast.parse(text))]
+    assert trees == []
+    assert sorted(importers) == ["embedding.py __getattr__",
+                                 "embedding.py hull_vertices"]
+
+
 def _numeric(node):
     """Whether an expression is built from number literals alone."""
     if isinstance(node, ast.Constant):
