@@ -5,6 +5,7 @@ Submodules:
 
 * geom: point sets, atomic measures, CSV round-trip.
 * linalg: random map stacks with unit-ball rows.
+* grid: the neighbour grid of covers and decoding, squared distances.
 * dimension: covering numbers, box-counting and local-dimension fits,
   localized homogeneity probes.
 * constructions: sphere nets, blocked dyadic words and their parabola

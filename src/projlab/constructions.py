@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dimension import covering_number
-from .embedding import _ranges
 from .geom import AtomicMeasure, PointSet, normalized_measure
+from .grid import ranges, sq_norms
 from .linalg import ball_rows
 
 PRECISION_FLOOR = 2.0**-40
@@ -246,7 +246,7 @@ def parabola_resolution(points):
     nearest-neighbour distance (inf below two atoms).
     """
     pts = points[np.argsort(points[:, 0])]
-    gaps = np.sqrt(np.square(pts[1:] - pts[:-1]).sum(axis=1))
+    gaps = np.sqrt(sq_norms(pts[1:], pts[:-1]))
     return float(gaps[gaps > 0].min(initial=np.inf))
 
 
@@ -390,9 +390,9 @@ def _lattice_filter(pts, ell):
     south = np.maximum(stop - cap, north)
     starts = np.concatenate([np.zeros_like(d), south])
     lengths = np.concatenate([north, stop]) - starts
-    i = _ranges(starts, lengths)
+    i = ranges(starts, lengths)
     j = i + np.repeat(np.concatenate([d, d]), lengths)
-    dist = np.sqrt(np.square(pts[j] - pts[i]).sum(axis=1))
+    dist = np.sqrt(sq_norms(pts[j], pts[i]))
     if np.any(dist <= thr * (1 + 1e-9)):
         return _separated_filter(pts, ell)
     return pts
@@ -546,9 +546,8 @@ class IfsSpec:
             raise ValueError("maps and weights must align")
         if m < 1:
             raise ValueError("need at least one map")
-        for r in self.ratios:
-            if not 0 < r < 1:
-                raise ValueError("ratios must lie in (0,1)")
+        if not all(0 < r < 1 for r in self.ratios):
+            raise ValueError("ratios must lie in (0,1)")
         self.orthogonals = [np.atleast_2d(np.asarray(o, dtype=float))
                             for o in self.orthogonals]
         self.shifts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in self.shifts]
@@ -580,21 +579,13 @@ def ifs_atoms(spec, depth):
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    x0 = spec.fixed_point(0)
-    pts = [x0]
-    weights = [1.0]
-    labels = [()]
+    atoms = [(spec.fixed_point(0), 1.0, ())]
     for _ in range(depth):
-        new_pts = []
-        new_w = []
-        new_lab = []
-        for x, w, lab in zip(pts, weights, labels):
-            for idx in range(len(spec.ratios)):
-                new_pts.append(spec.apply(idx, x))
-                new_w.append(w * spec.probs[idx])
-                new_lab.append((idx + 1,) + lab)
-        pts, weights, labels = new_pts, new_w, new_lab
-    return normalized_measure(np.array(pts), np.array(weights), labels=labels)
+        atoms = [(spec.apply(idx, x), w * spec.probs[idx], (idx + 1,) + lab)
+                 for x, w, lab in atoms for idx in range(len(spec.ratios))]
+    pts, weights, labels = zip(*atoms)
+    return normalized_measure(np.array(pts), np.array(weights),
+                              labels=list(labels))
 
 
 # --- sparse and dense atom clouds ---

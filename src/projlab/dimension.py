@@ -7,13 +7,12 @@ is sandwiched between the true covering numbers at delta and delta/2
 needs at least as many balls; the output is itself a delta-cover).  All
 dimension fits are ordinary least squares on log2-log2 tables.
 
-Balls are found on a cell table (embedding's _CellTable), no tree: the
-points are cut into cells of side a little above delta and sorted by cell,
-so a ball's candidates are the points of a few rows of cells.  A point is
-in the closed ball when its squared distance to the center, the squares
-summed coordinate by coordinate in order, is at most delta * delta; for
-points of fewer than eight coordinates that is the test of a KD-tree's
-ball query, so the counts are those of the tree, ties on the rim included.
+Balls are found on a cell table of side a little above delta
+(grid.CellTable), no tree.  A point is in the closed ball when its squared
+distance to the center, the squares summed coordinate by coordinate in
+order, is at most delta * delta; for points of fewer than eight
+coordinates that is the test of a KD-tree's ball query, so the counts are
+those of the tree, ties on the rim included.
 A point with no other point in its ball can neither be covered by another
 center nor cover one, so it is a center whenever it is walked, and such
 points are settled in bulk.
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import _CellTable
 from .geom import AtomicMeasure, PointSet
+from .grid import CellTable, block_end
 
 
 @dataclass
@@ -76,9 +75,7 @@ def fit_loglog(deltas, counts):
 
 
 def _as_points(ps):
-    if isinstance(ps, PointSet):
-        return ps.points
-    if isinstance(ps, AtomicMeasure):
+    if isinstance(ps, (PointSet, AtomicMeasure)):
         return ps.points
     return np.atleast_2d(np.asarray(ps, dtype=float))
 
@@ -89,13 +86,13 @@ def covering_number(ps, delta, return_centers=False, within=None, index=None):
     within (index array or boolean mask) restricts the cover to those
     points of ps, walked in the order of ps: the count equals that of the
     extracted subset, and centers are reported as indices into ps.  index
-    is the cell table of ps at this delta, _CellTable(ps, delta), for
+    is the cell table of ps at this delta, CellTable(ps, delta), for
     callers that cover one set many times at one scale.
 
     Points known to be alone in their balls are settled as centers at
     once.  The rest are walked in blocks of about a fixed number of
     candidate pairs: a block takes the next walked points that are still
-    uncovered, finds their balls at once (_CellTable.near), and settles
+    uncovered, finds their balls at once (CellTable.near), and settles
     every point whose ball holds no other uncovered walked point as a
     center.  Only the others go through the greedy one by one, each center
     covering its ball.  Centers come back in increasing order, the order
@@ -105,7 +102,7 @@ def covering_number(ps, delta, return_centers=False, within=None, index=None):
     if not delta > 0:  # NaN fails; an infinite delta is one ball
         raise ValueError("delta must be positive")
     n = len(pts)
-    table = _CellTable(pts, delta) if index is None else index
+    table = CellTable(pts, delta) if index is None else index
     walked = np.zeros(n, dtype=bool)
     walked[slice(None) if within is None else within] = True
     is_center = walked & table.alone[table.rank]
@@ -122,7 +119,7 @@ def covering_number(ps, delta, return_centers=False, within=None, index=None):
         s += int(open_[s:].argmax())
         if not open_[s]:
             break
-        t = table.block_end(stop, s)
+        t = block_end(stop, s)
         block = np.flatnonzero(open_[s:t]) + s
         i, j, first = table.near(pos[block])
         other = i != j
@@ -160,11 +157,11 @@ def _check_resolution(pts, delta_min):
     n = len(pts)
     floor, side = math.inf, delta_min
     while n > 1:
-        table = _CellTable(pts, side)
+        table = CellTable(pts, side)
         stop = np.cumsum(table.counts)
         twinless, s = False, 0
         while s < n:
-            t = table.block_end(stop, s)
+            t = block_end(stop, s)
             i, j, d2, first = table.pairs(np.arange(s, t))
             nearest = np.minimum.reduceat(np.where(i != j, d2, np.inf), first)
             nearest = nearest[nearest > 0]
@@ -245,7 +242,7 @@ def assouad_probe(ps, n_centers, r, rho, seed=0):
         raise ValueError("more centers than points")
     idx = np.arange(n) if n == n_centers else rng.choice(n, size=n_centers,
                                                          replace=False)
-    balls, cells = _CellTable(pts, r), _CellTable(pts, rho, keep_balls=True)
+    balls, cells = CellTable(pts, r), CellTable(pts, rho, keep_balls=True)
     best = 0
     for i in idx:
         _, local, _ = balls.near(balls.rank[i:i + 1])

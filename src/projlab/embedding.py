@@ -12,8 +12,7 @@ Everything here asks one of three questions about a map image:
 
 No estimator draws maps: each takes the maps, or the images under them,
 that its caller drew, so every one is a deterministic function of its
-arguments.  The grid keying that decoding meets its near images on also
-serves the cell tables of dimension's greedy covers (_CellTable).
+arguments.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dimension
+from .grid import block_end, grid_ranges, ranges, sq_norms
 
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
@@ -38,18 +38,13 @@ HULL_TOL = 1e-9  # hull_vertices' plane tolerance, relative to the top norm
 HULL_SCAN_MAX = 48  # candidates per facet scan in hull_vertices
 DECODE_BLOCK = 1 << 14  # atom images per block of maps in decode_recoveries
 DECODE_PAIRS = 1 << 15  # candidate pairs scored at a time there
-GRID_MARGIN = 1e-6  # relative margin of a grid's cell side over its reach
-GRID_AXIS = 1 << 20  # cells along one axis of a cover's grid, at most
-COVER_PAIRS = 1 << 14  # candidate pairs per block of a greedy cover's walk
 
 
 def __getattr__(name):
-    """ConvexHull, from scipy.spatial on first use.  Nothing here builds a
-    hull through this name (hull_vertices imports Qhull itself, only where
-    its certificate cannot decide); the name resolves only because
-    perfbench/traced.py reads it and puts its counting wrapper in its
-    place.  Resolving it lazily keeps the import of scipy.spatial, which
-    costs more than the rest of the package, out of every untraced run."""
+    """ConvexHull, from scipy.spatial on first use, for perfbench/traced.py,
+    which puts its counting wrapper in its place; hull_vertices imports
+    Qhull itself.  Resolving it lazily keeps scipy.spatial, which costs
+    more to import than the package, out of every untraced run."""
     if name == "ConvexHull":
         from scipy import spatial
 
@@ -120,7 +115,7 @@ def collision_probability(points, base_index, delta, eps_grid, rows):
             images = diffs @ np.swapaxes(block, 1, 2)
         else:
             images = np.swapaxes(block @ diffs_t, 1, 2)
-        min2[s:s + MAP_BLOCK] = _sq_norms(images).min(axis=1)
+        min2[s:s + MAP_BLOCK] = sq_norms(images).min(axis=1)
     mins = np.sqrt(min2)
     table, fit = _tail_table(mins, eps_grid)
     return {
@@ -163,24 +158,6 @@ def transversality_fraction(x, eps_grid, rows):
     }
 
 
-def _sq_norms(a, b=None, out=None):
-    """Squared Euclidean norms of a - b (of a when b is None) along the last
-    axis, the other axes broadcast; out, if given, receives them.
-
-    The differences are taken directly and the squares summed coordinate
-    by coordinate, the order np.linalg.norm uses on rows shorter than 8,
-    so no (..., k) difference tensor is built and nothing cancels.
-    """
-    for c in range(a.shape[-1]):
-        if b is None:
-            d = np.square(a[..., c], out=None if c else out)
-        else:
-            d = np.subtract(a[..., c], b[..., c], out=None if c else out)
-            np.square(d, out=d)
-        out = d if c == 0 else np.add(out, d, out=out)
-    return out
-
-
 def check_deltas(delta_grid):
     """Refuse a delta grid that is empty or holds a delta that is not
     finite and positive."""
@@ -201,7 +178,7 @@ def inverse_continuity_modulus(points, ops, delta_grid):
     one delta, each finite and positive.
 
     Image distances are direct differences of the images, squared and
-    summed coordinate by coordinate by _sq_norms, so a small minimum is
+    summed coordinate by coordinate by sq_norms, so a small minimum is
     never the cancellation residue of a Gram identity.  Only a certified
     candidate set of pairs is scored.  Each map's images are sorted by
     their first coordinate, and the pairs (i, i + o) of that order are
@@ -253,8 +230,8 @@ def inverse_continuity_modulus(points, ops, delta_grid):
             live_now = gap2 <= min2[-1, pos // n]
             pos, gap2 = pos[live_now], gap2[live_now]
             a, b = at[pos], at[pos + o]
-            im2 = _sq_norms(flat[a], flat[b])
-            pd = np.sqrt(_sq_norms(points[a % n], points[b % n]))
+            im2 = sq_norms(flat[a], flat[b])
+            pd = np.sqrt(sq_norms(points[a % n], points[b % n]))
             for d, row in zip(reached, min2):
                 far = ~(pd < d)
                 np.minimum.at(row, pos[far] // n, im2[far])
@@ -267,8 +244,8 @@ def inverse_continuity_modulus(points, ops, delta_grid):
 
 
 def check_holder_budget(m_const):
-    """Refuse a Holder budget M below 1."""
-    if m_const < 1:
+    """Refuse a Holder budget M below 1, or NaN."""
+    if not m_const >= 1:
         raise ValueError("M must be at least 1 (normalized distances)")
 
 
@@ -321,7 +298,7 @@ def _cell_keys(points, side):
     """origin_cells' cell keys of the rows of an (n, d) point array: the
     shell and the shifted cube indices of each, in mixed radix."""
     span = 2 * math.ceil(1.0 / side) + 3  # shifted cube indices stay below
-    norms = np.sqrt(_sq_norms(points))
+    norms = np.sqrt(sq_norms(points))
     # the exponent of sqrt(2) |x| is round(log2 |x|) + 1, from -1073 up
     key = np.where(norms > 0.0, np.frexp(math.sqrt(2.0) * norms)[1] + 1100,
                    0).astype(np.int64)
@@ -365,10 +342,10 @@ def origin_cells(points, side=CELL_SIDE):
     lo = np.minimum.reduceat(points_t, starts[:-1], axis=1)
     hi = np.maximum.reduceat(points_t, starts[:-1], axis=1)
     centres = np.ascontiguousarray((0.5 * (lo + hi)).T)
-    radii = 0.5 * np.sqrt(_sq_norms((hi - lo).T))  # half the box diagonal
-    norms = np.sqrt(_sq_norms(points_t.T))
+    radii = 0.5 * np.sqrt(sq_norms((hi - lo).T))  # half the box diagonal
+    norms = np.sqrt(sq_norms(points_t.T))
     return OriginCells(points_t, norms, starts, centres, radii,
-                       np.sqrt(_sq_norms(centres)) + radii,
+                       np.sqrt(sq_norms(centres)) + radii,
                        np.maximum.reduceat(norms, starts[:-1]))
 
 
@@ -386,25 +363,18 @@ def _net_images(op, points_t, idx):
     return (wide @ points_t[:, idx if c != 1 else np.repeat(idx, 2)])[:k, :c]
 
 
-def _ranges(begin, count):
-    """The ranges [begin, begin + count), one after another."""
-    out = np.repeat(begin - np.cumsum(count) + count, count)
-    out += np.arange(len(out))
-    return out
-
-
 def _cell_members(starts, cells):
     """The columns of the given cells, cell after cell, and how many each
     cell holds."""
     counts = starts[cells + 1] - starts[cells]
-    return _ranges(starts[cells], counts), counts
+    return ranges(starts[cells], counts), counts
 
 
 def _cell_bounds(cells, op):
     """_origin_ceilings' lower bounds, one per cell, on the computed norms of
     the images of the cell's points under op."""
     lip = math.sqrt(float(np.abs(op @ op.T).sum(axis=1).max()))
-    bound = np.sqrt(_sq_norms(cells.centres @ op.T))
+    bound = np.sqrt(sq_norms(cells.centres @ op.T))
     bound -= lip * cells.radii
     bound -= CELL_SLACK * float(np.linalg.norm(op)) * cells.reach
     return bound
@@ -475,7 +445,7 @@ def _origin_ceilings(cells, op, normalizer, m_grid):
     seed = np.flatnonzero(far & (bound <= max(float(np.min(
         bound, where=far, initial=np.inf)), 0.0)))
     idx, counts = _cell_members(cells.starts, seed)
-    im = np.sqrt(_sq_norms(_net_images(op, cells.points_t, idx).T))
+    im = np.sqrt(sq_norms(_net_images(op, cells.points_t, idx).T))
     im /= normalizer
     least = im == np.repeat(
         np.minimum.reduceat(im, np.cumsum(counts) - counts), counts)
@@ -493,7 +463,7 @@ def _origin_ceilings(cells, op, normalizer, m_grid):
     more = np.flatnonzero(kept)
     if len(more):
         more_idx, more_counts = _cell_members(cells.starts, more)
-        im_more = np.sqrt(_sq_norms(_net_images(op, cells.points_t,
+        im_more = np.sqrt(sq_norms(_net_images(op, cells.points_t,
                                                 more_idx).T))
         im = np.concatenate([im, im_more / normalizer])
         idx = np.concatenate([idx, more_idx])
@@ -523,8 +493,8 @@ def holder_at_origin(cells, hull_idx, op, witnesses, m_grid):
     wit_imgs = witnesses @ op.T
     normalizer = 2.0 * set_diameter(np.vstack([hull_imgs, wit_imgs]))
     alphas = _origin_ceilings(cells, op, normalizer, m_grid)
-    pd_wit = np.sqrt(_sq_norms(witnesses)) / normalizer
-    im_wit = np.sqrt(_sq_norms(wit_imgs)) / normalizer
+    pd_wit = np.sqrt(sq_norms(witnesses)) / normalizer
+    im_wit = np.sqrt(sq_norms(wit_imgs)) / normalizer
     return [min(a, float(holder_ceiling(pd_wit, im_wit, m)))
             for m, a in zip(m_grid, alphas)]
 
@@ -550,7 +520,7 @@ def _facet_scan(pts, top):
     tri = np.array(list(itertools.combinations(range(c), 3)))
     a, b, d = pts[tri].swapaxes(0, 1)
     normal = np.cross(b - a, d - a)
-    length = np.sqrt(_sq_norms(normal))
+    length = np.sqrt(sq_norms(normal))
     if length.min() <= math.sqrt(HULL_TOL) * top * top:
         return None
     normal /= length[:, None]
@@ -649,7 +619,7 @@ def set_diameter(points, stop=math.inf):
     top = 0.0
     # partners from the block's first row on: the earlier ones came before
     for s in range(0, len(points), rows):
-        top = max(top, math.sqrt(float(_sq_norms(points[s:s + rows, None],
+        top = max(top, math.sqrt(float(sq_norms(points[s:s + rows, None],
                                                  points[None, s:]).max())))
         if top >= stop:
             break
@@ -662,9 +632,9 @@ def log_lipschitz_modulus(u, big_r, eta, theta):
     Needs eta > 1 and theta > 0; f(0) = 0.  f is increasing on (0, R], so
     R should be at least every distance u it is given.
     """
-    if eta <= 1:
+    if not eta > 1:  # NaN fails too
         raise ValueError("eta must exceed 1")
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -733,7 +703,7 @@ def log_lip_pass(pd, f_mod, images, m_const):
     buf = np.empty(TRI_BLOCK * n)
     for s in range(0, n, TRI_BLOCK):
         e = min(s + TRI_BLOCK, n)  # rows s..e-1 against columns s..n-1
-        im = _sq_norms(images_t[:, s:e].T[:, None], images_t[:, s:].T[None],
+        im = sq_norms(images_t[:, s:e].T[:, None], images_t[:, s:].T[None],
                        out=buf[:(e - s) * (n - s)].reshape(e - s, n - s))
         np.sqrt(im, out=im)
         top = max(top, float(im.max()))
@@ -759,198 +729,6 @@ def log_lip_pass(pd, f_mod, images, m_const):
     return alpha, c_hat
 
 
-def _grid_keys(lead, reach, per_axis):
-    """Cut m sets of n points into cubic cells and sort them by cell.
-
-    lead holds the sets' (m, n) arrays of up to three coordinates, reach
-    their (m, 1) distances to be met.  A set's cells have side
-    h = max(reach (1 + GRID_MARGIN), span / per_axis), span its widest
-    coordinate range, and positive when every point coincides.  Keys
-    number them with the first coordinate fastest, a spare cell on both
-    sides of every axis, and each set's cells after those of the set
-    before, so that every cell next to a point's own has a key in the
-    set's range, and the three cells of a row along the first axis have
-    consecutive keys.  Returns the order that sorts the points by key, the
-    sorted keys, each axis's (m, 1) key stride, and the count of keys.
-
-    Two points whose coordinates differ by at most reach, each difference
-    taken with rounding, lie in the same or adjacent cells: h exceeds
-    reach by GRID_MARGIN, and floor(x / h) rounds by far less, at most
-    per_axis 2^-52 cells.
-    """
-    m, n = lead[0].shape
-    lo = [x.min(axis=1, keepdims=True) for x in lead]
-    span = np.maximum.reduce([x.max(axis=1, keepdims=True) - l
-                              for x, l in zip(lead, lo)])
-    side = np.maximum(np.maximum(reach * (1 + GRID_MARGIN), span / per_axis),
-                      np.finfo(float).tiny)
-    key = np.zeros((m, n), np.int64)
-    strides = []
-    size = np.ones((m, 1), np.int64)
-    for x, l in zip(lead, lo):
-        cell = ((x - l) / side).astype(np.int64)
-        cell += 1
-        strides.append(size)
-        key += cell * size
-        size = size * (cell.max(axis=1, keepdims=True) + 2)
-    key += np.cumsum(size).reshape(m, 1) - size
-    key = key.ravel()
-    order = np.argsort(key)
-    return order, key[order], strides, int(size.sum())
-
-
-def _grid_ranges(lead, reach):
-    """Candidate ranges of one block of maps for nearest-image decoding.
-
-    lead holds two (m, n) arrays, the first two coordinates of the clean
-    images of m maps (the second all 0 for one-row maps), and reach the
-    (m,) largest own distances.  Each map's images go into square cells
-    of side h > 2 reach (_grid_keys), and the block is sorted by cell.
-    Returns that order and ranges (first, begin, count): the atom at
-    sorted position first meets the count atoms from position begin on.
-    An atom meets the atoms after it in its own cell and the next one of
-    its row, and those of the three adjacent cells in the next row, so
-    each pair in the same or adjacent cells is met once.
-
-    h is at least span / (4 sqrt n), so that a map has at most
-    (4 sqrt n + 3)^2 cells however small its noise, and the table of
-    where each cell starts stays small.
-    """
-    m, n = lead[0].shape
-    order, key, strides, size = _grid_keys(lead, 2 * reach[:, None],
-                                           4 * math.sqrt(n))
-    start = np.zeros(size + 1, np.int64)
-    np.cumsum(np.bincount(key, minlength=size), out=start[1:])
-    pos = np.arange(m * n)
-    below = (key.reshape(m, n) + strides[1]).ravel()
-    first, begin, count = [], [], []
-    for lo_pos, hi_pos in ((pos + 1, start[key + 2]),
-                           (start[below - 1], start[below + 2])):
-        hit = np.flatnonzero(hi_pos > lo_pos)
-        first.append(hit)
-        begin.append(lo_pos[hit])
-        count.append(hi_pos[hit] - lo_pos[hit])
-    return order, *(np.concatenate(r) for r in (first, begin, count))
-
-
-class _CellTable:
-    """A point set on a grid of side delta (1 + GRID_MARGIN), for the
-    closed delta-balls of greedy covers (dimension.covering_number).
-
-    The grid keys the first three coordinates (_grid_keys), so every point
-    within delta of a point lies in the 3^(d-1) rows of cells about its
-    own, d <= 3 the keyed coordinates; GRID_AXIS bounds the cells along an
-    axis.  Positions are those of the points sorted by cell: order maps
-    them to input indices and rank back.  Each occupied cell keeps the
-    position ranges of its rows, found by bisection among the occupied
-    cells' keys.  counts holds each point's candidates, itself included,
-    and alone marks the points known to have no other point within delta:
-    at first those alone among their candidates, then every one that near
-    finds alone.  With keep_balls, near keeps every ball it finds, for a
-    table that many covers of overlapping subsets share: their greedy
-    walks open the same centers again and again.
-    """
-
-    def __init__(self, points, delta, keep_balls=False):
-        points = np.asarray(points, dtype=float)
-        n, dim = points.shape
-        lead = [points[None, :, c] for c in range(min(dim, 3))]
-        self.order, key, strides, _ = _grid_keys(
-            lead, np.full((1, 1), float(delta)), GRID_AXIS)
-        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-        keys = key[first]
-        start = np.append(first, n)
-        rows = list(itertools.product((-1, 0, 1), repeat=len(lead) - 1))
-        index = np.int32 if n < 2**31 else np.int64  # halves the ranges
-        self._begin = np.empty((len(keys), len(rows)), index)
-        self._end = np.empty_like(self._begin)
-        for r, row in enumerate(rows):
-            at = keys + sum(o * int(s[0, 0]) for o, s in zip(row, strides[1:]))
-            self._begin[:, r] = start[np.searchsorted(keys, at - 1)]
-            self._end[:, r] = start[np.searchsorted(keys, at + 2)]
-        self._cell = np.repeat(np.arange(len(keys), dtype=index),
-                               np.diff(start))
-        self.rank = np.empty(n, np.int64)
-        self.rank[self.order] = np.arange(n)
-        self._cols = [points[self.order, c] for c in range(dim)]
-        self._reach2 = delta * delta
-        self.counts = (self._end - self._begin).sum(axis=1)[self._cell]
-        self.alone = self.counts == 1
-        self._keep = keep_balls
-        if keep_balls:  # ball p: kept[at[p]:at[p] + size[p]], size 0 unknown
-            self._at = np.zeros(n, np.int64)
-            self._size = np.zeros(n, np.int64)
-            self._kept = np.empty(0, index)
-            self._used = 0
-
-    def pairs(self, pos):
-        """Every candidate pair (i, j) of the points at positions pos,
-        grouped by i in the order of pos, with its squared distance summed
-        coordinate by coordinate as _sq_norms sums them, and where each
-        group starts."""
-        cell = self._cell[pos]
-        count = self._end[cell] - self._begin[cell]
-        total = count.sum(axis=1)
-        i = np.repeat(pos, total)
-        j = _ranges(self._begin[cell].ravel(), count.ravel())
-        d2 = None
-        for x in self._cols:
-            d = x[j]
-            d -= np.repeat(x[pos], total)
-            d *= d
-            d2 = d if d2 is None else np.add(d2, d, out=d2)
-        return i, j, d2, np.cumsum(total) - total
-
-    def near(self, pos):
-        """The pairs (i, j) of pairs(pos) with j in the closed delta-ball of
-        i, squared distance at most delta * delta, and where each group
-        starts.  Each i keeps a group, as its distance to itself is 0."""
-        if not self._keep:
-            return self._near(pos)
-        fresh = pos[self._size[pos] == 0]
-        if len(fresh):
-            _, j, first = self._near(fresh)
-            end = self._used + len(j)
-            if end > len(self._kept):
-                grown = np.empty(max(end, 2 * len(self._kept)),
-                                 self._kept.dtype)
-                grown[:self._used] = self._kept[:self._used]
-                self._kept = grown
-            self._kept[self._used:end] = j
-            self._at[fresh] = first + self._used
-            self._size[fresh] = np.diff(first, append=len(j))
-            self._used = end
-        size = self._size[pos]
-        j = _ranges(self._at[pos], size)
-        return np.repeat(pos, size), self._kept[j], np.cumsum(size) - size
-
-    def _near(self, pos):
-        """near(pos), found from the candidates; marks the points found
-        alone."""
-        i, j, d2, _ = self.pairs(pos)
-        keep = np.flatnonzero(d2 <= self._reach2)
-        i, j = i[keep], j[keep]
-        first = np.flatnonzero(np.concatenate([[True], i[1:] != i[:-1]]))
-        self.alone[i[first[np.diff(first, append=len(i)) == 1]]] = True
-        return i, j, first
-
-    def costs(self, pos):
-        """The work near does for each point at positions pos: its
-        candidates, or the size of its ball once kept."""
-        if not self._keep:
-            return self.counts[pos]
-        size = self._size[pos]
-        return np.where(size > 0, size, self.counts[pos])
-
-    def block_end(self, stop, s):
-        """The end t > s of a block of a walk from its entry s on, whose
-        costs, with running sums stop, add up to at most COVER_PAIRS, or
-        of entry s alone."""
-        base = stop[s - 1] if s else 0
-        return max(s + 1, int(np.searchsorted(stop, base + COVER_PAIRS,
-                                              side="right")))
-
-
 def decode_recoveries(points, weights, rows, noise, noise_rng):
     """Weighted share of atoms that nearest-image decoding recovers, for
     each map of an (m, k, N) stack, in stack order.
@@ -959,7 +737,7 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
     vector drawn from noise_rng, to y_i.  Atom i is recovered only if its
     own clean image is strictly the nearest to y_i: it fails when some
     j != i has |y_i - L p_j|^2 <= |y_i - L p_i|^2, squares summed
-    coordinate by coordinate as _sq_norms sums them.  So an exact tie, as
+    coordinate by coordinate as sq_norms sums them.  So an exact tie, as
     between coincident atoms, is a failure.  The maps share the stream, so
     they are taken in order.
 
@@ -969,7 +747,7 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
     rounding of the order of |L p_i| 2^-52, which a tiny noise does not
     dominate).  So only pairs whose clean images share or touch a cell of
     side above 2 reach on the first two coordinates are scored
-    (_grid_ranges), in both directions.  The squares of a pair are summed
+    (grid_ranges), in both directions.  The squares of a pair are summed
     one coordinate at a time and the pair is dropped once the partial sum
     exceeds the own distance: a sum of squares never falls as terms are
     added, so the verdict is that of the whole sum.
@@ -991,9 +769,9 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
         y /= np.linalg.norm(y, axis=2, keepdims=True)
         y *= noise
         y += imgs
-        own = _sq_norms(y, imgs)
+        own = sq_norms(y, imgs)
         lead = [imgs[..., 0], imgs[..., 1] if k > 1 else np.zeros(own.shape)]
-        order, first, begin, count = _grid_ranges(
+        order, first, begin, count = grid_ranges(
             lead, np.sqrt(own.max(axis=1)))
         own = own.ravel()[order]
         cols = [(y[..., c].ravel()[order], imgs[..., c].ravel()[order])
@@ -1002,12 +780,10 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
         stop = np.cumsum(count)
         r = 0
         while r < len(count):
-            base = stop[r] - count[r]
-            t = max(r + 1, int(np.searchsorted(stop, base + DECODE_PAIRS,
-                                               side="right")))
+            t = block_end(stop, r, DECODE_PAIRS)
             reps = count[r:t]
             i = np.repeat(first[r:t], reps)
-            j = _ranges(begin[r:t], reps)
+            j = ranges(begin[r:t], reps)
             for a, b in ((i, j), (j, i)):
                 bound, d2 = own[a], np.zeros(len(a))
                 for yc, cc in cols:

@@ -545,7 +545,7 @@ def _holder_ceiling(cfg, art, threads):
     # leg A: polynomially separated union, full nets to i_max.  Deeper
     # shells would break the point cap, so, as in leg B, each map gets the
     # two kernel-adjacent witnesses of every S_J on shells i_max+1 ..
-    # witness_depth (default: the deepest shell above PRECISION_FLOOR).
+    # witness_depth (default: the deepest shell above the precision floor).
     # They lie inside conv(X), so they never set leg A's diameter.
     wit_specs = [SphereNetSpec(cfg["ambient_dim"], cfg["k"], J, t=cfg["t"],
                                i_max=cfg["i_max"])

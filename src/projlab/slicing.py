@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embedding import _sq_norms
+from .constructions import ifs_atoms
 from .geom import AtomicMeasure
+from .grid import sq_norms
 
 
 def slab_conditional(measure, coords, center, half_width):
@@ -77,7 +78,7 @@ def dirac_score(measure, tau):
     if rank > 0:
         step = max(1, DIRAC_BLOCK // n)
         for start in range(0, n, step):
-            rows = np.sqrt(_sq_norms(pts[start:start + step, None], pts[None]))
+            rows = np.sqrt(sq_norms(pts[start:start + step, None], pts[None]))
             bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
     best = np.inf
     best_center = -1
@@ -85,7 +86,7 @@ def dirac_score(measure, tau):
         # later rows have larger bounds, or equal bounds and larger indices
         if bounds[c] > best or (bounds[c] == best and c > best_center):
             break
-        radius = _row_radius(np.sqrt(_sq_norms(pts[c], pts)), w, need)
+        radius = _row_radius(np.sqrt(sq_norms(pts[c], pts)), w, need)
         if radius < best or (radius == best and c < best_center):
             best = radius
             best_center = int(c)
@@ -144,8 +145,6 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         raise ValueError("slab plane basis is not orthonormal within 1e-10")
     if np.abs(basis @ translate).max() > 1e-10:
         raise ValueError("slab plane is not orthogonal to the translate")
-
-    from .constructions import ifs_atoms
 
     nu = ifs_atoms(spec, depth)
     branches = np.array([lab[0] for lab in nu.labels])

@@ -32,7 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from projlab.embedding import CEIL_SLACK, _sq_norms, holder_ceiling
+from projlab.embedding import CEIL_SLACK, holder_ceiling
+from projlab.grid import sq_norms
 
 MODULUS_BLOCK = 1 << 18  # map x pair entries per block of modulus_oracle
 CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
@@ -285,9 +286,9 @@ def modulus_oracle(points, ops, delta_grid):
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # partners j > i only, so the block's columns begin at its first row
-        pd = np.sqrt(_sq_norms(points[start:stop, None], points[None, start:]))
+        pd = np.sqrt(sq_norms(points[start:stop, None], points[None, start:]))
         near = np.arange(start, n) <= np.arange(start, stop)[:, None]
-        im2 = _sq_norms(images[:, start:stop, None], images[:, None, start:],
+        im2 = sq_norms(images[:, start:stop, None], images[:, None, start:],
                         out=buf[:m * pd.size].reshape((m,) + pd.shape))
         for j, d in enumerate(delta_grid):
             near |= pd < d  # deltas ascend, so the far sets shrink
@@ -393,7 +394,7 @@ def image_sq_norms(op, points_t, keep):
     kept = np.empty((len(keep), len(op)))
     for s, a, b in zip(starts, cuts, cuts[1:]):
         imgs = op @ points_t[:, s:s + IMAGE_CHUNK]
-        _sq_norms(imgs.T, out=sq_im[s:s + IMAGE_CHUNK])
+        sq_norms(imgs.T, out=sq_im[s:s + IMAGE_CHUNK])
         if a < b:
             kept[a:b] = imgs[:, keep[a:b] - s].T
     return sq_im, kept

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import greedy_cover_loop, min_nn_distance
-from projlab import dimension, embedding
+from projlab import dimension, grid
 from projlab.constructions import IfsSpec, ifs_atoms, sphere_net_union
 from projlab.dimension import (ScalingFit, assouad_probe, box_dimension_fit,
                                covering_number, dyadic_scales, fit_loglog,
                                local_dimension)
-from projlab.embedding import _CellTable
 from projlab.geom import AtomicMeasure, PointSet
+from projlab.grid import CellTable
 
 
 def exhaustive_cover(pts, delta):
@@ -78,7 +78,7 @@ def test_cover_meets_a_rim_pair_across_a_cell_edge(delta):
     # the table's cells have side h = delta (1 + GRID_MARGIN) from the
     # lowest point, 0; x sits just below the edge at 2h and x + delta on
     # the rim of its ball, so the pair must share or touch a cell
-    x = np.nextafter(2 * delta * (1 + embedding.GRID_MARGIN), 0)
+    x = np.nextafter(2 * delta * (1 + grid.GRID_MARGIN), 0)
     pts = np.array([[0.0], [x], [x + delta]])
     assert pts[2, 0] - pts[1, 0] == delta
     assert covering_number(pts, delta, True) == greedy_cover_loop(pts, delta) \
@@ -153,7 +153,7 @@ def test_scale_windows_must_be_finite_and_ordered(monkeypatch, delta_max,
 
     with pytest.raises(ValueError, match="delta_min < delta_max < inf"):
         dyadic_scales(delta_max, delta_min)
-    monkeypatch.setattr(dimension, "_CellTable", unreachable)
+    monkeypatch.setattr(dimension, "CellTable", unreachable)
     for n_scales in (None, 4):
         with pytest.raises(ValueError, match="delta_min < delta_max < inf"):
             box_dimension_fit(LINE5, delta_max, delta_min, n_scales=n_scales)
@@ -165,7 +165,7 @@ def test_n_scales_must_be_whole(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a cell table was built")
 
-    monkeypatch.setattr(dimension, "_CellTable", unreachable)
+    monkeypatch.setattr(dimension, "CellTable", unreachable)
     for n_scales in (math.inf, -math.inf, math.nan, 3.7):
         with pytest.raises(ValueError, match="n_scales must be a whole"):
             box_dimension_fit(LINE5, 2.0, 0.25, n_scales=n_scales)
@@ -304,7 +304,7 @@ def test_local_covers_match_extracted_sets(r, rho):
     # assouad_probe's covers: a subset of one set, walked in place, alone
     # or on one table that keeps the balls of every cover before
     pts = mixed_set(7)
-    shared = _CellTable(pts, rho, keep_balls=True)
+    shared = CellTable(pts, rho, keep_balls=True)
     counts = []
     for i in range(len(pts)):
         local = np.flatnonzero(np.linalg.norm(pts - pts[i], axis=1) <= r)

@@ -15,14 +15,15 @@ from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
 from projlab import embedding
 from projlab.constructions import (SphereNetSpec, sparse_atoms, sphere_net,
                                    sphere_net_union)
-from projlab.embedding import (_net_images, _origin_ceilings, _sq_norms,
-                               _tail_table, collision_probability,
-                               decode_recoveries, holder_ceiling,
-                               hull_vertices, inverse_continuity_modulus,
-                               log_lip_distances, log_lip_pass,
-                               log_lipschitz_modulus, origin_cells,
-                               set_diameter, transversality_fraction)
+from projlab.embedding import (_net_images, _origin_ceilings, _tail_table,
+                               collision_probability, decode_recoveries,
+                               holder_ceiling, hull_vertices,
+                               inverse_continuity_modulus, log_lip_distances,
+                               log_lip_pass, log_lipschitz_modulus,
+                               origin_cells, set_diameter,
+                               transversality_fraction)
 from projlab.experiments import _sub_seeds
+from projlab.grid import sq_norms
 from projlab.linalg import sample_e_batch
 
 
@@ -265,7 +266,7 @@ def test_hull_vertices_of_the_holder_nets_match_qhull(seed, monkeypatch):
                                      i_max=6), seeds[0],
                        allow_partial=True).points
     calls = _hull_calls(monkeypatch)
-    got = [hull_vertices(p, np.sqrt(_sq_norms(p))) for p in (leg_a, leg_b)]
+    got = [hull_vertices(p, np.sqrt(sq_norms(p))) for p in (leg_a, leg_b)]
     assert not calls
     shell_1 = np.flatnonzero(np.isclose(np.linalg.norm(leg_a, axis=1), 0.5))
     assert np.array_equal(got[0], shell_1) and len(shell_1) == 24
@@ -291,14 +292,14 @@ def test_hull_vertices_permute_and_scale(seed, counts, scale):
     # against Qhull; a permutation of the points permutes the vertex set,
     # and a positive scaling leaves it as it is
     pts = _shell_set(seed, [max(counts[0], 4)] + counts[1:])
-    verts = hull_vertices(pts, np.sqrt(_sq_norms(pts)))
+    verts = hull_vertices(pts, np.sqrt(sq_norms(pts)))
     assert np.array_equal(verts, _qhull_vertices(pts))
     perm = np.random.default_rng(seed).permutation(len(pts))
     moved = pts[perm]
-    assert np.array_equal(hull_vertices(moved, np.sqrt(_sq_norms(moved))),
+    assert np.array_equal(hull_vertices(moved, np.sqrt(sq_norms(moved))),
                           np.flatnonzero(np.isin(perm, verts)))
     scaled = scale * pts
-    assert np.array_equal(hull_vertices(scaled, np.sqrt(_sq_norms(scaled))),
+    assert np.array_equal(hull_vertices(scaled, np.sqrt(sq_norms(scaled))),
                           verts)
 
 
@@ -318,7 +319,7 @@ def test_hull_vertices_fall_back_where_the_certificate_cannot_decide(
     ]
     for pts in cases:
         before = len(calls)
-        assert np.array_equal(hull_vertices(pts, np.sqrt(_sq_norms(pts))),
+        assert np.array_equal(hull_vertices(pts, np.sqrt(sq_norms(pts))),
                               _qhull_vertices(pts))
         assert len(calls) == before + 1
     # sets in fewer coordinates than the ambient space go to Qhull in
@@ -332,7 +333,7 @@ def test_hull_vertices_fall_back_where_the_certificate_cannot_decide(
     for pts, cols, qhull in ((flat, [0, 1], 1), (net4, [0, 1, 2], 0),
                              (full4, [0, 1, 2, 3], 1)):
         before = len(calls)
-        assert np.array_equal(hull_vertices(pts, np.sqrt(_sq_norms(pts))),
+        assert np.array_equal(hull_vertices(pts, np.sqrt(sq_norms(pts))),
                               _qhull_vertices(pts[:, cols]))
         assert len(calls) == before + qhull
 
@@ -381,7 +382,7 @@ def test_log_lip_distances_are_symmetric_row_norms(n):
 def _full_matrix_pass(pd, f_mod, images, m_const):
     """(alpha, c_hat) from the whole n x n matrices, as log-lip first took
     them map by map."""
-    im = np.sqrt(_sq_norms(images[:, None, :], images[None, :, :]))
+    im = np.sqrt(sq_norms(images[:, None, :], images[None, :, :]))
     top = float(im.max())
     normalizer = 2.0 * top if top > 0.0 else 1.0  # every image coincides
     alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
@@ -396,7 +397,7 @@ def _atoms_and_images(seed, n, k):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 3)) * 2.0 ** rng.integers(-6, 1, (n, 1))
     pts[rng.random(n) < 0.1] = pts[0]
-    pd = np.sqrt(_sq_norms(pts[:, None], pts[None]))
+    pd = np.sqrt(sq_norms(pts[:, None], pts[None]))
     f_mod = log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0)
     images = pts @ sample_e_batch(3, k, 1, seed)[0].T
     images[rng.random(n) < 0.1] = images[-1]
@@ -455,7 +456,7 @@ def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
     n = 40
     images = rng.uniform(-1, 1, (n, 2))
     images[5:9] = images[4]  # exact collisions
-    im = np.sqrt(_sq_norms(images[:, None], images[None]))
+    im = np.sqrt(sq_norms(images[:, None], images[None]))
     pd = np.where(im > 0, m_const * im, rng.uniform(0.1, 1.0, (n, n)))
     step = rng.integers(-1, 2, (n, n))
     pd = np.where(step < 0, np.nextafter(pd, 0.0),
@@ -714,8 +715,8 @@ def _full_pass(pts, op, normalizer, m_grid=M_GRID):
     the whole net: the oracle.  For k >= 2 that product is the chunked
     one of the scorer the cells replaced, and that scorer agrees."""
     pts_t = np.ascontiguousarray(pts.T)
-    sq_im = _sq_norms(_net_images(op, pts_t, np.arange(len(pts))).T)
-    pd = np.sqrt(_sq_norms(pts))
+    sq_im = sq_norms(_net_images(op, pts_t, np.arange(len(pts))).T)
+    pd = np.sqrt(sq_norms(pts))
     full = [float(holder_ceiling(pd / normalizer, np.sqrt(sq_im) / normalizer,
                                  m)) for m in m_grid]
     if len(op) > 1:
@@ -856,7 +857,7 @@ def test_cell_bounds_hold_on_tight_cells():
         op = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]) \
             * rng.uniform(0.5, 2.0)
         cells = origin_cells(pts, math.inf)
-        im = np.sqrt(_sq_norms(_net_images(op, cells.points_t,
+        im = np.sqrt(sq_norms(_net_images(op, cells.points_t,
                                           np.arange(2)).T))
         assert embedding._cell_bounds(cells, op)[0] <= im.min()
 

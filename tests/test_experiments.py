@@ -14,12 +14,13 @@ from projlab import embedding, experiments
 from projlab.constructions import (SphereNetSpec, dense_ball_atoms,
                                    kernel_shell_witnesses, sparse_atoms,
                                    sphere_net, sphere_net_union)
-from projlab.embedding import (_net_images, _sq_norms, hull_vertices,
+from projlab.embedding import (_net_images, hull_vertices,
                                log_lipschitz_modulus, origin_cells,
                                set_diameter)
 from projlab.experiments import (_sub_seeds, config_hash, experiment_names,
                                  run_experiment, to_jsonable)
 from projlab.geom import AtomicMeasure, read_points_csv
+from projlab.grid import sq_norms
 from projlab.linalg import sample_e_batch
 
 ALL_NAMES = [
@@ -291,7 +292,7 @@ def test_holder_images_by_the_transposed_view_keep_their_bits():
             else:
                 assert np.array_equal(imgs, (pts_t.T @ op.T).T)
                 sq_im, hull_imgs = image_sq_norms(op, pts_t, hull)
-                assert np.array_equal(sq_im, _sq_norms(imgs.T))
+                assert np.array_equal(sq_im, sq_norms(imgs.T))
                 assert np.array_equal(hull_imgs, imgs[:, hull].T)
             assert np.array_equal(_net_images(op, pts_t, hull), imgs[:, hull])
             picked = rng.choice(len(counts), 40, replace=False)
@@ -377,6 +378,10 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("box-dim", {"delta_min": math.nan}, r"delta_min < delta_max < inf"),
     ("box-dim", {"n_scales": math.inf}, "n_scales must be a whole number"),
     ("box-dim", {"n_scales": 3.7}, "n_scales must be a whole number"),
+    ("log-lip", {"m_const": math.nan}, "M must be at least 1"),
+    ("log-lip", {"eta": math.nan}, "eta must exceed 1"),
+    ("log-lip", {"theta": math.nan}, "theta must be positive"),
+    ("holder-ceiling", {"m_grid": [math.nan]}, "M must be at least 1"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):

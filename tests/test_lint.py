@@ -85,17 +85,99 @@ def test_every_public_definition_is_reached_from_the_package():
     assert sorted(exempt - unreached) == []  # no stale exception
 
 
-def test_block_sizes_are_known_only_to_embedding():
-    # the kernels' block sizes, cell side, slacks, margins and hull
-    # tolerances are embedding's own decision, so no other module names
-    # them, not even in prose; tests may patch them
-    names = re.compile(r"\b(STACK_BLOCK|MAP_BLOCK|TRANS_BLOCK|TRI_BLOCK"
-                       r"|CELL_SIDE|CELL_SLACK|CEIL_SLACK|HULL_TOL"
-                       r"|HULL_SCAN_MAX|DECODE_BLOCK|DECODE_PAIRS"
-                       r"|GRID_MARGIN|GRID_AXIS|COVER_PAIRS)\b")
-    assert ["%s %s" % (path.name, name)
-            for path in sorted(SRC.glob("*.py")) if path.name != "embedding.py"
-            for name in names.findall(path.read_text())] == []
+def _tuning_constants():
+    """The package's tuning constants, upper-case module-level names bound
+    to number literals, each as {name: the file that defines it}."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and _numeric(node.value):
+                found.update((target.id, path.name) for target in node.targets
+                             if isinstance(target, ast.Name)
+                             and target.id.isupper())
+    return found
+
+
+def test_each_tuning_constant_is_named_only_by_its_module():
+    # a block size, cell side, slack, margin, cap or tolerance is the
+    # decision of the module that defines it, so no other module names it,
+    # not even in prose; tests may patch them
+    constants = _tuning_constants()
+    assert {"STACK_BLOCK", "DECODE_PAIRS", "GRID_AXIS", "COVER_PAIRS",
+            "DIRAC_BLOCK", "ROW_BLOCK"} <= set(constants)
+    names = re.compile(r"\b(%s)\b" % "|".join(constants))
+    assert ["%s %s" % (path.name, name) for path in sorted(SRC.glob("*.py"))
+            for name in names.findall(path.read_text())
+            if constants[name] != path.name] == []
+
+
+def _package_imports(tree):
+    """The imports from the package anywhere in a module's tree, as
+    (node, module imported or None for the package itself, names)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if not node.level:
+            if module != "projlab" and not module.startswith("projlab."):
+                continue
+            module = module[len("projlab."):]
+        found.append((node, module or None, [a.name for a in node.names]))
+    return found
+
+
+def test_module_imports_form_no_cycle():
+    # the package's modules import one another along an acyclic graph;
+    # imports inside functions count as edges too, so that none can hide
+    # a cycle.  __init__.py, whose imports are the exports, is left out
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    graph = {}
+    for name in sorted(modules):
+        graph[name] = set()
+        for _, module, names in _package_imports(
+                ast.parse((SRC / (name + ".py")).read_text())):
+            graph[name] |= {module} if module else set(names) & modules
+    cycles, done = [], set()
+
+    def visit(name, path):
+        if name in path:
+            cycles.append(" -> ".join(path[path.index(name):] + [name]))
+        elif name not in done:
+            for dep in sorted(graph[name]):
+                visit(dep, path + [name])
+            done.add(name)
+
+    for name in graph:
+        visit(name, [])
+    assert cycles == []
+    assert graph["grid"] == set()  # the leaf that every layer may import
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a module reaches the others only through their public names: no
+    # import of a single-underscore name, at module level or in a
+    # function, and no module._name through an imported module
+    modules = {path.stem for path in SRC.glob("*.py")}
+    reached = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node, module, names in _package_imports(tree):
+            reached += ["%s:%d %s" % (path.name, node.lineno, name)
+                        for name in names if _private(name)]
+            if module is None:
+                aliases |= set(names) & modules
+        reached += ["%s:%d %s.%s" % (path.name, node.lineno, node.value.id,
+                                     node.attr)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and _private(node.attr)
+                    and getattr(node.value, "id", None) in aliases]
+    assert reached == []
 
 
 def _spatial_imports(tree):
@@ -142,19 +224,14 @@ def _numeric(node):
 
 
 def test_experiments_hold_no_kernel_internals():
-    # experiments.py keeps configs, checks and artifacts: it reaches the
-    # library only through public names, and its kernels' tuning constants
-    # live with the kernels
+    # experiments.py keeps configs, checks and artifacts: its kernels'
+    # tuning constants live with the kernels (that it reaches them only
+    # through public names is the private-import rule above)
     tree = ast.parse((SRC / "experiments.py").read_text())
-    private = ["%d %s" % (node.lineno, alias.name) for node in tree.body
-               if isinstance(node, ast.ImportFrom) and (
-                   node.level or (node.module or "").startswith("projlab"))
-               for alias in node.names
-               if alias.name.startswith("_") and alias.name != "__version__"]
     constants = [node.lineno for node in tree.body
                  if isinstance(node, (ast.Assign, ast.AnnAssign))
                  and node.value is not None and _numeric(node.value)]
-    assert private == [] and constants == []
+    assert constants == []
 
 
 def test_only_the_experiments_draw_maps():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projlab import constructions, embedding, slicing
+from projlab import constructions, grid, slicing
 from projlab.constructions import IfsSpec
 from projlab.geom import WEIGHT_TOL, AtomicMeasure
 from projlab.slicing import (dirac_score, nn_spacing_at, slab_conditional,
@@ -159,11 +159,11 @@ def test_distance_rows_match_norm():
     for dim in range(1, 8):  # numpy sums eight or more pairwise
         pts = rng.normal(0, 3, (50, dim))
         # the two forms dirac_score takes: a block of rows and one row
-        rows = np.sqrt(embedding._sq_norms(pts[10:30, None], pts[None]))
+        rows = np.sqrt(grid.sq_norms(pts[10:30, None], pts[None]))
         for c in range(10, 30):
             direct = np.linalg.norm(pts - pts[c], axis=1)
             assert np.array_equal(rows[c - 10], direct)
-            assert np.array_equal(np.sqrt(embedding._sq_norms(pts[c], pts)),
+            assert np.array_equal(np.sqrt(grid.sq_norms(pts[c], pts)),
                                   direct)
 
 
@@ -242,7 +242,7 @@ def test_translate_pair_flags_a_broken_shift(monkeypatch):
         moved[[lab[0] == 2 for lab in nu.labels]] += [0.0, 1e-3]
         return AtomicMeasure(moved, nu.weights, labels=nu.labels)
 
-    monkeypatch.setattr(constructions, "ifs_atoms", stretched)
+    monkeypatch.setattr(slicing, "ifs_atoms", stretched)
     out = translate_pair_test(spec, depth=6, n_slices=24, seed=1)
     assert out["all_labels_match"]
     assert not out["all_shifts_match"]
