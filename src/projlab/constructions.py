@@ -440,11 +440,13 @@ def sphere_net(spec, seed, allow_partial=False, sep_floor=None):
       faithful while deep shells remain materializable.
     * allow_partial replaces a shell whose net would still exceed the
       point cap with a sparser separated packing (ell_i-separated but no
-      longer covering), labeled ('partial', i) instead of (J, i).
+      longer covering), whose run is ('partial', i) instead of (J, i).
+
+    The runs are ('origin', 0) for the origin, first, then one per shell.
     """
     rng = np.random.default_rng(seed)
     pts = [np.zeros((1, spec.ambient_dim))]
-    labels = [("origin", 0)]
+    runs = [(("origin", 0), 1)]
     for i in range(1, spec.i_max + 1):
         r, ell = spec.radius(i), spec.ell(i)
         if sep_floor is not None:
@@ -460,30 +462,27 @@ def sphere_net(spec, seed, allow_partial=False, sep_floor=None):
         embedded = np.zeros((len(shell), spec.ambient_dim))
         embedded[:, list(spec.J)] = shell
         pts.append(embedded)
-        tag = ("partial", i) if partial else (spec.J, i)
-        labels += [tag] * len(shell)
-    return PointSet(np.vstack(pts), labels=labels)
+        runs.append((("partial" if partial else spec.J, i), len(shell)))
+    return PointSet(np.vstack(pts), runs=tuple(runs))
 
 
 def sphere_net_union(ambient_dim, k, l_law="pow2t", t=2.0, i_max=8, seed=0,
                      allow_partial=False, sep_floor=None):
-    """Union of sphere_net over every (k+1)-subset J of the coordinates."""
+    """Union of sphere_net over every (k+1)-subset J of the coordinates,
+    in lexicographic order of J.  The first net keeps its origin; each
+    later net drops its own, its first point and first run."""
     if k + 1 > ambient_dim:
         raise ValueError("k + 1 must not exceed ambient_dim")
     pts = []
-    labels = []
+    runs = ()
     for J in itertools.combinations(range(ambient_dim), k + 1):
         spec = SphereNetSpec(ambient_dim, k, J, l_law=l_law, t=t, i_max=i_max)
         net = sphere_net(spec, seed, allow_partial=allow_partial,
                          sep_floor=sep_floor)
-        if pts:  # keep a single origin
-            keep = [j for j, lab in enumerate(net.labels) if lab != ("origin", 0)]
-            pts.append(net.points[keep])
-            labels += [net.labels[j] for j in keep]
-        else:
-            pts.append(net.points)
-            labels += net.labels
-    return PointSet(np.vstack(pts), labels=labels)
+        skip = 1 if pts else 0
+        pts.append(net.points[skip:])
+        runs += net.runs[skip:]
+    return PointSet(np.vstack(pts), runs=runs)
 
 
 def kernel_shell_witnesses(spec, rows, seed, shells):
@@ -510,7 +509,6 @@ def kernel_shell_witnesses(spec, rows, seed, shells):
     _, _, vt = np.linalg.svd(sub)
     kernel = vt[-1]
     pts = []
-    labels = []
     for i in shells:
         r, ell = spec.radius(i), spec.ell(i)
         for sign in (1.0, -1.0):
@@ -524,8 +522,7 @@ def kernel_shell_witnesses(spec, rows, seed, shells):
             embedded = np.zeros(spec.ambient_dim)
             embedded[cols] = w
             pts.append(embedded)
-            labels.append(("witness", i))
-    return PointSet(np.array(pts).reshape(-1, spec.ambient_dim), labels=labels)
+    return PointSet(np.array(pts).reshape(-1, spec.ambient_dim))
 
 
 # --- iterated function systems ---
@@ -575,17 +572,19 @@ def ifs_atoms(spec, depth):
     """Depth-d cylinder approximation of the stationary measure.
 
     Atoms are the images of the first map's fixed point under all length-d
-    compositions; labels record the composition words.
+    compositions of the m maps.  Atom r is the composition named by the d
+    base-m digits of r, least significant first: r % m is the map applied
+    last, to atom r // m of depth d - 1.  Its weight is the product of the
+    digits' probabilities.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    atoms = [(spec.fixed_point(0), 1.0, ())]
+    atoms = [(spec.fixed_point(0), 1.0)]
     for _ in range(depth):
-        atoms = [(spec.apply(idx, x), w * spec.probs[idx], (idx + 1,) + lab)
-                 for x, w, lab in atoms for idx in range(len(spec.ratios))]
-    pts, weights, labels = zip(*atoms)
-    return normalized_measure(np.array(pts), np.array(weights),
-                              labels=list(labels))
+        atoms = [(spec.apply(idx, x), w * spec.probs[idx])
+                 for x, w in atoms for idx in range(len(spec.ratios))]
+    pts, weights = zip(*atoms)
+    return normalized_measure(np.array(pts), np.array(weights))
 
 
 # --- sparse and dense atom clouds ---

@@ -286,8 +286,8 @@ def _box_dim(cfg, art, threads):
                             n_scales=cfg["n_scales"])
     target = cfg["k"] * (cfg["t"] - 1.0) / cfg["t"]
     shell_counts = {}
-    for lab in union.labels:
-        shell_counts[str(lab)] = shell_counts.get(str(lab), 0) + 1
+    for lab, count in union.runs:
+        shell_counts[str(lab)] = shell_counts.get(str(lab), 0) + count
     _fit_artifacts(art, "box_dim", fit,
                    "box counting, %s t=%.3g" % (cfg["l_law"], cfg["t"]))
     art.points("box_dim_points", union)
@@ -450,8 +450,10 @@ def _transversality(cfg, art, threads):
 def _collision_scaling(cfg, art, threads):
     union = sphere_net_union(cfg["ambient_dim"], cfg["k"], l_law="pow2t",
                              t=cfg["t"], i_max=cfg["i_max"], seed=cfg["seed"])
-    base = next(i for i, lab in enumerate(union.labels)
-                if lab[0] != "origin" and lab[1] == 1)
+    # the first point of the first run on shell 1
+    starts = itertools.accumulate([c for _, c in union.runs], initial=0)
+    base, base_label = next((s, lab) for s, (lab, _) in zip(starts, union.runs)
+                            if lab[0] != "origin" and lab[1] == 1)
     # keep eps_max low enough that the event fraction stays well under
     # ~0.2: union saturation flattens the top of the curve and eats the
     # envelope's margin (theta is only 0.1)
@@ -480,7 +482,7 @@ def _collision_scaling(cfg, art, threads):
          "label": "calibrated envelope", "dashed": True},
     ], title="collision probability", xlabel="eps", ylabel="fraction")
     results = {"n_points": union.n, "base_index": base,
-               "base_label": str(union.labels[base]), "table": res["table"],
+               "base_label": str(base_label), "table": res["table"],
                "fractions": fracs, "envelope": bound, "d_hat": float(d_hat),
                "fit": res["fit"], "n_far": res["n_far"],
                "points_hash": res["points_hash"]}
@@ -579,7 +581,7 @@ def _holder_ceiling(cfg, art, threads):
                              tuple(range(cfg["k"] + 1)), l_law="pow2sq",
                              i_max=cfg["sq_i_max"])
         net = sphere_net(spec, seeds[0], allow_partial=True)
-        partial_shells = sorted({lab[1] for lab in net.labels
+        partial_shells = sorted({lab[1] for lab, _ in net.runs
                                  if lab[0] == "partial"})
         yield ("pow2sq", net, [spec], partial_shells, rows_b, seeds[2],
                m_grid[:1], {"partial_shells": partial_shells})

@@ -1,9 +1,10 @@
 """Point clouds and finitely supported measures.
 
 Everything downstream works with two containers: a PointSet (points in
-R^d, optionally labelled) and an AtomicMeasure (points plus a probability
-vector).  Both round-trip through a small CSV format whose header records
-the ambient dimension and whether a weight column is present.
+R^d, optionally in labelled runs) and an AtomicMeasure (points plus a
+probability vector).  Both round-trip through a small CSV format whose
+header records the ambient dimension and whether a weight column is
+present.
 """
 
 from __future__ import annotations
@@ -17,17 +18,18 @@ WEIGHT_TOL = 1e-12
 
 @dataclass
 class PointSet:
-    """Finite subset of R^d, one point per row."""
+    """Finite subset of R^d, one point per row; runs, if given, is a tuple
+    of (label, count) pairs that covers the points in order."""
 
     points: np.ndarray
-    labels: list | None = None
+    runs: tuple | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
-        if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("labels length does not match point count")
+        if self.runs is not None and sum(c for _, c in self.runs) != self.n:
+            raise ValueError("run counts do not add up to the point count")
 
     @property
     def n(self):
@@ -44,7 +46,6 @@ class AtomicMeasure:
 
     points: np.ndarray
     weights: np.ndarray
-    labels: list | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -55,8 +56,6 @@ class AtomicMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(self.weights.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError("weights must sum to 1 within %g" % WEIGHT_TOL)
-        if self.labels is not None and len(self.labels) != len(self.points):
-            raise ValueError("labels length does not match atom count")
 
     @property
     def n(self):
@@ -73,13 +72,13 @@ class AtomicMeasure:
         return float(self.weights[d <= radius].sum())
 
 
-def normalized_measure(points, raw_weights, labels=None):
+def normalized_measure(points, raw_weights):
     """Build an AtomicMeasure from unnormalized nonnegative weights."""
     w = np.asarray(raw_weights, dtype=float)
     total = w.sum()
     if total <= 0:
         raise ValueError("total weight must be positive")
-    return AtomicMeasure(points, w / total, labels=labels)
+    return AtomicMeasure(points, w / total)
 
 
 def write_points_csv(path, obj):

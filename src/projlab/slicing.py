@@ -118,9 +118,10 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
     orthonormal and orthogonal to t within 1e-10), and on slabs around
     sampled projected atoms checks that:
 
-    * the two branch slices carry exactly the same composition labels
-      (membership is branch independent when the plane kills t);
-    * matched atoms differ by t exactly;
+    * the two branch slices hold the same tails (membership is branch
+      independent when the plane kills t): atom r of ifs_atoms is branch
+      r % 2 applied to its tail, atom r // 2 one level up;
+    * matched atoms 2 tail and 2 tail + 1 differ by t exactly;
     * the mixed slice is never Dirac: its score at level tau stays at or
       above (1 - tol) * |t|.
 
@@ -147,8 +148,6 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         raise ValueError("slab plane is not orthogonal to the translate")
 
     nu = ifs_atoms(spec, depth)
-    branches = np.array([lab[0] for lab in nu.labels])
-    tails = [lab[1:] for lab in nu.labels]
     coords = nu.points @ basis.T
 
     rng = np.random.default_rng(seed)
@@ -164,19 +163,16 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
             spacing = nn_spacing_at(coords, a)
             width = 2.0 * spacing if spacing > 0 else 2.0 * t_norm
         indices, sliced = slab_conditional(nu, coords, a, width)
-        got_b = branches[indices]
-        got_t = [tails[i] for i in indices]
-        tails1 = sorted(t for b, t in zip(got_b, got_t) if b == 1)
-        tails2 = sorted(t for b, t in zip(got_b, got_t) if b == 2)
-        if tails1 == tails2:
+        # indices ascend, so each branch's tails come sorted
+        tails1 = indices[indices % 2 == 0] // 2
+        tails2 = indices[indices % 2 == 1] // 2
+        if np.array_equal(tails1, tails2):
             label_matches += 1
-        by_key = {(b, t): i for b, t, i in zip(got_b, got_t, indices)}
-        matched = [(i, by_key[(2, t)]) for (b, t), i in by_key.items()
-                   if b == 1 and (2, t) in by_key]
-        one, two = np.array(matched, dtype=np.intp).reshape(-1, 2).T
-        ok = np.allclose(nu.points[two], nu.points[one] + translate, atol=1e-9)
+        one = 2 * np.intersect1d(tails1, tails2)
+        ok = np.allclose(nu.points[one + 1], nu.points[one] + translate,
+                         atol=1e-9)
         shift_ok += bool(ok)
-        if tails1 and tails2:
+        if tails1.size and tails2.size:
             mixed_seen += 1
             score, _ = dirac_score(sliced, tau)
             min_mixed_score = min(min_mixed_score, score)

@@ -31,6 +31,13 @@ from projlab.experiments import REGISTRY, _sub_seeds
 from projlab.linalg import sample_e_batch
 
 
+def run_blocks(ps):
+    """(label, points) for each run of ps, in order."""
+    ends = np.cumsum([count for _, count in ps.runs])
+    return [(lab, block) for (lab, _), block
+            in zip(ps.runs, np.split(ps.points, ends[:-1]))]
+
+
 # --- words and encodings ---
 
 
@@ -281,7 +288,7 @@ def test_circle_net_counts_frozen():
     # floor(pi / asin(ell / 2r)) points fit on each circle
     spec = SphereNetSpec(2, 1, (0, 1), l_law="pow2t", t=1.5, i_max=4)
     net = sphere_net(spec, seed=3)
-    counts = Counter(net.labels)
+    counts = dict(net.runs)
     assert counts[("origin", 0)] == 1
     assert [counts[((0, 1), i)] for i in range(1, 5)] == [8, 12, 17, 25]
 
@@ -289,9 +296,10 @@ def test_circle_net_counts_frozen():
 def test_circle_net_separation_and_covering():
     spec = SphereNetSpec(2, 1, (0, 1), l_law="pow2t", t=1.5, i_max=3)
     net = sphere_net(spec, seed=9)
+    shells = dict(run_blocks(net))
     for i in range(1, 4):
         r, ell = spec.radius(i), spec.ell(i)
-        shell = net.points[[lab == ((0, 1), i) for lab in net.labels]]
+        shell = shells[((0, 1), i)]
         d = np.linalg.norm(shell[:, None, :] - shell[None, :, :], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= ell * (1 - 1e-9)
@@ -305,7 +313,7 @@ def test_circle_net_separation_and_covering():
 def test_sphere_shell_counts_scale_like_area():
     spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2t", t=2.0, i_max=5)
     for seed in range(3):
-        counts = Counter(sphere_net(spec, seed=seed).labels)
+        counts = dict(sphere_net(spec, seed=seed).runs)
         for i in range(1, 6):
             c = counts[((0, 1, 2), i)]
             # (r/ell)^2 = 4^i with a fixed density constant
@@ -314,9 +322,9 @@ def test_sphere_shell_counts_scale_like_area():
 
 def test_sphere_shell_separation_2d():
     spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2t", t=2.0, i_max=3)
-    net = sphere_net(spec, seed=1)
+    shells = dict(run_blocks(sphere_net(spec, seed=1)))
     for i in range(1, 4):
-        shell = net.points[[lab == ((0, 1, 2), i) for lab in net.labels]]
+        shell = shells[((0, 1, 2), i)]
         assert np.allclose(np.linalg.norm(shell, axis=1), spec.radius(i),
                            atol=1e-12)
         d = np.linalg.norm(shell[:, None, :] - shell[None, :, :], axis=2)
@@ -396,7 +404,7 @@ def test_sphere_net_k3_matches_brute_force_greedy():
     # k >= 3 shells thin a seeded uniform stream on S^3; redraw the stream
     # and keep each point that is ell-far from every point kept before it
     spec = SphereNetSpec(4, 3, (0, 1, 2, 3), l_law="pow2t", t=2.0, i_max=2)
-    net = sphere_net(spec, seed=3)
+    shells = dict(run_blocks(sphere_net(spec, seed=3)))
     rng = np.random.default_rng(3)
     for i in (1, 2):
         r, ell = spec.radius(i), spec.ell(i)
@@ -407,7 +415,7 @@ def test_sphere_net_k3_matches_brute_force_greedy():
         for cand in stream:
             if np.all(np.linalg.norm(kept - cand, axis=1) >= ell / r):
                 kept = np.vstack([kept, cand])
-        shell = net.points[[lab == ((0, 1, 2, 3), i) for lab in net.labels]]
+        shell = shells[((0, 1, 2, 3), i)]
         assert len(shell) > 1
         assert np.array_equal(shell, kept * r)
 
@@ -477,7 +485,7 @@ def test_sphere_net_point_cap():
     with pytest.raises(ValueError):
         sphere_net(spec, seed=0)  # deep shells exceed the cap
     net = sphere_net(spec, seed=0, allow_partial=True)
-    tags = {lab[0] for lab in net.labels}
+    tags = {lab[0] for lab, _ in net.runs}
     assert "partial" in tags  # sparser stand-in shells are labeled
 
 
@@ -485,7 +493,7 @@ def test_sphere_net_sep_floor_clamps():
     spec = SphereNetSpec(3, 2, (0, 1, 2), l_law="pow2t", t=2.0, i_max=8)
     floor = 2.0**-9
     net = sphere_net(spec, seed=0, sep_floor=floor)
-    counts = Counter(net.labels)
+    counts = dict(net.runs)
     # above the floor the shells are unchanged; below it they stop growing
     assert counts[((0, 1, 2), 2)] == 96
     deep = counts[((0, 1, 2), 8)]
@@ -494,15 +502,67 @@ def test_sphere_net_sep_floor_clamps():
 
 def test_sphere_net_union_subsets_and_origin():
     union = sphere_net_union(3, 1, l_law="pow2t", t=2.0, i_max=3, seed=0)
-    tags = Counter(lab[0] for lab in union.labels)
+    tags = Counter()
+    for lab, count in union.runs:
+        tags[lab[0]] += count
     assert tags["origin"] == 1
     assert set(tags) == {"origin", (0, 1), (0, 2), (1, 2)}
     # every net point sits on a coordinate circle through the named axes
-    for p, lab in zip(union.points, union.labels):
+    for lab, block in run_blocks(union):
         if lab[0] == "origin":
             continue
         off = [j for j in range(3) if j not in lab[0]]
-        assert np.allclose(p[off], 0.0)
+        assert np.allclose(block[:, off], 0.0)
+
+
+def _oracle_nets():
+    """The nets whose runs the geometry oracle checks, by name, as (build,
+    ambient_dim, k, i_max): box-dim's union at t = 2 and 3,
+    collision-scaling's union and holder-ceiling's leg-B net at their
+    defaults, and two unions over several J."""
+    hc, bd, cs = (REGISTRY[name]["defaults"] for name in (
+        "holder-ceiling", "box-dim", "collision-scaling"))
+    box = dict(ambient_dim=bd["ambient_dim"], k=bd["k"], i_max=bd["i_max"],
+               seed=42, sep_floor=bd["delta_min"] / 4)
+    leg_b = SphereNetSpec(hc["ambient_dim"], hc["k"], tuple(range(hc["k"] + 1)),
+                          l_law="pow2sq", i_max=hc["sq_i_max"])
+    return {
+        "box-dim-t2": (lambda: sphere_net_union(t=2.0, **box),
+                       bd["ambient_dim"], bd["k"], bd["i_max"]),
+        "box-dim-t3": (lambda: sphere_net_union(t=3.0, **box),
+                       bd["ambient_dim"], bd["k"], bd["i_max"]),
+        "collision-scaling": (lambda: sphere_net_union(
+            cs["ambient_dim"], cs["k"], t=cs["t"], i_max=cs["i_max"],
+            seed=42), cs["ambient_dim"], cs["k"], cs["i_max"]),
+        "holder-leg-b": (lambda: sphere_net(leg_b, 42, allow_partial=True),
+                         hc["ambient_dim"], hc["k"], hc["sq_i_max"]),
+        "union-3-1": (lambda: sphere_net_union(3, 1, i_max=3, seed=42),
+                      3, 1, 3),
+        "union-4-3": (lambda: sphere_net_union(4, 3, i_max=3, seed=42),
+                      4, 3, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_nets()))
+def test_runs_match_the_geometry(name):
+    # one origin run holding the zero point, then one run per J and shell
+    # i: points of norm 2^-i, exactly 0 off J
+    build, ambient_dim, k, i_max = _oracle_nets()[name]
+    blocks = run_blocks(build())
+    assert blocks[0][0] == ("origin", 0)
+    assert np.array_equal(blocks[0][1], np.zeros((1, ambient_dim)))
+    shells = [(J, i) for J in itertools.combinations(range(ambient_dim), k + 1)
+              for i in range(1, i_max + 1)]
+    assert len(blocks) == 1 + len(shells)
+    for (J, i), (lab, block) in zip(shells, blocks[1:]):
+        assert lab in ((J, i), ("partial", i))
+        assert len(block) > 0
+        assert np.allclose(np.linalg.norm(block, axis=1), 2.0**-i,
+                           rtol=0, atol=1e-9)
+        off = [j for j in range(ambient_dim) if j not in J]
+        assert np.all(block[:, off] == 0.0)
+    if name == "holder-leg-b":
+        assert any(lab[0] == "partial" for lab, _ in blocks)
 
 
 def test_kernel_shell_witnesses_hit_small_images():
@@ -510,8 +570,7 @@ def test_kernel_shell_witnesses_hit_small_images():
     rows = sample_e_batch(3, 2, 1, seed=5)[0]
     wit = kernel_shell_witnesses(spec, rows, seed=5, shells=[4, 5, 6])
     assert len(wit.points) == 6  # two antipodal witnesses per shell
-    for p, lab in zip(wit.points, wit.labels):
-        i = lab[1]
+    for p, i in zip(wit.points, [4, 4, 5, 5, 6, 6]):
         assert np.linalg.norm(p) == pytest.approx(spec.radius(i), rel=1e-6)
         # witness sits within ell of the kernel direction, so its image is
         # operator-norm small
@@ -539,8 +598,8 @@ def test_kernel_shell_witnesses_pow2t_down_to_precision_floor():
         norm_l = np.linalg.norm(rows, 2)
         wit = kernel_shell_witnesses(deep, rows, seed=midx, shells=shells)
         assert len(wit.points) == 2 * len(shells)
-        for p, lab in zip(wit.points, wit.labels):
-            r, ell = deep.radius(lab[1]), deep.ell(lab[1])
+        for p, i in zip(wit.points, np.repeat(shells, 2)):
+            r, ell = deep.radius(i), deep.ell(i)
             assert np.linalg.norm(p) == pytest.approx(r, rel=1e-12)
             image = np.linalg.norm(rows @ p)
             # within ell_i of ker L, so the image is operator-norm small...
@@ -577,10 +636,38 @@ def test_ifs_atoms_cantor_frozen():
     got = sorted(float(p) for p in m.points[:, 0])
     assert got == pytest.approx([0.0, 2 / 9, 2 / 3, 8 / 9], abs=1e-12)
     assert np.allclose(m.weights, 0.25)
-    # labels are outermost map first
-    by_label = {lab: float(p) for lab, p in zip(m.labels, m.points[:, 0])}
-    assert by_label[(1, 2)] == pytest.approx(2 / 9)
-    assert by_label[(2, 1)] == pytest.approx(2 / 3)
+    # atom r applies map r % 2 last: atom 1 is phi_1(phi_0(0)) = 2/3 and
+    # atom 2 is phi_0(phi_1(0)) = 2/9
+    assert m.points[:, 0] == pytest.approx([0.0, 2 / 3, 2 / 9, 8 / 9],
+                                           abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 3]), depth=st.integers(0, 4), data=st.data())
+def test_ifs_atoms_are_the_base_m_digit_compositions(m, depth, data):
+    # atom r is phi_{d_0}(phi_{d_1}(... fixed point)) with d_j the base-m
+    # digits of r, least significant first; its weight is their product
+    def draw_list(elements):
+        return data.draw(st.lists(elements, min_size=m, max_size=m))
+
+    angles = draw_list(st.floats(0.0, 2 * math.pi))
+    raw = np.array(draw_list(st.floats(0.1, 1.0)))
+    spec = IfsSpec(ratios=draw_list(st.floats(0.05, 0.9)),
+                   orthogonals=[[[math.cos(a), -math.sin(a)],
+                                 [math.sin(a), math.cos(a)]] for a in angles],
+                   shifts=draw_list(st.tuples(st.floats(-1.0, 1.0),
+                                              st.floats(-1.0, 1.0))),
+                   probs=list(raw / raw.sum()))
+    nu = ifs_atoms(spec, depth)
+    assert nu.n == m**depth
+    for r in range(m**depth):
+        digits = [r // m**j % m for j in range(depth)]
+        x = spec.fixed_point(0)
+        for d in reversed(digits):
+            x = spec.apply(d, x)
+        assert np.allclose(nu.points[r], x, rtol=0, atol=1e-12)
+        want = math.prod(spec.probs[d] for d in digits)
+        assert nu.weights[r] == pytest.approx(want, rel=1e-12)
 
 
 def test_ifs_atoms_depth_six_gaps():

@@ -23,7 +23,7 @@ from projlab.embedding import (_net_images, _origin_ceilings, _tail_table,
                                origin_cells, set_diameter,
                                transversality_fraction)
 from projlab.experiments import _sub_seeds
-from projlab.grid import sq_norms
+from projlab.grid import COVER_PAIRS, block_end, sq_norms
 from projlab.linalg import sample_e_batch
 
 
@@ -1016,3 +1016,23 @@ def test_decode_peak_is_one_block(s, noise, n_maps):
     assert peak <= 8 * words
     if n_maps == 500:
         assert 8 * words < n_maps * n * k * 8
+
+
+def test_decode_scores_pairs_in_blocks_of_its_own_budget(monkeypatch):
+    # every block of pairs that decoding scores keeps to DECODE_PAIRS, not
+    # to block_end's default (the covers' budget), unless it is one cell
+    monkeypatch.setattr(embedding, "DECODE_PAIRS", 50)
+    blocks = []
+
+    def spy(stop, s, pairs=COVER_PAIRS):
+        t = block_end(stop, s, pairs)
+        blocks.append((int(stop[t - 1] - (stop[s - 1] if s else 0)), t - s))
+        return t
+
+    monkeypatch.setattr(embedding, "block_end", spy)
+    measure = sparse_atoms(10, 2, 300, 0)
+    decode_recoveries(measure.points, measure.weights,
+                      sample_e_batch(10, 4, 3, 0), 0.007,
+                      np.random.default_rng(0))
+    assert sum(size for size, _ in blocks) > 50
+    assert all(size <= 50 or cells == 1 for size, cells in blocks)

@@ -22,7 +22,8 @@ def test_point_set_rejects_bad_input():
     with pytest.raises(ValueError):
         PointSet([[np.inf, 0.0]])
     with pytest.raises(ValueError):
-        PointSet([[0.0, 0.0], [1.0, 1.0]], labels=["a"])
+        PointSet([[0.0, 0.0], [1.0, 1.0]], runs=(("a", 1),))
+    assert PointSet([[0.0, 0.0], [1.0, 1.0]], runs=(("a", 1), ("b", 1))).n == 2
 
 
 def test_point_set_diameter_exact():
@@ -39,8 +40,6 @@ def test_atomic_measure_validation():
         AtomicMeasure(pts, [0.7, 0.7])
     with pytest.raises(ValueError):
         AtomicMeasure(pts, [-0.2, 1.2])
-    with pytest.raises(ValueError):
-        AtomicMeasure(pts, [0.5, 0.5], labels=["x"])
     m = AtomicMeasure(pts, [0.25, 0.75])
     assert m.n == 2 and m.ambient_dim == 1
 
