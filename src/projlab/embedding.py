@@ -29,7 +29,7 @@ from .grid import block_end, grid_ranges, ranges, sq_norms
 
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
-TRANS_BLOCK = 1 << 14  # maps per block in transversality_fraction
+TRANS_BLOCK = 1 << 13  # maps per block in transversality_fraction
 TRI_BLOCK = 64  # rows per block in log_lip_pass
 CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
 CELL_SIDE = 1.0 / 8  # side of the direction cubes of origin_cells
@@ -87,7 +87,8 @@ def collision_probability(points, base_index, delta, eps_grid, rows):
     rows is an (m, k, N) stack of maps.  For each map the statistic is the
     minimum image distance from the base to the points at distance
     >= delta; the per-eps count is how many maps push that minimum below
-    eps.  Returns the counts and a log2-log2 fit of frequency against eps.
+    eps.  Returns the map and far-point counts, the per-eps counts and a
+    log2-log2 fit of frequency against eps, not the minima themselves.
 
     The maps are taken in blocks of MAP_BLOCK: one product gives the
     images of every far difference under every map of the block, and the
@@ -116,14 +117,12 @@ def collision_probability(points, base_index, delta, eps_grid, rows):
         else:
             images = np.swapaxes(block @ diffs_t, 1, 2)
         min2[s:s + MAP_BLOCK] = sq_norms(images).min(axis=1)
-    mins = np.sqrt(min2)
-    table, fit = _tail_table(mins, eps_grid)
+    table, fit = _tail_table(np.sqrt(min2), eps_grid)
     return {
         "n_maps": len(rows),
         "n_far": int(len(far)),
         "points_hash": points_provenance(points),
         "table": table,
-        "min_distances": mins,
         "fit": fit,
     }
 
@@ -626,70 +625,78 @@ def set_diameter(points, stop=math.inf):
     return top
 
 
+def check_log_lip_exponents(eta, theta):
+    """Refuse log-Lipschitz exponents eta <= 1 or theta <= 0, or NaN."""
+    if not eta > 1:  # NaN fails too
+        raise ValueError("eta must exceed 1")
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+
+
 def log_lipschitz_modulus(u, big_r, eta, theta):
     """The modulus f(u) = u / log2(2R/u)^(eta/theta) at distances u >= 0.
 
     Needs eta > 1 and theta > 0; f(0) = 0.  f is increasing on (0, R], so
     R should be at least every distance u it is given.
     """
-    if not eta > 1:  # NaN fails too
-        raise ValueError("eta must exceed 1")
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    check_log_lip_exponents(eta, theta)
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return u / np.log2(2.0 * big_r / u) ** (eta / theta)
 
 
-def log_lip_distances(points, eta, theta):
-    """(pd, R, f_mod) of an (n, N) atom array for log_lip_pass: distances,
-    R = max pd and f_mod = log_lipschitz_modulus(pd, R, eta, theta).  pd is
-    taken TRI_BLOCK rows at a time, with no n x n x N tensor; each entry is
-    its own np.linalg.norm, so pd is bit-symmetric and its bits do not
-    depend on the block."""
+def log_lip_distances(points):
+    """(pd, R) of an (n, N) atom array for log_lip_pass: the distances and
+    R = max pd, the diameter.  pd is taken TRI_BLOCK rows at a time, with
+    no n x n x N tensor; each entry is its own np.linalg.norm, so pd is
+    bit-symmetric and its bits do not depend on the block."""
     pd = np.vstack([
         np.linalg.norm(points[i:i + TRI_BLOCK, None] - points[None], axis=2)
         for i in range(0, len(points), TRI_BLOCK)])
-    big_r = float(pd.max())
-    return pd, big_r, log_lipschitz_modulus(pd, big_r, eta, theta)
+    return pd, float(pd.max())
 
 
-def log_lip_pass(pd, f_mod, images, m_const):
-    """Pointwise Holder ceilings and log-Lipschitz defects of n atoms
-    under one map, in one pass over the pairs.
+def log_lip_pass(pd, images, m_const):
+    """Pointwise Holder ceilings and log-Lipschitz defect signs of n atoms
+    under one map, in one pass over the pairs; returns (alpha, positive).
 
-    pd and f_mod are the atoms' n x n distances and modulus values f(pd),
-    images their (n, k) images.  With im the image distances and the
-    normalizer N = 2 max im, or N = 1 when every image coincides (any
-    positive N gives the same ceilings there), atom i gets alpha_i,
-    holder_ceiling(pd_i / N, im_i / N, M) over its row, and c_hat_i, the
-    least im_ij / f_ij over its partners (pd_ij > 0), inf without one:
-    both bit for bit what the whole n x n matrices give.  Returns
-    (alpha, c_hat).
+    pd holds the atoms' n x n distances, images their (n, k) images.  With
+    im the image distances and the normalizer N = 2 max im, or N = 1 when
+    every image coincides (any positive N gives the same ceilings there),
+    alpha_i is holder_ceiling(pd_i / N, im_i / N, M) over row i, bit for
+    bit what the whole n x n matrices give.
+
+    positive_i, True when no partner j (pd_ij > 0) has im_ij = 0, is the
+    defect's sign c_hat_i > 0, where c_hat_i = min im_ij / f_ij over the
+    partners (inf without one) and f = log_lipschitz_modulus(pd, R, eta,
+    theta), R = max pd, at any eta > 1 and theta > 0.  On 0 < pd <= R,
+    fl(2R/pd) >= 2, so the log and its power are at least 1 (or inf) and
+    f lies in [0, pd], never NaN.  A positive im is at least 2^-537 (the
+    root of a sum of squares of at least 2^-1074) and pd < 2^512, so
+    im / f >= im / pd > 2^-1049, or is inf; if im = 0, im / f is 0 or NaN.
 
     The pass walks blocks of TRI_BLOCK rows over the columns from the
-    block's first row on, so that a block's arrays stay in cache.  pd and
-    f_mod must be bit-symmetric and pd below 2^512, as a distance matrix
-    taken entry by entry from finite squares is; the image distances are
-    symmetric, since a - b and b - a square alike.  A
-    minimum is exact, so each row's minimum is the smaller of its part
-    right of the diagonal and its column part above it.  A block gives its
-    image distances, summed coordinate by coordinate from a (k, n) copy of
-    the images, their running maximum, the c_hat minima, and as candidates
-    the pairs with pd > z = fl(lo im), lo = M (1 - CEIL_SLACK).  Once N is
-    known, holder_ceiling scores the candidates, one pair a row, and each
-    atom takes the least ceiling of its pairs; the floor at 0 commutes with
+    block's first row on, so that a block's arrays stay in cache.  pd must
+    be bit-symmetric and below 2^512, as a distance matrix taken entry by
+    entry from finite squares is; the image distances are symmetric,
+    since a - b and b - a square alike.  A block gives its image
+    distances, summed coordinate by coordinate from a (k, n) copy of the
+    images, their running maximum, the exact collisions of distinct
+    atoms, which clear positive at both ends, and as candidates the pairs
+    with pd > z = fl(lo im), lo = M (1 - CEIL_SLACK).  Once N is known,
+    holder_ceiling scores the candidates, one pair a row, and each atom
+    takes the least ceiling of its pairs; the floor at 0 commutes with
     that minimum.
 
     The candidates hold every pair that binds, fl(pd/N) > fl(M fl(im/N)).
     Let u = 2^-53 and take a pair that is not a candidate.  If im = 0, then
     pd = 0 (or M = inf, where neither test can hold) and the pair does not
-    bind.  A positive im is the root of a sum of squares of at least
-    2^-1074, so im >= 2^-537, and as N <= 2^485 (checked here) im/N is a
-    normal float: fl(im/N) >= (im/N)(1 - u).  If z is finite, then pd <= z
-    <= M (1 - CEIL_SLACK)(1 + u)^3 im <= M (1 - u) im, so pd/N <=
-    M fl(im/N) and, rounding being monotone, fl(pd/N) <= fl(M fl(im/N)).
-    If z overflows, M im exceeds 2^1023 > pd, and the pair cannot bind.
+    bind.  As a positive im is at least 2^-537 and N <= 2^485 (checked
+    here), im/N is a normal float: fl(im/N) >= (im/N)(1 - u).  If z is
+    finite, then pd <= z <= M (1 - CEIL_SLACK)(1 + u)^3 im <= M (1 - u) im,
+    so pd/N <= M fl(im/N) and, rounding being monotone, fl(pd/N) <=
+    fl(M fl(im/N)).  If z overflows, M im exceeds 2^1023 > pd, and the
+    pair cannot bind.
 
     Buffers are allocated per call, so maps can run on parallel threads.
     """
@@ -697,7 +704,7 @@ def log_lip_pass(pd, f_mod, images, m_const):
     images_t = np.ascontiguousarray(np.asarray(images, dtype=float).T)
     n = images_t.shape[1]
     lo = m_const * (1.0 - CEIL_SLACK)
-    c_hat = np.full(n, np.inf)
+    positive = np.ones(n, dtype=bool)
     top = 0.0
     cand = []
     buf = np.empty(TRI_BLOCK * n)
@@ -708,11 +715,10 @@ def log_lip_pass(pd, f_mod, images, m_const):
         np.sqrt(im, out=im)
         top = max(top, float(im.max()))
         part = pd[s:e, s:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = im / f_mod[s:e, s:]
-        ratio[~(part > 0.0)] = np.inf
-        np.minimum(c_hat[s:e], ratio.min(axis=1), out=c_hat[s:e])
-        np.minimum(c_hat[s:], ratio.min(axis=0), out=c_hat[s:])
+        r, c = np.nonzero(im == 0.0)  # the diagonal, and exact collisions
+        hit = part[r, c] > 0.0
+        positive[r[hit] + s] = False
+        positive[c[hit] + s] = False
         r, c = np.nonzero(part > lo * im)
         upper = c > r  # the block's own lower triangle repeats its pairs
         cand.append((r[upper] + s, c[upper] + s, im[r[upper], c[upper]]))
@@ -726,7 +732,7 @@ def log_lip_pass(pd, f_mod, images, m_const):
     alpha = np.full(n, np.inf)
     np.minimum.at(alpha, i, ceil)
     np.minimum.at(alpha, j, ceil)
-    return alpha, c_hat
+    return alpha, positive
 
 
 def decode_recoveries(points, weights, rows, noise, noise_rng):

@@ -38,8 +38,8 @@ from .constructions import (IfsSpec, SphereNetSpec, dense_ball_atoms,
 from .dimension import (assouad_probe, box_dimension_fit, dyadic_scales,
                         local_dimension)
 from .embedding import (check_deltas, check_holder_budget,
-                        collision_probability, decode_recoveries,
-                        holder_at_origin, hull_vertices,
+                        check_log_lip_exponents, collision_probability,
+                        decode_recoveries, holder_at_origin, hull_vertices,
                         inverse_continuity_modulus, log_lip_distances,
                         log_lip_pass, origin_cells, transversality_fraction)
 from .geom import write_points_csv
@@ -625,23 +625,25 @@ def _holder_ceiling(cfg, art, threads):
 def _log_lip(cfg, art, threads):
     if cfg["n_atoms"] < 2:  # a ceiling and a defect need a pair
         raise ValueError("n_atoms must be at least 2")
+    m_const = float(cfg["m_const"])
+    check_holder_budget(m_const)  # before the atoms and the maps are drawn
+    check_log_lip_exponents(cfg["eta"], cfg["theta"])
     seeds = _sub_seeds(cfg["seed"], 2)
     measure = sparse_atoms(cfg["ambient_dim"], cfg["s"], cfg["n_atoms"],
                            seeds[0])
     pts = measure.points
     w = measure.weights
-    pd, big_r, f_mod = log_lip_distances(pts, cfg["eta"], cfg["theta"])
+    pd, big_r = log_lip_distances(pts)
     rows = sample_e_batch(cfg["ambient_dim"], cfg["k"], cfg["n_maps"],
                           seeds[1])
-    m_const = float(cfg["m_const"])
 
     def one_map(midx):
-        return log_lip_pass(pd, f_mod, pts @ rows[midx].T, m_const)
+        return log_lip_pass(pd, pts @ rows[midx].T, m_const)
 
     per_map = _map_loop(one_map, cfg["n_maps"], threads)
     alpha_frac = np.array([float(w[a >= cfg["alpha_floor"]].sum())
                            for a, _ in per_map])
-    defect_frac = np.array([float(np.mean(c > 0)) for _, c in per_map])
+    defect_frac = np.array([float(np.mean(p)) for _, p in per_map])
     art.table("log_lip", ["map_index", "alpha_weighted_fraction",
                           "defect_positive_fraction"],
               [(i, float(a), float(d))
@@ -749,7 +751,7 @@ def _all_directions(cfg, art, threads):
                 continue
             width = cfg["width_factor"] * spacing
             _, sliced = slab_conditional(measure, coords, a, width)
-            rho, _ = dirac_score(sliced, cfg["tau"])
+            rho = dirac_score(sliced, cfg["tau"])
             used += 1
             hits += rho <= atom_res + 1e-15
         frac = hits / used if used else 0.0

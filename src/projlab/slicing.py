@@ -43,29 +43,21 @@ def slab_conditional(measure, coords, center, half_width):
 DIRAC_BLOCK = 2 ** 18  # distance entries per row block of dirac_score
 
 
-def _row_radius(d, w, need):
-    """Smallest closed-ball radius around one center holding mass need."""
-    order = np.argsort(d, kind="stable")
-    hit = int(np.searchsorted(np.cumsum(w[order]), need, side="left"))
-    return float(d[order[hit]]) if hit < len(d) else np.inf
-
-
 def dirac_score(measure, tau):
     """Smallest radius at which one atom-centered ball holds mass 1 - tau.
 
-    Returns (rho_star, center_index).  Zero radius means a 1 - tau
-    majority sits on a single atom (Dirac behavior up to tau); a positive
-    score is the diameter cost of collecting that much mass.  Candidate
-    centers are the atoms themselves and the threshold is inclusive: mass
-    exactly 1 - tau counts.  Of several centers with the smallest radius
-    the first in atom order is returned.
+    Returns rho_star.  Zero radius means a 1 - tau majority sits on a
+    single atom (Dirac behavior up to tau); a positive score is the
+    diameter cost of collecting that much mass.  Candidate centers are
+    the atoms themselves and the threshold is inclusive: mass exactly
+    1 - tau counts.
 
     A ball holding mass need holds at least q = ceil(need / max weight)
     atoms, so a center's radius is at least its q-th smallest distance
     (its own zero included).  The bound takes the (q-1)-th, one lower as
     slack for rounding in the running mass sums.  Exact radii are taken
-    only for centers in increasing order of that bound, until no later
-    center can beat or tie-and-precede the best radius found.
+    only for centers in increasing order of that bound, until a bound
+    reaches the best radius found: no later center can beat it.
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0,1)")
@@ -81,16 +73,15 @@ def dirac_score(measure, tau):
             rows = np.sqrt(sq_norms(pts[start:start + step, None], pts[None]))
             bounds[start:start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
     best = np.inf
-    best_center = -1
-    for c in np.argsort(bounds, kind="stable"):
-        # later rows have larger bounds, or equal bounds and larger indices
-        if bounds[c] > best or (bounds[c] == best and c > best_center):
+    for c in np.argsort(bounds):
+        if bounds[c] >= best:
             break
-        radius = _row_radius(np.sqrt(sq_norms(pts[c], pts)), w, need)
-        if radius < best or (radius == best and c < best_center):
-            best = radius
-            best_center = int(c)
-    return best, best_center
+        d = np.sqrt(sq_norms(pts[c], pts))
+        order = np.argsort(d, kind="stable")
+        hit = int(np.searchsorted(np.cumsum(w[order]), need, side="left"))
+        if hit < n:  # the least closed ball around c holding mass need
+            best = min(best, float(d[order[hit]]))
+    return best
 
 
 def _complement_plane(t):
@@ -174,7 +165,7 @@ def translate_pair_test(spec, depth, half_width=None, n_slices=64, seed=0,
         shift_ok += bool(ok)
         if tails1.size and tails2.size:
             mixed_seen += 1
-            score, _ = dirac_score(sliced, tau)
+            score = dirac_score(sliced, tau)
             min_mixed_score = min(min_mixed_score, score)
     return {
         "depth": depth,

@@ -59,15 +59,12 @@ def test_tail_table_inclusive_and_descending():
         [(0.25, 3), (0.125, 1), (0.1, 0), (0.01, 0)], None)
 
 
-def _collision_loop(points, base_index, delta, eps_grid, rows):
-    """Per-map minima and table, one map at a time, as a direct oracle."""
+def _collision_minima(points, base_index, delta, rows):
+    """Per-map minima, one map at a time, as a direct oracle."""
     base = points[base_index]
     far = points[np.linalg.norm(points - base, axis=1) >= delta]
-    mins = np.array([np.linalg.norm((far - base) @ op.T, axis=1).min()
+    return np.array([np.linalg.norm((far - base) @ op.T, axis=1).min()
                      for op in rows])
-    table = [(float(e), int(np.count_nonzero(mins <= e)))
-             for e in sorted(eps_grid, reverse=True)]
-    return mins, table
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -75,14 +72,18 @@ def _collision_loop(points, base_index, delta, eps_grid, rows):
                                     embedding.MAP_BLOCK + 1,
                                     3 * embedding.MAP_BLOCK])
 def test_collision_blocks_match_the_per_map_loop(n_maps, k):
+    # the grid holds each oracle minimum and the float just below it, so
+    # a map whose minimum is one ulp off either way changes a count; rows
+    # of norm at most 1/4 keep every minimum within delta / 2
     rng = np.random.default_rng(n_maps + k)
     pts = rng.uniform(-1, 1, (300, 4)) * 10.0 ** rng.uniform(-3, 0, (300, 1))
-    grid = [2.0**-3, 2.0**-5, 2.0**-7, 2.0**-9]
-    rows = sample_e_batch(4, k, n_maps, seed=k)
+    rows = sample_e_batch(4, k, n_maps, seed=k) / 4.0
+    mins = _collision_minima(pts, 0, 0.25, rows)
+    assert mins.max() <= 0.125
+    grid = np.concatenate([mins, np.nextafter(mins, 0.0)])
     out = collision_probability(pts, 0, 0.25, grid, rows)
-    mins, table = _collision_loop(pts, 0, 0.25, grid, rows)
-    assert out["min_distances"].tobytes() == mins.tobytes()
-    assert out["table"] == table
+    assert out["table"] == [(float(e), int(np.count_nonzero(mins <= e)))
+                            for e in sorted(grid, reverse=True)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -367,84 +368,86 @@ def test_log_lip_distances_are_symmetric_row_norms(n):
     rng = np.random.default_rng(n)
     pts = rng.uniform(-1, 1, (n, 8)) * 2.0 ** rng.integers(-6, 1, (n, 1))
     pts[rng.random(n) < 0.1] = pts[0]
-    pd, big_r, f_mod = log_lip_distances(pts, 2.0, 1.0)
+    pd, big_r = log_lip_distances(pts)
     assert pd.shape == (n, n)
     assert np.array_equal(pd, pd.T)
     for i in range(n):
         assert np.array_equal(pd[i], np.linalg.norm(pts - pts[i], axis=1))
     assert big_r == float(pd.max())
-    assert np.array_equal(f_mod, log_lipschitz_modulus(pd, big_r, 2.0, 1.0),
-                          equal_nan=True)
 
 # --- log-lip's triangle pass against the whole matrices ---
 
 
-def _full_matrix_pass(pd, f_mod, images, m_const):
+def _full_matrix_pass(pd, images, m_const, eta=2.0, theta=1.0):
     """(alpha, c_hat) from the whole n x n matrices, as log-lip first took
-    them map by map."""
+    them map by map: c_hat is each atom's least ratio of image distance to
+    the modulus f(pd) over its partners (pd > 0).  A large eta / theta
+    overflows the modulus's power, which makes f 0 at small distances."""
     im = np.sqrt(sq_norms(images[:, None, :], images[None, :, :]))
     top = float(im.max())
     normalizer = 2.0 * top if top > 0.0 else 1.0  # every image coincides
     alpha = holder_ceiling(pd / normalizer, im / normalizer, m_const)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f_mod = log_lipschitz_modulus(pd, pd.max(), eta, theta)
         c_hat = np.min(im / f_mod, axis=1, initial=np.inf, where=pd > 0)
     return alpha, c_hat
 
 
 def _atoms_and_images(seed, n, k):
-    """Bit-symmetric distances and moduli of n atoms, some of them
-    repeated, and images of them, some of which collide."""
+    """Bit-symmetric distances of n atoms, some of them repeated, and
+    images of them, some of which collide."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1, 1, (n, 3)) * 2.0 ** rng.integers(-6, 1, (n, 1))
     pts[rng.random(n) < 0.1] = pts[0]
     pd = np.sqrt(sq_norms(pts[:, None], pts[None]))
-    f_mod = log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0)
     images = pts @ sample_e_batch(3, k, 1, seed)[0].T
     images[rng.random(n) < 0.1] = images[-1]
-    return pd, f_mod, images
+    return pd, images
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
-       k=st.integers(1, 2), m_const=st.sampled_from([1.0, 3.0, 16.0]))
-def test_log_lip_pass_blocks_and_permutation(seed, n, k, m_const):
-    pd, f_mod, images = _atoms_and_images(seed, n, k)
-    alpha, c_hat = _full_matrix_pass(pd, f_mod, images, m_const)
+       k=st.integers(1, 2), m_const=st.sampled_from([1.0, 3.0, 16.0]),
+       exponents=st.sampled_from([(2.0, 1.0), (1.01, 10.0), (1000.0, 1.0)]))
+def test_log_lip_pass_blocks_and_permutation(seed, n, k, m_const, exponents):
+    # the flags are the defect's sign at every (eta, theta), also where the
+    # modulus's power overflows and f is 0 at small distances
+    pd, images = _atoms_and_images(seed, n, k)
+    alpha, c_hat = _full_matrix_pass(pd, images, m_const, *exponents)
     with pytest.MonkeyPatch.context() as patch:
         for block in (1, 3, 64, n + 1):
             patch.setattr(embedding, "TRI_BLOCK", block)
-            got = log_lip_pass(pd, f_mod, images, m_const)
+            got = log_lip_pass(pd, images, m_const)
             assert np.array_equal(got[0], alpha)
-            assert np.array_equal(got[1], c_hat)
+            assert np.array_equal(got[1], c_hat > 0)
     perm = np.random.default_rng(seed).permutation(n)
-    moved = log_lip_pass(pd[perm][:, perm], f_mod[perm][:, perm],
-                         images[perm], m_const)
+    moved = log_lip_pass(pd[perm][:, perm], images[perm], m_const)
     assert np.array_equal(moved[0], alpha[perm])
-    assert np.array_equal(moved[1], c_hat[perm])
+    assert np.array_equal(moved[1], c_hat[perm] > 0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_log_lip_pass_total_collapse_is_an_exact_collision():
     # two atoms at distance 1 with one image: each pair collides exactly,
-    # so both ceilings are 0, as holder_ceiling defines them
+    # so both ceilings are 0, as holder_ceiling defines them, and neither
+    # defect is positive
     pd = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f_mod = log_lipschitz_modulus(pd, 1.0, 2.0, 1.0)
     images = np.zeros((2, 1))
     for m_const in (1.0, 16.0):
-        alpha, c_hat = log_lip_pass(pd, f_mod, images, m_const)
+        alpha, positive = log_lip_pass(pd, images, m_const)
         assert alpha.tolist() == [0.0, 0.0]
-        assert c_hat.tolist() == [0.0, 0.0]
-        oracle = _full_matrix_pass(pd, f_mod, images, m_const)
+        assert positive.tolist() == [False, False]
+        oracle = _full_matrix_pass(pd, images, m_const)
         assert [a.tolist() for a in oracle] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_log_lip_pass_refuses_images_beyond_the_certified_range():
-    pd, f_mod, images = _atoms_and_images(3, 10, 2)
-    log_lip_pass(pd, f_mod, 2.0**480 * images, 1.0)
+    pd, images = _atoms_and_images(3, 10, 2)
+    log_lip_pass(pd, 2.0**480 * images, 1.0)
     with pytest.raises(ValueError, match="certified"):
-        log_lip_pass(pd, f_mod, 2.0**490 * images, 1.0)
+        log_lip_pass(pd, 2.0**490 * images, 1.0)
     with pytest.raises(ValueError, match="M must be at least 1"):
-        log_lip_pass(pd, f_mod, images, 0.5)
+        log_lip_pass(pd, images, 0.5)
 
 
 @pytest.mark.parametrize("m_const", [3.0, 5.0, 10.0])
@@ -462,7 +465,6 @@ def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
     pd = np.where(step < 0, np.nextafter(pd, 0.0),
                   np.where(step > 0, np.nextafter(pd, np.inf), pd))
     pd = np.triu(pd, 1) + np.triu(pd, 1).T
-    f_mod = log_lipschitz_modulus(pd, pd.max(), 2.0, 1.0)
     scored = []
 
     def spy(pd_c, im_c, m):
@@ -470,10 +472,12 @@ def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
         return holder_ceiling(pd_c, im_c, m)
 
     monkeypatch.setattr(embedding, "holder_ceiling", spy)
-    alpha, c_hat = log_lip_pass(pd, f_mod, images, m_const)
+    alpha, positive = log_lip_pass(pd, images, m_const)
     monkeypatch.undo()
-    assert all(np.array_equal(a, b) for a, b in zip(
-        (alpha, c_hat), _full_matrix_pass(pd, f_mod, images, m_const)))
+    oracle_alpha, c_hat = _full_matrix_pass(pd, images, m_const)
+    assert np.array_equal(alpha, oracle_alpha)
+    assert np.array_equal(positive, c_hat > 0)
+    assert positive.tolist() == [not 4 <= i < 9 for i in range(n)]
     normalizer = 2.0 * im.max()
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     binding = upper & (pd / normalizer > m_const * (im / normalizer))

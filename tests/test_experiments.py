@@ -401,6 +401,19 @@ def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
             run_experiment("holder-ceiling", config={"seed": 0, **config})
 
 
+def test_log_lip_values_refused_before_the_atoms_are_drawn(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the atoms were drawn")
+
+    monkeypatch.setattr(experiments, "sparse_atoms", unreachable)
+    for config, message in (({"m_const": 0.5}, "M must be at least 1"),
+                            ({"m_const": math.nan}, "M must be at least 1"),
+                            ({"eta": 1.0}, "eta must exceed 1"),
+                            ({"theta": 0.0}, "theta must be positive")):
+        with pytest.raises(ValueError, match=message):
+            run_experiment("log-lip", config={"seed": 0, **config})
+
+
 def test_empty_list_values_raise():
     # a key whose default is a non-empty list never runs on an empty one,
     # which would pass its checks vacuously
@@ -419,12 +432,12 @@ def test_empty_list_values_raise():
 
 
 def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
-    # each atom's ceiling and defect, bit for bit, against direct norms:
-    # _direct_alphas with the atom itself left out, and image distances
-    # over log_lipschitz_modulus of the point distances.  The second config
-    # has one-row maps of small image diameter, where binding ceilings go
-    # negative and the floor at 0 decides; the last two span more than one
-    # row block and end on a ragged one.
+    # each atom's ceiling, bit for bit, and the sign of its defect against
+    # direct norms: _direct_alphas with the atom itself left out, and image
+    # distances over log_lipschitz_modulus of the point distances.  The
+    # second config has one-row maps of small image diameter, where binding
+    # ceilings go negative and the floor at 0 decides; the last two span
+    # more than one row block and end on a ragged one.
     seen = []
     map_loop = experiments._map_loop
 
@@ -472,7 +485,7 @@ def test_log_lip_matches_library_oracles(tmp_path, monkeypatch):
                     pd[i][others], big_r, cfg["eta"], cfg["theta"])).min()
             assert np.isfinite(alpha).sum() > n // 2  # pairs do bind
             assert np.array_equal(seen[midx][0], alpha)
-            assert np.array_equal(seen[midx][1], c_hat)
+            assert np.array_equal(seen[midx][1], c_hat > 0)
             row = table[midx]
             assert float(row["alpha_weighted_fraction"]) == \
                 float(w[alpha >= cfg["alpha_floor"]].sum())

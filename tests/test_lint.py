@@ -67,6 +67,9 @@ def test_every_top_level_definition_is_used():
 TEST_ONLY = (
     ("exceptional_set_membership",
      "kept to probe the dyadic directions of all-directions (ROADMAP)"),
+    ("log_lipschitz_modulus",
+     "the modulus of log-lip's defect; ROADMAP item 9 step 2 scores its "
+     "values"),
     ("read_points_csv", "reader of the CSVs that --export-points writes"),
 )
 

@@ -65,31 +65,28 @@ def test_slab_conditional_matches_brute_force(atoms, angle, half_width):
 
 def test_dirac_score_single_atom():
     m = AtomicMeasure([[2.0, 3.0]], [1.0])
-    assert dirac_score(m, 0.25) == (0.0, 0)
+    assert dirac_score(m, 0.25) == 0.0
 
 
 def test_dirac_score_dominant_atom():
     m = AtomicMeasure([[0.0], [1.0]], [0.9, 0.1])
-    rho, center = dirac_score(m, 0.25)
-    assert rho == 0.0 and center == 0  # 0.9 >= 1 - tau already
+    assert dirac_score(m, 0.25) == 0.0  # 0.9 >= 1 - tau already
 
 
 def test_dirac_score_split_mass():
     m = AtomicMeasure([[0.0], [1.0]], [0.5, 0.5])
-    rho, center = dirac_score(m, 0.25)
-    assert rho == 1.0  # no single atom holds 0.75
+    assert dirac_score(m, 0.25) == 1.0  # no single atom holds 0.75
 
 
 def test_dirac_score_inclusive_threshold():
     m = AtomicMeasure([[0.0], [1.0]], [0.75, 0.25])
-    rho, center = dirac_score(m, 0.25)
-    assert rho == 0.0 and center == 0  # exactly 1 - tau counts
+    assert dirac_score(m, 0.25) == 0.0  # exactly 1 - tau counts
 
 
 def test_dirac_score_monotone_in_tau():
     rng = np.random.default_rng(0)
     m = AtomicMeasure(rng.uniform(0, 1, (30, 2)), np.full(30, 1.0 / 30.0))
-    scores = [dirac_score(m, tau)[0] for tau in (0.1, 0.25, 0.5, 0.9)]
+    scores = [dirac_score(m, tau) for tau in (0.1, 0.25, 0.5, 0.9)]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -106,14 +103,14 @@ def dirac_loop(measure, tau):
     reference for dirac_score."""
     pts, w = measure.points, measure.weights
     need = 1.0 - tau - 1e-12
-    best, best_center = np.inf, -1
+    best = np.inf
     for c in range(len(pts)):
         d = np.linalg.norm(pts - pts[c], axis=1)
         order = np.argsort(d, kind="stable")
         hit = int(np.searchsorted(np.cumsum(w[order]), need, side="left"))
-        if hit < len(d) and float(d[order][hit]) < best:
-            best, best_center = float(d[order][hit]), c
-    return best, best_center
+        if hit < len(d):
+            best = min(best, float(d[order][hit]))
+    return best
 
 
 def dirac_cases():
@@ -129,7 +126,7 @@ def dirac_cases():
     grid = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
     yield "tied-grid", AtomicMeasure(grid, np.full(len(grid), 1.0 / len(grid)))
     # atom 0's radius equals its bound and ties with atom 1's, whose bound
-    # is lower: atom 1 is scored first, yet atom 0 must win the tie
+    # is lower: atom 1 is scored first, and the loop stops at atom 0's bound
     yield "tie-after-bound", AtomicMeasure([[3.0], [2.0], [2.0], [2.0], [2.0]],
                                            np.array([3, 1, 3, 3, 1]) / 11)
     dup = np.repeat(rng.uniform(0, 1, (20, 2)), 3, axis=0)
@@ -181,8 +178,7 @@ weighted_lattices = st.lists(
 def test_dirac_score_nonincreasing_in_tau(measure, taus):
     scores = [dirac_score(measure, tau) for tau in sorted(taus)]
     assert scores == [dirac_loop(measure, tau) for tau in sorted(taus)]
-    radii = [rho for rho, _ in scores]
-    assert radii == sorted(radii, reverse=True)
+    assert scores == sorted(scores, reverse=True)
 
 
 def test_complement_plane():
