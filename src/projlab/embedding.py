@@ -30,14 +30,14 @@ from .grid import block_end, grid_ranges, ranges, sq_norms
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
 TRANS_BLOCK = 1 << 13  # maps per block in transversality_fraction
-TRI_BLOCK = 64  # rows per block in log_lip_pass
+TRI_BLOCK = 64  # rows per block in log_lip_distances
 CEIL_SLACK = 1e-9  # relative raise of the bound c* before thresholds form
 CELL_SIDE = 1.0 / 8  # side of the direction cubes of origin_cells
 CELL_SLACK = 1e-9  # a cell bound's rounding room, per ||L||_F (|c| + rho)
 HULL_TOL = 1e-9  # hull_vertices' plane tolerance, relative to the top norm
 HULL_SCAN_MAX = 48  # candidates per facet scan in hull_vertices
 DECODE_BLOCK = 1 << 14  # atom images per block of maps in decode_recoveries
-DECODE_PAIRS = 1 << 15  # candidate pairs scored at a time there
+DECODE_PAIRS = 1 << 15  # pairs scored at a time there and in log_lip_pass
 
 
 def __getattr__(name):
@@ -61,17 +61,24 @@ def points_provenance(points):
     return hashlib.sha256(arr.tobytes()).hexdigest()[:16]
 
 
-def _tail_table(stat, eps_grid):
-    """How many entries of stat are at most eps, for each eps of the grid.
+def _tail_table(blocks, eps_grid):
+    """How many entries of a statistic are at most eps, for each eps of the
+    grid; blocks yields the statistic as 1-d arrays, which are counted one
+    at a time, so the statistic need never be held whole.
 
     Returns the (eps, count) rows in decreasing eps and the log2-log2 fit
-    of the frequency count / len(stat) against eps over the rows with
-    events, as {slope, intercept, r_squared}; the fit is None with fewer
-    than three such rows.
+    of the frequency count / (number of entries) against eps over the rows
+    with events, as {slope, intercept, r_squared}; the fit is None with
+    fewer than three such rows.
     """
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))[::-1]
-    table = [(float(e), int(np.count_nonzero(stat <= e))) for e in eps_grid]
-    positive = [(e, c / len(stat)) for e, c in table if c > 0]
+    counts = np.zeros(len(eps_grid), np.int64)
+    size = 0
+    for stat in blocks:
+        counts += np.count_nonzero(stat[:, None] <= eps_grid, axis=0)
+        size += len(stat)
+    table = [(float(e), int(c)) for e, c in zip(eps_grid, counts)]
+    positive = [(e, c / size) for e, c in table if c > 0]
     if len(positive) < 3:
         return table, None
     slope, intercept, r2 = dimension.fit_loglog(*map(np.array, zip(*positive)))
@@ -117,7 +124,7 @@ def collision_probability(points, base_index, delta, eps_grid, rows):
         else:
             images = np.swapaxes(block @ diffs_t, 1, 2)
         min2[s:s + MAP_BLOCK] = sq_norms(images).min(axis=1)
-    table, fit = _tail_table(np.sqrt(min2), eps_grid)
+    table, fit = _tail_table([np.sqrt(min2)], eps_grid)
     return {
         "n_maps": len(rows),
         "n_far": int(len(far)),
@@ -133,19 +140,17 @@ def transversality_fraction(x, eps_grid, rows):
     Returns per-eps counts, the log2-log2 slope of the frequency, and the
     calibrated constant C = max over the grid of freq * |x|^k / eps^k.
 
-    The statistic |Lx| is taken TRANS_BLOCK maps at a time into one (m,)
-    array, so beyond it only one block's images, their squares and two
-    vectors of block length are held.  Each map's image and norm are
-    reduced within that map, so every entry is bit-equal to
+    The statistic |Lx| is taken and counted TRANS_BLOCK maps at a time, so
+    beyond the stack only one block's images, their squares, their norms
+    and its comparisons with the grid are held.  Each map's image and norm
+    are reduced within that map, so every entry is bit-equal to
     np.linalg.norm(rows @ x, axis=1) over the whole stack, for every k.
     """
     x = np.asarray(x, dtype=float)
     n_maps, k = rows.shape[:2]
-    stat = np.empty(n_maps)
-    for s in range(0, n_maps, TRANS_BLOCK):
-        e = s + TRANS_BLOCK
-        stat[s:e] = np.linalg.norm(rows[s:e] @ x, axis=1)
-    table, fit = _tail_table(stat, eps_grid)
+    table, fit = _tail_table(
+        (np.linalg.norm(rows[s:s + TRANS_BLOCK] @ x, axis=1)
+         for s in range(0, n_maps, TRANS_BLOCK)), eps_grid)
     xnorm = float(np.linalg.norm(x))
     c_values = [(c / n_maps) * xnorm**k / e**k for e, c in table]
     return {
@@ -243,9 +248,10 @@ def inverse_continuity_modulus(points, ops, delta_grid):
 
 
 def check_holder_budget(m_const):
-    """Refuse a Holder budget M below 1, or NaN."""
-    if not m_const >= 1:
-        raise ValueError("M must be at least 1 (normalized distances)")
+    """Refuse a Holder budget M below 1, infinite, or NaN."""
+    if not 1 <= m_const < math.inf:
+        raise ValueError("M must be at least 1 (normalized distances) "
+                         "and finite")
 
 
 def holder_ceiling(pd, im, m_const):
@@ -656,78 +662,131 @@ def log_lip_distances(points):
     return pd, float(pd.max())
 
 
-def log_lip_pass(pd, images, m_const):
-    """Pointwise Holder ceilings and log-Lipschitz defect signs of n atoms
-    under one map, in one pass over the pairs; returns (alpha, positive).
+def _image_diameter(images):
+    """The largest distance between rows of an (n, k) image array, from
+    the images that can reach it (see log_lip_pass)."""
+    rho = np.sqrt(sq_norms(images, images.mean(axis=0)))
+    far = int(np.argmax(rho))
+    d0 = math.sqrt(float(sq_norms(images, images[far]).max()))
+    rho_max = float(rho[far])
+    bar = d0 - rho_max - (4.0 * CEIL_SLACK * rho_max + 2.0 ** -500)
+    return max(d0, set_diameter(images[~(rho < bar)]))
 
-    pd holds the atoms' n x n distances, images their (n, k) images.  With
+
+def log_lip_pass(pd, big_r, images, m_const):
+    """Pointwise Holder ceilings and log-Lipschitz defect signs of n atoms
+    under one map, from the pairs that can bind; returns (alpha, positive).
+
+    pd holds the atoms' n x n distances and big_r = R their largest, as
+    log_lip_distances returns them, and images their (n, k) images.  With
     im the image distances and the normalizer N = 2 max im, or N = 1 when
     every image coincides (any positive N gives the same ceilings there),
     alpha_i is holder_ceiling(pd_i / N, im_i / N, M) over row i, bit for
-    bit what the whole n x n matrices give.
+    bit what the whole n x n matrices give.  Every image distance formed
+    is summed coordinate by coordinate as sq_norms sums it, so it is the
+    float those matrices hold.  pd must be bit-symmetric and below 2^512,
+    as a distance matrix taken entry by entry from finite squares is; the
+    image distances are symmetric, since a - b and b - a square alike.
 
     positive_i, True when no partner j (pd_ij > 0) has im_ij = 0, is the
     defect's sign c_hat_i > 0, where c_hat_i = min im_ij / f_ij over the
     partners (inf without one) and f = log_lipschitz_modulus(pd, R, eta,
-    theta), R = max pd, at any eta > 1 and theta > 0.  On 0 < pd <= R,
-    fl(2R/pd) >= 2, so the log and its power are at least 1 (or inf) and
-    f lies in [0, pd], never NaN.  A positive im is at least 2^-537 (the
-    root of a sum of squares of at least 2^-1074) and pd < 2^512, so
+    theta) at any eta > 1 and theta > 0.  On 0 < pd <= R, fl(2R/pd) >= 2,
+    so the log and its power are at least 1 (or inf) and f lies in
+    [0, pd], never NaN.  A positive im is at least 2^-537 (the root of a
+    sum of squares of at least 2^-1074) and pd < 2^512, so
     im / f >= im / pd > 2^-1049, or is inf; if im = 0, im / f is 0 or NaN.
 
-    The pass walks blocks of TRI_BLOCK rows over the columns from the
-    block's first row on, so that a block's arrays stay in cache.  pd must
-    be bit-symmetric and below 2^512, as a distance matrix taken entry by
-    entry from finite squares is; the image distances are symmetric,
-    since a - b and b - a square alike.  A block gives its image
-    distances, summed coordinate by coordinate from a (k, n) copy of the
-    images, their running maximum, the exact collisions of distinct
-    atoms, which clear positive at both ends, and as candidates the pairs
-    with pd > z = fl(lo im), lo = M (1 - CEIL_SLACK).  Once N is known,
-    holder_ceiling scores the candidates, one pair a row, and each atom
-    takes the least ceiling of its pairs; the floor at 0 commutes with
-    that minimum.
+    The normalizer.  Let rho_i be the distance of image i from the
+    images' centroid, f an image of largest rho and D0 its largest image
+    distance, so max im >= D0.  A pair at distance at least D0 has
+    rho_a + rho_b >= D0 (the triangle inequality), so both its rho are at
+    least D0 - max rho.  A computed distance lies within k + 4 units of
+    rounding, relative, of its exact value, and within sqrt(k) 2^-537
+    where squares are subnormal, and D0 <= 2 max rho up to rounding; so
+    the bar is lowered by 4 CEIL_SLACK max rho + 2^-500, which outweighs
+    both for any k below 10^6.  set_diameter of the images
+    not below the bar sums each pair as the pass does and takes the
+    largest, over a set that holds every pair that can reach D0: it is
+    max im.
 
-    The candidates hold every pair that binds, fl(pd/N) > fl(M fl(im/N)).
-    Let u = 2^-53 and take a pair that is not a candidate.  If im = 0, then
-    pd = 0 (or M = inf, where neither test can hold) and the pair does not
-    bind.  As a positive im is at least 2^-537 and N <= 2^485 (checked
-    here), im/N is a normal float: fl(im/N) >= (im/N)(1 - u).  If z is
-    finite, then pd <= z <= M (1 - CEIL_SLACK)(1 + u)^3 im <= M (1 - u) im,
-    so pd/N <= M fl(im/N) and, rounding being monotone, fl(pd/N) <=
-    fl(M fl(im/N)).  If z overflows, M im exceeds 2^1023 > pd, and the
-    pair cannot bind.
+    The candidates are the pairs with pd > fl(lo im), where
+    lo = M (1 - CEIL_SLACK).  They hold every pair that binds,
+    fl(pd/N) > fl(M fl(im/N)).  Let
+    u = 2^-53 and take a pair that is not a candidate.  If im = 0, then
+    pd = 0 and the pair does not bind.  As a positive im is at least
+    2^-537 and N <= 2^485 (checked here), im/N is a normal float:
+    fl(im/N) >= (im/N)(1 - u).  As M is finite, so is fl(lo im), and
+    pd <= fl(lo im) <= M (1 - CEIL_SLACK)(1 + u)^3 im <= M (1 - u) im, so
+    pd/N <= M fl(im/N) and, rounding being monotone, fl(pd/N) <=
+    fl(M fl(im/N)).
+
+    Which pairs are met.  Let r = max(R / lo, 2^-500)(1 + CEIL_SLACK).  A
+    candidate has fl(lo im) < pd <= R, so im < R / (lo (1 - u)); each
+    coordinate difference's square is at most the sum, so the difference
+    is at most im / (1 - u)^(3/2) < r, or below 2^-511 where its square
+    is subnormal.  An exact collision has every
+    coordinate difference below 2^-537 (its square rounds to 0), so below
+    r too.  grid_ranges meets every pair whose first min(k, 3) coordinates
+    each differ by at most r, once.  Its squares are summed coordinate by
+    coordinate, and the pair is dropped once the partial sum exceeds r^2:
+    sums of squares never fall as terms are added, so then im > R / lo by
+    the slack, fl(lo im) >= R >= pd, and the pair is neither a candidate
+    nor a collision.  pd is read only for the pairs that are kept.
+
+    The pairs are met DECODE_PAIRS at a time (block_end), so memory stays
+    bounded when every image is within reach of every other (k = 1,
+    M = 1).  The exact collisions of distinct atoms clear positive at
+    both ends.  holder_ceiling scores the candidates, one pair a row, and
+    each atom takes the least ceiling of its pairs; the floor at 0
+    commutes with that minimum.
 
     Buffers are allocated per call, so maps can run on parallel threads.
     """
     check_holder_budget(m_const)
-    images_t = np.ascontiguousarray(np.asarray(images, dtype=float).T)
-    n = images_t.shape[1]
-    lo = m_const * (1.0 - CEIL_SLACK)
-    positive = np.ones(n, dtype=bool)
-    top = 0.0
-    cand = []
-    buf = np.empty(TRI_BLOCK * n)
-    for s in range(0, n, TRI_BLOCK):
-        e = min(s + TRI_BLOCK, n)  # rows s..e-1 against columns s..n-1
-        im = sq_norms(images_t[:, s:e].T[:, None], images_t[:, s:].T[None],
-                       out=buf[:(e - s) * (n - s)].reshape(e - s, n - s))
-        np.sqrt(im, out=im)
-        top = max(top, float(im.max()))
-        part = pd[s:e, s:]
-        r, c = np.nonzero(im == 0.0)  # the diagonal, and exact collisions
-        hit = part[r, c] > 0.0
-        positive[r[hit] + s] = False
-        positive[c[hit] + s] = False
-        r, c = np.nonzero(part > lo * im)
-        upper = c > r  # the block's own lower triangle repeats its pairs
-        cand.append((r[upper] + s, c[upper] + s, im[r[upper], c[upper]]))
+    images = np.asarray(images, dtype=float)
+    n, k = images.shape
+    top = _image_diameter(images)
     normalizer = 2.0 * top if top > 0.0 else 1.0
     if not normalizer <= 2.0 ** 485:
         raise ValueError("image distances beyond 2^484 leave the range "
                          "where the candidate pairs are certified")
-    i, j, im_c = (np.concatenate(parts) for parts in zip(*cand))
-    ceil = holder_ceiling(pd[i, j][:, None] / normalizer,
+    lo = m_const * (1.0 - CEIL_SLACK)
+    reach = max(big_r / lo, 2.0 ** -500) * (1.0 + CEIL_SLACK)
+    reach2 = reach * reach
+    order, first, begin, count = grid_ranges(
+        [images[None, :, c] for c in range(min(k, 3))], np.array([reach]))
+    cols = [images[order, c] for c in range(k)]
+    positive = np.ones(n, dtype=bool)
+    cand = [(np.empty(0, np.int64),) * 2 + (np.empty(0),) * 2]
+    stop = np.cumsum(count)
+    r = 0
+    while r < len(count):
+        t = block_end(stop, r, DECODE_PAIRS)
+        reps = count[r:t]
+        i = np.repeat(first[r:t], reps)
+        j = ranges(begin[r:t], reps)
+        im = np.zeros(len(i))
+        for x in cols:
+            d = x[i]
+            d -= x[j]
+            d *= d
+            im += d
+            near = im <= reach2
+            if not near.all():
+                near = np.flatnonzero(near)
+                i, j, im = i[near], j[near], im[near]
+        np.sqrt(im, out=im)
+        a, b = order[i], order[j]
+        part = pd.take(a * n + b)
+        hit = (im == 0.0) & (part > 0.0)
+        positive[a[hit]] = False
+        positive[b[hit]] = False
+        keep = np.flatnonzero(part > lo * im)
+        cand.append((a[keep], b[keep], part[keep], im[keep]))
+        r = t
+    i, j, pd_c, im_c = (np.concatenate(parts) for parts in zip(*cand))
+    ceil = holder_ceiling(pd_c[:, None] / normalizer,
                           im_c[:, None] / normalizer, m_const)
     alpha = np.full(n, np.inf)
     np.minimum.at(alpha, i, ceil)
@@ -752,11 +811,12 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
     largest own distance, taken from the computed points (y_i holds
     rounding of the order of |L p_i| 2^-52, which a tiny noise does not
     dominate).  So only pairs whose clean images share or touch a cell of
-    side above 2 reach on the first two coordinates are scored
-    (grid_ranges), in both directions.  The squares of a pair are summed
-    one coordinate at a time and the pair is dropped once the partial sum
-    exceeds the own distance: a sum of squares never falls as terms are
-    added, so the verdict is that of the whole sum.
+    side above 2 reach on the first two coordinates (the one coordinate of
+    a one-row map) are scored (grid_ranges), in both directions.  The
+    squares of a pair are summed one coordinate at a time and the pair is
+    dropped once the partial sum exceeds the own distance: a sum of
+    squares never falls as terms are added, so the verdict is that of the
+    whole sum.
 
     The maps are taken DECODE_BLOCK images at a time and the pairs
     DECODE_PAIRS at a time.  A block's images are the products
@@ -776,9 +836,9 @@ def decode_recoveries(points, weights, rows, noise, noise_rng):
         y *= noise
         y += imgs
         own = sq_norms(y, imgs)
-        lead = [imgs[..., 0], imgs[..., 1] if k > 1 else np.zeros(own.shape)]
         order, first, begin, count = grid_ranges(
-            lead, np.sqrt(own.max(axis=1)))
+            [imgs[..., c] for c in range(min(k, 2))],
+            2 * np.sqrt(own.max(axis=1)))
         own = own.ravel()[order]
         cols = [(y[..., c].ravel()[order], imgs[..., c].ravel()[order])
                 for c in range(k)]

@@ -638,7 +638,7 @@ def _log_lip(cfg, art, threads):
                           seeds[1])
 
     def one_map(midx):
-        return log_lip_pass(pd, pts @ rows[midx].T, m_const)
+        return log_lip_pass(pd, big_r, pts @ rows[midx].T, m_const)
 
     per_map = _map_loop(one_map, cfg["n_maps"], threads)
     alpha_frac = np.array([float(w[a >= cfg["alpha_floor"]].sum())

@@ -5,12 +5,14 @@ met, so a point's candidates are the position ranges of the cells about
 its own (ranges expands them).  CellTable keys one set for dimension's
 covers and finds its ranges by bisection among the occupied cells, as it
 may have GRID_AXIS = 2^20 cells an axis.  grid_ranges keys a block of
-maps' images for embedding's decoding, each map at its own reach, and
-reads a dense table of where each cell starts, as it has at most about
-4 sqrt(n) cells an axis.  On decode-sparse {"n_maps": 1000} at seed 42
-(one process, 2-core x86-64), decoding took 0.56 s, as long with
-bisection in place of the dense table, while one CellTable per map took
-1.4 s just to list its candidates.  Imports: numpy and the stdlib only.
+maps' images on their first one, two or three coordinates, each map at
+its own reach, for embedding's decoding and log-lip's pass, and reads a
+dense table of where each cell starts, as it has at most about 4 n^(1/d)
+cells an axis on d keyed coordinates.  On decode-sparse
+{"n_maps": 1000} at seed 42 (one process, 2-core x86-64), decoding took
+0.56 s, as long with bisection in place of the dense table, while one
+CellTable per map took 1.4 s just to list its candidates.  Imports: numpy
+and the stdlib only.
 """
 
 from __future__ import annotations
@@ -99,31 +101,40 @@ def grid_keys(lead, reach, per_axis):
 
 
 def grid_ranges(lead, reach):
-    """Candidate ranges of one block of maps for nearest-image decoding.
+    """Candidate ranges of a block of m maps' images, each map at its own
+    reach: every pair whose first one, two or three coordinates each
+    differ by at most the reach is met once.
 
-    lead holds two (m, n) arrays, the first two coordinates of the clean
-    images of m maps (the second all 0 for one-row maps), and reach the
-    (m,) largest own distances.  Each map's images go into square cells
-    of side h > 2 reach (grid_keys), and the block is sorted by cell.
-    Returns that order and ranges (first, begin, count): the atom at
-    sorted position first meets the count atoms from position begin on.
-    An atom meets the atoms after it in its own cell and the next one of
-    its row, and those of the three adjacent cells in the next row, so
-    each pair in the same or adjacent cells is met once.
+    lead holds those d = 1, 2 or 3 coordinates as (m, n) arrays, and reach
+    the (m,) reaches.  Each map's images go into cubic cells of side
+    h > reach (grid_keys), and the block is sorted by cell.  Returns that
+    order and ranges (first, begin, count): the image at sorted position
+    first meets the count images from position begin on.  An image meets
+    the images after it in its own cell and the next one of its row, along
+    the first axis, and those of the three cells about its own in each row
+    whose offsets in the other axes come after 0 in lexicographic order,
+    the last axis first; so each pair in the same or adjacent cells is met
+    once.
 
-    h is at least span / (4 sqrt n), so that a map has at most
-    (4 sqrt n + 3)^2 cells however small its noise.
+    h is at least span / (4 n^(1/d)), so that a map has at most
+    (4 n^(1/d) + 3)^d cells however small its reach; the root is taken
+    once, by sqrt and cbrt, so that decoding's cells at d = 2 are those
+    of 4 sqrt(n).
     """
     m, n = lead[0].shape
-    order, key, strides, size = grid_keys(lead, 2 * reach[:, None],
-                                           4 * math.sqrt(n))
+    root = (n, math.sqrt(n), np.cbrt(n))[len(lead) - 1]  # n^(1/d)
+    order, key, strides, size = grid_keys(lead, reach[:, None], 4 * root)
     start = np.zeros(size + 1, np.int64)
     np.cumsum(np.bincount(key, minlength=size), out=start[1:])
     pos = np.arange(m * n)
-    below = (key.reshape(m, n) + strides[1]).ravel()
+    spans = [(pos + 1, start[key + 2])]
+    for row in itertools.product((-1, 0, 1), repeat=len(lead) - 1):
+        if row[::-1] > (0,) * len(row):
+            at = (key.reshape(m, n)
+                  + sum(o * s for o, s in zip(row, strides[1:]))).ravel()
+            spans.append((start[at - 1], start[at + 2]))
     parts = []
-    for lo_pos, hi_pos in ((pos + 1, start[key + 2]),
-                           (start[below - 1], start[below + 2])):
+    for lo_pos, hi_pos in spans:
         hit = np.flatnonzero(hi_pos > lo_pos)
         parts.append((hit, lo_pos[hit], hi_pos[hit] - lo_pos[hit]))
     return order, *(np.concatenate(r) for r in zip(*parts))

@@ -24,6 +24,8 @@
 * image_sq_norms and origin_ceiling_scorer: squared image norms of a
   whole net, chunk by chunk, and the Holder ceilings at its origin from
   them.
+* log_lip_pass_oracle: log-lip's ceilings and defect signs of one map
+  over every image distance, in blocks of rows.
 """
 
 import math
@@ -32,12 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from projlab.embedding import CEIL_SLACK, holder_ceiling
+from projlab.embedding import CEIL_SLACK, check_holder_budget, holder_ceiling
 from projlab.grid import sq_norms
 
 MODULUS_BLOCK = 1 << 18  # map x pair entries per block of modulus_oracle
 CEIL_CHUNK = 4096  # points per chunk in origin_ceiling_scorer
 IMAGE_CHUNK = 1 << 14  # points per product in image_sq_norms
+TRI_ROWS = 64  # rows per block in log_lip_pass_oracle
 
 
 @dataclass(frozen=True)
@@ -398,3 +401,51 @@ def image_sq_norms(op, points_t, keep):
         if a < b:
             kept[a:b] = imgs[:, keep[a:b] - s].T
     return sq_im, kept
+
+
+def log_lip_pass_oracle(pd, images, m_const, rows=TRI_ROWS):
+    """log_lip_pass(pd, pd.max(), images, m_const) over every pair: each
+    block of rows forms its image distances against the columns from its
+    first row on.
+
+    A block gives its image distances, summed coordinate by coordinate
+    from a (k, n) copy of the images, their running maximum, the exact
+    collisions of distinct atoms, which clear positive at both ends, and
+    as candidates the pairs with pd > fl(lo im), lo = M (1 - CEIL_SLACK).
+    Once N = 2 max im is known (1 when every image coincides),
+    holder_ceiling scores the candidates, one pair a row, and each atom
+    takes the least ceiling of its pairs.
+    """
+    check_holder_budget(m_const)
+    images_t = np.ascontiguousarray(np.asarray(images, dtype=float).T)
+    n = images_t.shape[1]
+    lo = m_const * (1.0 - CEIL_SLACK)
+    positive = np.ones(n, dtype=bool)
+    top = 0.0
+    cand = []
+    buf = np.empty(rows * n)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)  # rows s..e-1 against columns s..n-1
+        im = sq_norms(images_t[:, s:e].T[:, None], images_t[:, s:].T[None],
+                       out=buf[:(e - s) * (n - s)].reshape(e - s, n - s))
+        np.sqrt(im, out=im)
+        top = max(top, float(im.max()))
+        part = pd[s:e, s:]
+        r, c = np.nonzero(im == 0.0)  # the diagonal, and exact collisions
+        hit = part[r, c] > 0.0
+        positive[r[hit] + s] = False
+        positive[c[hit] + s] = False
+        r, c = np.nonzero(part > lo * im)
+        upper = c > r  # the block's own lower triangle repeats its pairs
+        cand.append((r[upper] + s, c[upper] + s, im[r[upper], c[upper]]))
+    normalizer = 2.0 * top if top > 0.0 else 1.0
+    if not normalizer <= 2.0 ** 485:
+        raise ValueError("image distances beyond 2^484 leave the range "
+                         "where the candidate pairs are certified")
+    i, j, im_c = (np.concatenate(parts) for parts in zip(*cand))
+    ceil = holder_ceiling(pd[i, j][:, None] / normalizer,
+                          im_c[:, None] / normalizer, m_const)
+    alpha = np.full(n, np.inf)
+    np.minimum.at(alpha, i, ceil)
+    np.minimum.at(alpha, j, ceil)
+    return alpha, positive

@@ -204,14 +204,19 @@ def test_box_dim_n_scales_not_whole_exits_two(tmp_path):
 
 def test_nan_budget_and_exponents_exit_two(tmp_path):
     # NaN passed the tests M < 1, eta <= 1 and theta <= 0: a NaN budget
-    # bound no pair, so log-lip exited 0 with every ceiling inf
+    # bound no pair, so log-lip exited 0 with every ceiling inf; an
+    # infinite budget once ran too, on inf x 0 = NaN in the thresholds
     cfg = tmp_path / "cfg.json"
     small = {"n_atoms": 200, "n_maps": 5}
     for name, config, message in (
             ("log-lip", {"m_const": math.nan, **small}, "M must be at least 1"),
             ("log-lip", {"eta": math.nan, **small}, "eta must exceed 1"),
             ("log-lip", {"theta": math.nan, **small}, "theta must be positive"),
-            ("holder-ceiling", {"m_grid": [math.nan]}, "M must be at least 1")):
+            ("holder-ceiling", {"m_grid": [math.nan]}, "M must be at least 1"),
+            ("log-lip", {"m_const": math.inf, **small},
+             "M must be at least 1"),
+            ("holder-ceiling", {"m_grid": [math.inf]},
+             "M must be at least 1")):
         cfg.write_text(json.dumps(config))
         out = tmp_path / "run"
         proc = run_cli(name, "--seed", "1", "--config", str(cfg),

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from oracles import (decode_brute_force_oracle, decode_recoveries_oracle,
-                     image_sq_norms, modulus_oracle, origin_ceiling_scorer,
-                     transversality_oracle)
+                     image_sq_norms, log_lip_pass_oracle, modulus_oracle,
+                     origin_ceiling_scorer, transversality_oracle)
 from projlab import embedding
 from projlab.constructions import (SphereNetSpec, sparse_atoms, sphere_net,
                                    sphere_net_union)
-from projlab.embedding import (_net_images, _origin_ceilings, _tail_table,
+from projlab.embedding import (CEIL_SLACK, _image_diameter, _net_images,
+                               _origin_ceilings, _tail_table,
                                collision_probability, decode_recoveries,
                                holder_ceiling, hull_vertices,
                                inverse_continuity_modulus, log_lip_distances,
@@ -50,12 +51,12 @@ def test_tail_table_inclusive_and_descending():
     # order and the rows come back in decreasing eps; the fit needs three
     # rows with events
     stat = np.array([0.125, 0.25, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    table, fit = _tail_table(stat, [0.25, 0.5, 1.0, 2.0])
+    table, fit = _tail_table([stat], [0.25, 0.5, 1.0, 2.0])
     assert table == [(2.0, 6), (1.0, 5), (0.5, 4), (0.25, 3)]
     assert all(type(e) is float and type(c) is int for e, c in table)
     assert fit["slope"] > 0 and 0 < fit["r_squared"] <= 1
-    assert _tail_table(stat, [2.0, 0.25, 1.0, 0.5]) == (table, fit)
-    assert _tail_table(stat, [0.01, 0.1, 0.125, 0.25]) == (
+    assert _tail_table([stat], [2.0, 0.25, 1.0, 0.5]) == (table, fit)
+    assert _tail_table([stat], [0.01, 0.1, 0.125, 0.25]) == (
         [(0.25, 3), (0.125, 1), (0.1, 0), (0.01, 0)], None)
 
 
@@ -141,8 +142,9 @@ def test_transversality_blocks_match_the_whole_stack_norm(k, generic):
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_transversality_peak_is_the_statistic_plus_one_block(k):
-    # a block holds its images, their squares and two vectors of its length
+def test_transversality_peak_is_one_block(k):
+    # a block holds its images, their squares, their norms and its
+    # comparisons with the grid; the statistic is never held whole
     rows = sample_e_batch(3, k, 200_000, seed=k)
     grid = [2.0**-2, 2.0**-4, 2.0**-6]
     transversality_fraction([1.0, 0.0, 0.0], grid, rows[:2])
@@ -153,7 +155,8 @@ def test_transversality_peak_is_the_statistic_plus_one_block(k):
     finally:
         tracemalloc.stop()
     block = 2 * (k + 1) * embedding.TRANS_BLOCK * 8
-    assert peak <= len(rows) * 8 + block + (1 << 16)
+    block += (8 + len(grid)) * embedding.TRANS_BLOCK
+    assert peak <= block + (1 << 16)
 
 
 def test_modulus_identity_map():
@@ -375,7 +378,7 @@ def test_log_lip_distances_are_symmetric_row_norms(n):
         assert np.array_equal(pd[i], np.linalg.norm(pts - pts[i], axis=1))
     assert big_r == float(pd.max())
 
-# --- log-lip's triangle pass against the whole matrices ---
+# --- log-lip's pass against the whole matrices ---
 
 
 def _full_matrix_pass(pd, images, m_const, eta=2.0, theta=1.0):
@@ -393,14 +396,14 @@ def _full_matrix_pass(pd, images, m_const, eta=2.0, theta=1.0):
     return alpha, c_hat
 
 
-def _atoms_and_images(seed, n, k):
+def _atoms_and_images(seed, n, k, dim=3):
     """Bit-symmetric distances of n atoms, some of them repeated, and
     images of them, some of which collide."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1, 1, (n, 3)) * 2.0 ** rng.integers(-6, 1, (n, 1))
+    pts = rng.uniform(-1, 1, (n, dim)) * 2.0 ** rng.integers(-6, 1, (n, 1))
     pts[rng.random(n) < 0.1] = pts[0]
     pd = np.sqrt(sq_norms(pts[:, None], pts[None]))
-    images = pts @ sample_e_batch(3, k, 1, seed)[0].T
+    images = pts @ sample_e_batch(dim, k, 1, seed)[0].T
     images[rng.random(n) < 0.1] = images[-1]
     return pd, images
 
@@ -411,19 +414,40 @@ def _atoms_and_images(seed, n, k):
        exponents=st.sampled_from([(2.0, 1.0), (1.01, 10.0), (1000.0, 1.0)]))
 def test_log_lip_pass_blocks_and_permutation(seed, n, k, m_const, exponents):
     # the flags are the defect's sign at every (eta, theta), also where the
-    # modulus's power overflows and f is 0 at small distances
+    # modulus's power overflows and f is 0 at small distances; blocks of
+    # 1, 3 and 64 pairs split the ranges of one image anywhere
     pd, images = _atoms_and_images(seed, n, k)
     alpha, c_hat = _full_matrix_pass(pd, images, m_const, *exponents)
     with pytest.MonkeyPatch.context() as patch:
-        for block in (1, 3, 64, n + 1):
-            patch.setattr(embedding, "TRI_BLOCK", block)
-            got = log_lip_pass(pd, images, m_const)
+        for block in (1, 3, 64, n * n):
+            patch.setattr(embedding, "DECODE_PAIRS", block)
+            got = log_lip_pass(pd, pd.max(), images, m_const)
             assert np.array_equal(got[0], alpha)
             assert np.array_equal(got[1], c_hat > 0)
     perm = np.random.default_rng(seed).permutation(n)
-    moved = log_lip_pass(pd[perm][:, perm], images[perm], m_const)
+    moved = log_lip_pass(pd[perm][:, perm], pd.max(), images[perm], m_const)
     assert np.array_equal(moved[0], alpha[perm])
     assert np.array_equal(moved[1], c_hat[perm] > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60),
+       k=st.integers(1, 5), m_const=st.sampled_from([1.0, 3.0, 16.0, 1e6]),
+       scale=st.sampled_from([1.0, 2.0**-500, 2.0**480]))
+def test_log_lip_pass_matches_the_dense_oracle(seed, n, k, m_const, scale):
+    # k up to 5 leaves coordinates unkeyed; coincident atoms and colliding
+    # images come from _atoms_and_images, and the scales reach both ends of
+    # the certified range
+    pd, images = _atoms_and_images(seed, n, k, dim=6)
+    images *= scale
+    want = log_lip_pass_oracle(pd, images, m_const)
+    got = log_lip_pass(pd, pd.max(), images, m_const)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    perm = np.random.default_rng(seed).permutation(n)
+    moved = log_lip_pass(pd[perm][:, perm], pd.max(), images[perm], m_const)
+    assert np.array_equal(moved[0], want[0][perm])
+    assert np.array_equal(moved[1], want[1][perm])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -434,7 +458,7 @@ def test_log_lip_pass_total_collapse_is_an_exact_collision():
     pd = np.array([[0.0, 1.0], [1.0, 0.0]])
     images = np.zeros((2, 1))
     for m_const in (1.0, 16.0):
-        alpha, positive = log_lip_pass(pd, images, m_const)
+        alpha, positive = log_lip_pass(pd, 1.0, images, m_const)
         assert alpha.tolist() == [0.0, 0.0]
         assert positive.tolist() == [False, False]
         oracle = _full_matrix_pass(pd, images, m_const)
@@ -443,11 +467,12 @@ def test_log_lip_pass_total_collapse_is_an_exact_collision():
 
 def test_log_lip_pass_refuses_images_beyond_the_certified_range():
     pd, images = _atoms_and_images(3, 10, 2)
-    log_lip_pass(pd, 2.0**480 * images, 1.0)
+    log_lip_pass(pd, pd.max(), 2.0**480 * images, 1.0)
     with pytest.raises(ValueError, match="certified"):
-        log_lip_pass(pd, 2.0**490 * images, 1.0)
-    with pytest.raises(ValueError, match="M must be at least 1"):
-        log_lip_pass(pd, images, 0.5)
+        log_lip_pass(pd, pd.max(), 2.0**490 * images, 1.0)
+    for m_const in (0.5, math.inf):
+        with pytest.raises(ValueError, match="M must be at least 1"):
+            log_lip_pass(pd, pd.max(), images, m_const)
 
 
 @pytest.mark.parametrize("m_const", [3.0, 5.0, 10.0])
@@ -472,7 +497,7 @@ def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
         return holder_ceiling(pd_c, im_c, m)
 
     monkeypatch.setattr(embedding, "holder_ceiling", spy)
-    alpha, positive = log_lip_pass(pd, images, m_const)
+    alpha, positive = log_lip_pass(pd, pd.max(), images, m_const)
     monkeypatch.undo()
     oracle_alpha, c_hat = _full_matrix_pass(pd, images, m_const)
     assert np.array_equal(alpha, oracle_alpha)
@@ -484,6 +509,68 @@ def test_log_lip_candidates_hold_every_binding_pair(m_const, monkeypatch):
     assert scored == [np.count_nonzero(binding)]
     assert np.any(binding & (im == 0))  # a collision binds
     assert np.any(binding & (pd <= m_const * im) & (im > 0))  # by rounding
+
+
+@pytest.mark.parametrize("m_const", [1.0, 3.0, 10.0])
+def test_log_lip_scores_the_pairs_at_the_reach(m_const, monkeypatch):
+    # two atoms R apart whose images lie t apart, t the largest float with
+    # fl(lo t) < R, lo = M (1 - CEIL_SLACK): the pair is a candidate at the
+    # far edge of the reach, and its squares may sum above fl(t^2)
+    rng = np.random.default_rng(int(m_const))
+    lo = m_const * (1.0 - CEIL_SLACK)
+    scored = []
+
+    def spy(pd_c, im_c, m):
+        scored.append(len(pd_c))
+        return holder_ceiling(pd_c, im_c, m)
+
+    monkeypatch.setattr(embedding, "holder_ceiling", spy)
+    for _ in range(200):
+        big_r = rng.uniform(0.5, 1.0)
+        t = big_r / lo
+        while lo * t >= big_r:
+            t = np.nextafter(t, 0.0)
+        k = int(rng.integers(1, 6))
+        d = np.zeros(k)
+        while np.sqrt(sq_norms(d[None]))[0] != t:
+            u = rng.standard_normal(k)
+            d = t * u / np.linalg.norm(u)
+        pd = np.array([[0.0, big_r], [big_r, 0.0]])
+        log_lip_pass(pd, big_r, np.array([np.zeros(k), d]), m_const)
+    assert scored == [1] * 200
+
+
+def _clusters(seed, n, k):
+    """n images in a few tight clusters far apart."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1, 1, (3, k))
+    return centres[rng.integers(0, 3, n)] + 1e-9 * rng.standard_normal((n, k))
+
+
+@pytest.mark.parametrize("images", [
+    np.full((5, 3), 0.1),  # every image coincides: max im 0, so N = 1
+    np.array([[0.25, -1.0]]),
+    np.array([[0.0, 1.0], [3.0, -2.0]]),
+    np.outer(np.linspace(-1.0, 3.0, 40) ** 3, [0.6, -0.8]),  # collinear
+    np.linspace(0.0, 1.0, 30)[:, None],
+    _clusters(0, 50, 2), _clusters(1, 200, 4),
+    2.0**-500 * _clusters(2, 60, 3),
+    np.random.default_rng(3).uniform(-1, 1, (300, 4))])
+def test_image_diameter_is_the_diameter_of_every_image(images):
+    # the centroid's bar keeps every pair that can reach the largest image
+    # distance, so the pruned diameter is the same float
+    assert _image_diameter(images) == set_diameter(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       k=st.integers(1, 4), power=st.sampled_from([0, -500, 480]))
+def test_image_diameter_matches_set_diameter(seed, n, k, power):
+    rng = np.random.default_rng(seed)
+    images = rng.standard_normal((n, k)) * 2.0 ** rng.integers(-3, 3, (n, 1))
+    images[rng.random(n) < 0.2] = images[0]
+    images *= 2.0**power
+    assert _image_diameter(images) == set_diameter(images)
 
 
 # --- the map-stacked modulus kernel against direct differences ---

@@ -382,6 +382,8 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("log-lip", {"eta": math.nan}, "eta must exceed 1"),
     ("log-lip", {"theta": math.nan}, "theta must be positive"),
     ("holder-ceiling", {"m_grid": [math.nan]}, "M must be at least 1"),
+    ("log-lip", {"m_const": math.inf}, "M must be at least 1"),
+    ("holder-ceiling", {"m_grid": [math.inf]}, "M must be at least 1"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -408,6 +410,7 @@ def test_log_lip_values_refused_before_the_atoms_are_drawn(monkeypatch):
     monkeypatch.setattr(experiments, "sparse_atoms", unreachable)
     for config, message in (({"m_const": 0.5}, "M must be at least 1"),
                             ({"m_const": math.nan}, "M must be at least 1"),
+                            ({"m_const": math.inf}, "M must be at least 1"),
                             ({"eta": 1.0}, "eta must exceed 1"),
                             ({"theta": 0.0}, "theta must be positive")):
         with pytest.raises(ValueError, match=message):
