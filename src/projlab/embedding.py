@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dimension
-from .grid import block_end, grid_ranges, ranges, sq_norms
+from .grid import block_end, grid_keys, grid_ranges, ranges, sq_norms
 
 STACK_BLOCK = 1 << 18  # float64 entries per map-stack block (2 MB)
 MAP_BLOCK = 32  # maps per block in collision_probability
@@ -94,36 +94,79 @@ def collision_probability(points, base_index, delta, eps_grid, rows):
     rows is an (m, k, N) stack of maps.  For each map the statistic is the
     minimum image distance from the base to the points at distance
     >= delta; the per-eps count is how many maps push that minimum below
-    eps.  Returns the map and far-point counts, the per-eps counts and a
-    log2-log2 fit of frequency against eps, not the minima themselves.
+    eps.  The grid must hold at least two finite, positive tolerances,
+    each at most delta / 2.  Returns the map and far-point counts, the
+    per-eps counts and a log2-log2 fit of frequency against eps, not the
+    minima themselves.
 
-    The maps are taken in blocks of MAP_BLOCK: one product gives the
-    images of every far difference under every map of the block, and the
-    squares are summed coordinate by coordinate.  For k < 8 that is the
-    order of np.linalg.norm, so each minimum is bit-equal to the norm
-    taken map by map; from 8 rows on the norm sums pairwise and the two
-    may differ in the last bit.
+    Only a minimum at or below eps_max, the grid's largest tolerance,
+    reaches a count, so each map images only a certified candidate set.
+    The far differences x - base are cut into cubic cells of side
+    2 eps_max (grid_keys) with origin_cells' centres c and radii rho
+    (_cell_summary).  For every x of a cell, |L x| >= |L c| - ||L||_2 rho,
+    and _cell_bounds lowers that by CELL_SLACK ||L||_F (|c| + rho), which
+    makes it a lower bound on the computed norm of L x (the argument of
+    _origin_ceilings).  So a point whose computed image norm is at most
+    eps_max lies in a cell of bound at most eps_max, a candidate cell.  A
+    map with no candidate cell has a minimum above eps_max and counts at
+    no eps: it gets an infinite one.  Each other map of a block of
+    MAP_BLOCK takes its minimum over the union of the block's candidate
+    cells.  That union holds the arg-min of a minimum at or below
+    eps_max, and a minimum over a superset of the arg-min is the same
+    float; any other minimum stays above eps_max.
+
+    One product gives the images of the union under every map of the
+    block, and the squares are summed coordinate by coordinate.  For
+    k < 8 that is the order of np.linalg.norm, so each minimum at or below
+    eps_max is bit-equal to the norm over every far point taken map by
+    map; from 8 rows on the norm sums pairwise and the two may differ in
+    the last bit.  As over every far point, maps of k >= 2 rows take a
+    matrix product with the gathered columns and one-row maps a
+    matrix-vector product with the gathered rows.  A lone gathered point
+    of several is taken twice, as in _net_images: BLAS takes a product
+    with one point by another path, which rounds differently.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    eps_grid = np.asarray(eps_grid, dtype=float)
     if len(eps_grid) < 2:
         raise ValueError("need at least two tolerance levels")
-    if 2 * max(eps_grid) > delta:
+    if not np.all(np.isfinite(eps_grid) & (eps_grid > 0.0)):
+        raise ValueError("tolerances must be finite and positive")
+    eps_max = float(eps_grid.max())
+    if 2 * eps_max > delta:
         raise ValueError("grid leaves the regime 2*eps <= delta")
     base = points[base_index]
     far = points[np.linalg.norm(points - base, axis=1) >= delta]
     if len(far) == 0:
         raise ValueError("no points at distance >= delta from the base")
+    dim = far.shape[1]
     diffs = far - base
+    # at most 2^(62 / dim) keys an axis keep every key below 2^62; from 32
+    # coordinates on they may wrap, which merges cells: any partition
+    # gives true bounds
+    order, key, _, _ = grid_keys(
+        [diffs[None, :, c] for c in range(dim)],
+        np.full((1, 1), 2 * eps_max), max(1, int(2.0 ** (62 / dim)) - 3))
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1],
+                                            [True]]))
+    diffs = diffs[order]
     diffs_t = np.ascontiguousarray(diffs.T)
-    min2 = np.empty(len(rows))
+    cells = _cell_summary(diffs_t, starts)
+    min2 = np.full(len(rows), np.inf)
     for s in range(0, len(rows), MAP_BLOCK):
-        block = rows[s:s + MAP_BLOCK]
-        if rows.shape[1] == 1:  # a one-row map gives matrix-vector products,
-            # which BLAS sums in another order than a matrix product: keep them
-            images = diffs @ np.swapaxes(block, 1, 2)
+        near = _cell_bounds(cells, rows[s:s + MAP_BLOCK]) <= eps_max
+        live = np.flatnonzero(near.any(axis=1))
+        if len(live) == 0:
+            continue
+        idx, _ = _cell_members(starts, np.flatnonzero(near[live].any(axis=0)))
+        if len(idx) == 1 < len(diffs):
+            idx = np.repeat(idx, 2)
+        ops = rows[s + live]
+        if rows.shape[1] == 1:
+            images = diffs[idx] @ np.swapaxes(ops, 1, 2)
         else:
-            images = np.swapaxes(block @ diffs_t, 1, 2)
-        min2[s:s + MAP_BLOCK] = sq_norms(images).min(axis=1)
+            images = np.swapaxes(ops @ diffs_t[:, idx], 1, 2)
+        min2[s + live] = sq_norms(images).min(axis=1)
     table, fit = _tail_table([np.sqrt(min2)], eps_grid)
     return {
         "n_maps": len(rows),
@@ -281,14 +324,23 @@ def holder_ceiling(pd, im, m_const):
     return np.where(alpha > 0.0, alpha, 0.0)
 
 
+class CellSummary(NamedTuple):
+    """Cells of a point set: for each cell, centres, the midpoint of its
+    bounding box; radii, half the box's diagonal, so that every point of
+    the cell lies within it of the centre; and reach, |centre| + radius."""
+
+    centres: np.ndarray
+    radii: np.ndarray
+    reach: np.ndarray
+
+
 class OriginCells(NamedTuple):
     """A net cut into cells about the origin, as origin_cells builds it.
 
     points_t is the (d, n) net in cell order, norms its points' norms;
     cell c holds the columns starts[c]:starts[c + 1].  For each cell:
-    centres, the midpoint of its bounding box; radii, half the box's
-    diagonal, so that every point of the cell lies within it of the
-    centre; reach, |centre| + radius; and tops, its largest norm."""
+    centres, radii and reach, as in CellSummary, and tops, its largest
+    norm."""
 
     points_t: np.ndarray
     norms: np.ndarray
@@ -324,9 +376,9 @@ def origin_cells(points, side=CELL_SIDE):
     its direction x / |x|; points at the origin form one cell.  Any
     partition would do, since a cell's centre and radius come from its
     points, so a cell key that wraps around in many dimensions costs only
-    tightness.  The keys and the copy are taken in blocks of rows that
-    keep each within STACK_BLOCK entries, so that beyond the cell-ordered
-    copy and its norms only full-net index arrays are held.
+    tightness.  The keys, the copy and the norms are taken in blocks of
+    rows that keep each within STACK_BLOCK entries, so that beyond the
+    cell-ordered copy and its norms only full-net index arrays are held.
     """
     points = np.asarray(points, dtype=float)
     n, dim = points.shape
@@ -344,14 +396,23 @@ def origin_cells(points, side=CELL_SIDE):
         for c in range(dim):
             points_t[c, s:s + rows] = block[:, c]
     del order
+    norms = np.empty(n)
+    for s in range(0, n, rows):
+        sq_norms(points_t[:, s:s + rows].T, out=norms[s:s + rows])
+    np.sqrt(norms, out=norms)
+    return OriginCells(points_t, norms, starts,
+                       *_cell_summary(points_t, starts),
+                       np.maximum.reduceat(norms, starts[:-1]))
+
+
+def _cell_summary(points_t, starts):
+    """The CellSummary of a (d, n) point array in cell order, cell c
+    holding the columns starts[c]:starts[c + 1]."""
     lo = np.minimum.reduceat(points_t, starts[:-1], axis=1)
     hi = np.maximum.reduceat(points_t, starts[:-1], axis=1)
     centres = np.ascontiguousarray((0.5 * (lo + hi)).T)
-    radii = 0.5 * np.sqrt(sq_norms((hi - lo).T))  # half the box diagonal
-    norms = np.sqrt(sq_norms(points_t.T))
-    return OriginCells(points_t, norms, starts, centres, radii,
-                       np.sqrt(sq_norms(centres)) + radii,
-                       np.maximum.reduceat(norms, starts[:-1]))
+    radii = 0.5 * np.sqrt(sq_norms((hi - lo).T))
+    return CellSummary(centres, radii, np.sqrt(sq_norms(centres)) + radii)
 
 
 def _net_images(op, points_t, idx):
@@ -375,13 +436,18 @@ def _cell_members(starts, cells):
     return ranges(starts[cells], counts), counts
 
 
-def _cell_bounds(cells, op):
-    """_origin_ceilings' lower bounds, one per cell, on the computed norms of
-    the images of the cell's points under op."""
-    lip = math.sqrt(float(np.abs(op @ op.T).sum(axis=1).max()))
-    bound = np.sqrt(sq_norms(cells.centres @ op.T))
-    bound -= lip * cells.radii
-    bound -= CELL_SLACK * float(np.linalg.norm(op)) * cells.reach
+def _cell_bounds(cells, ops):
+    """_origin_ceilings' lower bounds on the computed norms of the images of
+    each cell's points under each map of an (m, k, d) stack, as an
+    (m, cells) array; cells has the fields of a CellSummary."""
+    m, k, d = ops.shape
+    gram = np.einsum("mid,mjd->mij", ops, ops)  # each map's L L^T
+    lip = np.sqrt(np.abs(gram).sum(axis=2).max(axis=1))
+    images = (ops.reshape(m * k, d) @ cells.centres.T).reshape(m, k, -1)
+    bound = np.sqrt(sq_norms(np.swapaxes(images, 1, 2)))
+    bound -= lip[:, None] * cells.radii
+    frob = np.sqrt(np.trace(gram, axis1=1, axis2=2))  # ||L||_F
+    bound -= (CELL_SLACK * frob)[:, None] * cells.reach
     return bound
 
 
@@ -445,7 +511,7 @@ def _origin_ceilings(cells, op, normalizer, m_grid):
     threshold.  The answer is the smaller of c* and their ceiling: a
     minimum over a superset of the arg-min is the same float.
     """
-    bound = _cell_bounds(cells, op)
+    bound = _cell_bounds(cells, op[None])[0]
     far = cells.tops > 0.0  # a cell at the origin never binds
     seed = np.flatnonzero(far & (bound <= max(float(np.min(
         bound, where=far, initial=np.inf)), 0.0)))

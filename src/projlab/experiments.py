@@ -448,6 +448,9 @@ def _transversality(cfg, art, threads):
     "theta": 0.1, "slope_floor": 0.7, "seed": None,
 })
 def _collision_scaling(cfg, art, threads):
+    for key in ("theta", "slope_floor", "delta"):
+        if not math.isfinite(cfg[key]):  # before the union is built
+            raise ValueError("%s must be finite" % key)
     union = sphere_net_union(cfg["ambient_dim"], cfg["k"], l_law="pow2t",
                              t=cfg["t"], i_max=cfg["i_max"], seed=cfg["seed"])
     # the first point of the first run on shell 1

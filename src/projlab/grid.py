@@ -63,8 +63,8 @@ def block_end(stop, s, pairs=COVER_PAIRS):
 def grid_keys(lead, reach, per_axis):
     """Cut m sets of n points into cubic cells and sort them by cell.
 
-    lead holds the sets' (m, n) arrays of up to three coordinates, reach
-    their (m, 1) distances to be met.  A set's cells have side
+    lead holds the sets' (m, n) arrays of coordinates, reach their (m, 1)
+    distances to be met.  A set's cells have side
     h = max(reach (1 + GRID_MARGIN), span / per_axis), span its widest
     coordinate range, and positive when every point coincides.  Keys
     number them with the first coordinate fastest, a spare cell on both

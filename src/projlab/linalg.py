@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ROW_BLOCK = 1 << 16  # rows normalized and scaled at a time in ball_rows
+ROW_BLOCK = 1 << 15  # rows normalized and scaled at a time in ball_rows
 
 
 def ball_rows(n_rows, dim, rng):

@@ -216,7 +216,15 @@ def test_nan_budget_and_exponents_exit_two(tmp_path):
             ("log-lip", {"m_const": math.inf, **small},
              "M must be at least 1"),
             ("holder-ceiling", {"m_grid": [math.inf]},
-             "M must be at least 1")):
+             "M must be at least 1"),
+            # theta and slope_floor NaN failed the checks with exit 1, and
+            # a NaN delta was refused as a set with no far point
+            ("collision-scaling", {"theta": math.nan},
+             "theta must be finite"),
+            ("collision-scaling", {"slope_floor": math.nan},
+             "slope_floor must be finite"),
+            ("collision-scaling", {"delta": math.nan},
+             "delta must be finite")):
         cfg.write_text(json.dumps(config))
         out = tmp_path / "run"
         proc = run_cli(name, "--seed", "1", "--config", str(cfg),

@@ -24,7 +24,7 @@ from projlab.embedding import (CEIL_SLACK, _image_diameter, _net_images,
                                origin_cells, set_diameter,
                                transversality_fraction)
 from projlab.experiments import _sub_seeds
-from projlab.grid import COVER_PAIRS, block_end, sq_norms
+from projlab.grid import COVER_PAIRS, GRID_MARGIN, block_end, sq_norms
 from projlab.linalg import sample_e_batch
 
 
@@ -101,6 +101,132 @@ def test_collision_table_permutation_invariant(seed, n, k):
     moved = collision_probability(pts[perm], int(np.argmax(perm == 0)), 0.5,
                                   grid, rows)
     assert moved["table"] == out["table"]
+
+
+def _oracle_table(mins, grid):
+    return [(float(e), int(np.count_nonzero(mins <= e)))
+            for e in sorted(grid, reverse=True)]
+
+
+def _edge_grid(mins, top):
+    """Each oracle minimum at most top and the float just below it, so a
+    map whose minimum is one ulp off either way changes a count."""
+    kept = mins[mins <= top]
+    return np.concatenate([kept, np.nextafter(kept, 0.0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200),
+       dim=st.integers(3, 5), k=st.integers(1, 3),
+       n_maps=st.integers(1, 2 * embedding.MAP_BLOCK + 5),
+       share=st.floats(0.0, 0.5))
+def test_collision_cells_match_the_per_map_loop(seed, n, dim, k, n_maps,
+                                                 share):
+    # the grid's top is the minimum of a share of the maps, most of them
+    # below 1/2, so that most maps are ruled out by their cells' bounds
+    # and the top map sits on the edge of its own
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n, dim)) * 10.0 ** rng.uniform(-2, 0, (n, 1))
+    pts[-1] = pts[0] + 1.0  # at least one point at distance >= delta
+    rows = sample_e_batch(dim, k, n_maps, seed) / 4.0
+    mins = _collision_minima(pts, 0, 0.5, rows)
+    top = min(np.sort(mins)[int(share * (n_maps - 1))], 0.25)
+    grid = _edge_grid(mins, top)
+    if len(grid) < 2:
+        grid = np.array([top, top / 2])
+    out = collision_probability(pts, 0, 0.5, grid, rows)
+    assert out["table"] == _oracle_table(mins, grid)
+
+
+def test_collision_no_map_within_the_grid():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, (300, 3))
+    rows = sample_e_batch(3, 2, 3 * embedding.MAP_BLOCK, seed=3)
+    assert _collision_minima(pts, 0, 0.25, rows).min() > 2.0**-20
+    out = collision_probability(pts, 0, 0.25, [2.0**-20, 2.0**-21], rows)
+    assert out["table"] == [(2.0**-20, 0), (2.0**-21, 0)]
+    assert out["fit"] is None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_collision_lone_candidate_point(k, monkeypatch):
+    # one map and one far point just off its kernel, the others well off
+    # it: that point alone lies in a cell whose bound reaches the grid, so
+    # its image is a product with one gathered point, which BLAS would
+    # round by another path if it were taken alone
+    gathered = []
+    cell_members = embedding._cell_members
+
+    def spy(starts, cells):
+        idx, counts = cell_members(starts, cells)
+        gathered.append(len(idx))
+        return idx, counts
+
+    monkeypatch.setattr(embedding, "_cell_members", spy)
+    rng = np.random.default_rng(k)
+    for seed in range(100):
+        op = sample_e_batch(3, k, 1, seed)
+        vt = np.linalg.svd(op[0])[2]  # rows: the row space, then the kernel
+        pts = rng.normal(size=(200, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts = pts[np.linalg.norm(pts @ vt[:k].T, axis=1) > 0.5]
+        pts[0] = 0.0
+        pts[1] = 0.5 * vt[k] + rng.uniform(1e-4, 1e-3) * vt[0]
+        mins = _collision_minima(pts, 0, 0.25, op)
+        grid = _edge_grid(mins, mins[0])
+        out = collision_probability(pts, 0, 0.25, grid, op)
+        assert out["table"] == _oracle_table(mins, grid), seed
+    assert gathered == [1] * 100
+
+
+def test_collision_points_on_cell_boundaries():
+    # far points on the lattice of the cells' corners: with the base at
+    # the origin every coordinate of a far difference is a whole number of
+    # cell sides from the least one, 0, so it falls in the cell above a
+    # boundary, and the table still matches the oracle
+    eps_max = 2.0**-5
+    side = 2 * eps_max * (1 + GRID_MARGIN)  # grid_keys' cell side
+    axis = np.arange(0, 18, 3) * side
+    pts = np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+    assert np.array_equal(pts / side, np.round(pts / side))
+    assert not pts[0].any()
+    far = pts[np.linalg.norm(pts, axis=1) >= 0.125]
+    assert not far.min(axis=0).any()
+    rows = sample_e_batch(3, 2, 2 * embedding.MAP_BLOCK, seed=8)
+    mins = _collision_minima(pts, 0, 0.125, rows)
+    assert 0 < np.count_nonzero(mins <= eps_max) < len(rows)
+    grid = np.concatenate([[eps_max], _edge_grid(mins, eps_max)])
+    out = collision_probability(pts, 0, 0.125, grid, rows)
+    assert out["table"] == _oracle_table(mins, grid)
+
+
+def test_collision_cell_bounds_hold_on_tight_cells():
+    # two far points of one cell straddle its centre along a one-row map,
+    # where |L x| = |L c| - ||L|| rho holds exactly, and the grid's top is
+    # the nearer one's image norm: a bound lifted above it by rounding
+    # would rule the map out
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        s, a = rng.uniform(0.5, 1.0), rng.uniform(0.01, 0.1)
+        r = rng.uniform(0.0, 0.25) * s * a
+        pts = np.array([[0.0, 0.0, 0.0], [a - r, 0.0, 1.0],
+                        [a + r, 0.0, 1.0]]) * rng.uniform(0.5, 2.0)
+        op = np.array([[[s, 0.0, 0.0]]])
+        mins = _collision_minima(pts, 0, 0.5, op)
+        grid = _edge_grid(mins, mins[0])
+        out = collision_probability(pts, 0, 0.5, grid, op)
+        assert out["table"] == _oracle_table(mins, grid)
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 2.0**-6, 2.0**-7],
+                                  [2.0**-6, math.nan], [math.inf, 2.0**-6],
+                                  [2.0**-6, 0.0], [2.0**-6, -2.0**-7]])
+def test_collision_refuses_a_bad_eps_grid(grid):
+    # with NaN first, max(grid) was NaN and passed the regime test
+    pts = np.random.default_rng(0).uniform(-1, 1, (50, 3))
+    with pytest.raises(ValueError, match="finite and positive"):
+        collision_probability(pts, 0, 0.25, grid,
+                              sample_e_batch(3, 2, 4, seed=0))
 
 
 def test_transversality_event_scaling():
@@ -950,7 +1076,7 @@ def test_cell_bounds_hold_on_tight_cells():
         cells = origin_cells(pts, math.inf)
         im = np.sqrt(sq_norms(_net_images(op, cells.points_t,
                                           np.arange(2)).T))
-        assert embedding._cell_bounds(cells, op)[0] <= im.min()
+        assert embedding._cell_bounds(cells, op[None])[0, 0] <= im.min()
 
 
 def test_thresholds_cap_every_binding_image():

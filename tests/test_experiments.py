@@ -384,6 +384,11 @@ SMALL = {"log-lip": {"n_atoms": 60, "n_maps": 2},
     ("holder-ceiling", {"m_grid": [math.nan]}, "M must be at least 1"),
     ("log-lip", {"m_const": math.inf}, "M must be at least 1"),
     ("holder-ceiling", {"m_grid": [math.inf]}, "M must be at least 1"),
+    ("collision-scaling", {"theta": math.nan}, "theta must be finite"),
+    ("collision-scaling", {"slope_floor": math.nan},
+     "slope_floor must be finite"),
+    ("collision-scaling", {"delta": math.nan}, "delta must be finite"),
+    ("collision-scaling", {"theta": -math.inf}, "theta must be finite"),
 ])
 def test_invalid_config_values_raise(name, config, message):
     with pytest.raises(ValueError, match=message):
@@ -401,6 +406,18 @@ def test_holder_budget_refused_before_the_union_is_built(monkeypatch):
                             ({"n_maps": 0}, "at least one map")):
         with pytest.raises(ValueError, match=message):
             run_experiment("holder-ceiling", config={"seed": 0, **config})
+
+
+def test_collision_values_refused_before_the_union_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the union was built")
+
+    monkeypatch.setattr(experiments, "sphere_net_union", unreachable)
+    for key in ("theta", "slope_floor", "delta"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="%s must be finite" % key):
+                run_experiment("collision-scaling",
+                               config={"seed": 0, key: value})
 
 
 def test_log_lip_values_refused_before_the_atoms_are_drawn(monkeypatch):

@@ -48,8 +48,9 @@ def test_sampler_determinism():
 
 
 @pytest.mark.parametrize("dim", [1, 3, 10])
-@pytest.mark.parametrize("n_rows", [ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
-                                    3 * ROW_BLOCK + 5])
+@pytest.mark.parametrize("n_rows", [ROW_BLOCK - 1, 2 * ROW_BLOCK - 1,
+                                    2 * ROW_BLOCK, 2 * ROW_BLOCK + 1,
+                                    6 * ROW_BLOCK + 5])
 def test_ball_rows_match_the_one_shot_draw(n_rows, dim):
     got = ball_rows(n_rows, dim, np.random.default_rng(n_rows + dim))
     want = ball_rows_oracle(n_rows, dim, np.random.default_rng(n_rows + dim))
